@@ -51,10 +51,11 @@ from repro.flow._reference import (
 )
 from repro.flow.maxmin import max_min_fair_allocation
 from repro.flow.mcf import _assemble_edge_lp
-from repro.flow.path_lp import PathLPStructure, clear_shared_lp_structures
+from repro.flow.path_lp import PathLPStructure
 from repro.flow.throughput import max_servers_at_full_throughput
 from repro.graphs.csr import clear_csr_cache
-from repro.routing.paths import build_path_set, clear_shared_path_sets
+from repro.memo import clear_memos
+from repro.routing.paths import build_path_set
 from repro.simulation.fluid import (
     MPTCP,
     TCP_EIGHT_FLOWS,
@@ -200,8 +201,7 @@ def _edge_assembly_case(num_switches: int, ports: int, degree: int, repeats: int
 
 def _clear_flow_state() -> None:
     clear_csr_cache()
-    clear_shared_path_sets()
-    clear_shared_lp_structures()
+    clear_memos()
 
 
 def _search_production(ports: int, seed: int) -> int:

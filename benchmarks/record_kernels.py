@@ -80,7 +80,7 @@ def _yen_case(num_switches: int, ports: int, degree: int, repeats: int) -> list:
     csr = csr_graph(graph)
 
     def cold():
-        csr.result_cache.clear()
+        csr.routes.clear()
         k_shortest_paths(graph, source, target, 8)
 
     cold_seconds = _best_of(cold, repeats)

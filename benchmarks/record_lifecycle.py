@@ -35,8 +35,7 @@ from pathlib import Path
 
 from repro.graphs.csr import clear_csr_cache
 from repro.lifecycle import LifecycleConfig, run_lifecycle
-from repro.routing.paths import clear_shared_path_sets
-from repro.simulation.capacity import clear_capacity_cache
+from repro.memo import clear_memos
 from repro.telemetry.manifest import peak_rss_kb
 from repro.telemetry.timing import best_of
 from repro.topologies.jellyfish import JellyfishTopology
@@ -79,8 +78,7 @@ QUICK_CONFIG = LifecycleConfig(
 
 def _clear_shared_state() -> None:
     clear_csr_cache()
-    clear_shared_path_sets()
-    clear_capacity_cache()
+    clear_memos()
 
 
 def _assert_parity(reference, incremental) -> None:

@@ -40,10 +40,10 @@ from repro.telemetry.manifest import peak_rss_kb
 from repro.telemetry.timing import best_of, timed_best_of
 
 from repro.graphs.csr import clear_csr_cache
-from repro.routing.paths import build_path_set, clear_shared_path_sets
+from repro.memo import clear_memos
+from repro.routing.paths import build_path_set
 from repro.simulation._reference import simulate_aimd_reference
 from repro.simulation.aimd import AimdConfig, simulate_aimd
-from repro.simulation.capacity import clear_capacity_cache
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
@@ -124,8 +124,7 @@ def _round_loop_case(fattree_k: int, repeats: int, repeats_old=None) -> dict:
 
 def _clear_sim_state() -> None:
     clear_csr_cache()
-    clear_shared_path_sets()
-    clear_capacity_cache()
+    clear_memos()
 
 
 def _end_to_end_case(fattree_k: int, repeats: int, repeats_old=None) -> list:

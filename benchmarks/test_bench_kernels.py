@@ -9,6 +9,7 @@ import pytest
 
 from repro.graphs.csr import batched_hop_distances, clear_csr_cache, csr_graph
 from repro.graphs.properties import average_path_length, diameter
+from repro.memo import clear_memos
 from repro.routing._reference import (
     all_pairs_hop_distances_reference,
     k_shortest_paths_reference,
@@ -49,6 +50,7 @@ def test_bench_fig05_scale_metrics(benchmark, fig05_scale_graph):
 
     def run():
         clear_csr_cache()
+        clear_memos()
         return average_path_length(fig05_scale_graph), diameter(fig05_scale_graph)
 
     mean_hops, diam = benchmark(run)
@@ -62,7 +64,7 @@ def test_bench_csr_yen_cold(benchmark, ksp_graph):
     csr = csr_graph(ksp_graph)
 
     def run():
-        csr.result_cache.clear()
+        csr.routes.clear()
         return k_shortest_paths(ksp_graph, nodes[0], nodes[-1], 8)
 
     paths = benchmark(run)

@@ -15,8 +15,7 @@ import pytest
 
 from repro.graphs.csr import clear_csr_cache
 from repro.lifecycle import LifecycleConfig, run_lifecycle
-from repro.routing.paths import clear_shared_path_sets
-from repro.simulation.capacity import clear_capacity_cache
+from repro.memo import clear_memos
 from repro.topologies.jellyfish import JellyfishTopology
 
 SNAPSHOT = Path(__file__).resolve().parent / "BENCH_lifecycle.json"
@@ -38,8 +37,7 @@ QUICK_CONFIG = LifecycleConfig(
 
 def _clear_shared_state():
     clear_csr_cache()
-    clear_shared_path_sets()
-    clear_capacity_cache()
+    clear_memos()
 
 
 @pytest.fixture(scope="module")

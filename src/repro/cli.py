@@ -155,8 +155,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         metavar="MB",
         help="per-point memory budget: each worker caps its address space "
         "(RLIMIT_AS soft limit) so an overrun raises MemoryError instead "
-        "of drawing the kernel OOM killer. Overrides $REPRO_MEMORY_MB and "
-        "the sweep's registry default (0 disables). Budgets force "
+        "of drawing the kernel OOM killer (0 disables). Budgets force "
         "supervised execution even with --workers 0",
     )
     run_parser.add_argument(
@@ -315,7 +314,6 @@ def _sweep_run(args: argparse.Namespace) -> int:
         expand,
         get_sweep,
     )
-    from repro.resources import default_memory_mb
     from repro.telemetry import RunRecorder, enable, enable_in_subprocesses, get_logger
     from repro.telemetry.manifest import (
         journal_path,
@@ -443,10 +441,6 @@ def _sweep_run(args: argparse.Namespace) -> int:
             if timeout_s is not None and timeout_s <= 0:
                 timeout_s = None
             memory_mb = args.memory_mb
-            if memory_mb is None:
-                memory_mb = default_memory_mb()
-            if memory_mb is None:
-                memory_mb = sweep.memory_mb
             if memory_mb is not None and memory_mb <= 0:
                 memory_mb = None
             recorder = RunRecorder(

@@ -54,7 +54,6 @@ from repro.resources import (
     ExecutionProfile,
     MAX_DEGRADATION_LEVEL,
     PROFILE_LADDER,
-    default_memory_mb,
     profile_for_level,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "canonical_json",
     "content_hash",
     "default_cache_root",
-    "default_memory_mb",
     "derive_seed",
     "expand",
     "get_sweep",

@@ -68,10 +68,8 @@ class SweepDef:
     """One registered sweep: how to build its grid and assemble its result.
 
     ``timeout_s`` is the sweep's default per-point wall-clock budget for
-    supervised execution (``None`` disables deadlines entirely), and
-    ``memory_mb`` the sweep's default per-point memory budget (an
-    ``RLIMIT_AS`` soft cap inside each worker; ``None`` disables budgets).
-    Both are overridable from the CLI (``--timeout`` / ``--memory-mb``).
+    supervised execution (``None`` disables deadlines entirely),
+    overridable from the CLI (``--timeout``).
     """
 
     sweep_id: str
@@ -79,7 +77,6 @@ class SweepDef:
     build: SpecBuilder
     assemble: Assembler
     timeout_s: Optional[float] = None
-    memory_mb: Optional[float] = None
 
 
 _SWEEPS: Dict[str, SweepDef] = {}

@@ -4,7 +4,6 @@ from repro.flow.maxmin import FlowSpec, max_min_fair_allocation
 from repro.flow.mcf import max_concurrent_flow_edge_lp
 from repro.flow.path_lp import (
     PathLPStructure,
-    clear_shared_lp_structures,
     max_concurrent_flow_path_lp,
     shared_path_lp_structure,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "max_concurrent_flow_path_lp",
     "PathLPStructure",
     "shared_path_lp_structure",
-    "clear_shared_lp_structures",
     "ThroughputResult",
     "max_servers_at_full_throughput",
     "normalized_throughput",

@@ -26,7 +26,6 @@ canonical CSR matrices produced here are identical to it bit-for-bit.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -35,14 +34,14 @@ from scipy.sparse import csr_matrix
 
 from repro.flow.mcf import FlowSolverError, _directed_arcs
 from repro.graphs.csr import csr_graph
+from repro.memo import Memo
 from repro.telemetry import trace
 from repro.routing.paths import PathSet, shared_path_set
 from repro.topologies.base import Topology
 from repro.traffic.matrices import TrafficMatrix
 
 #: Content-hash-keyed LRU of demand-independent LP structures.
-_SHARED_STRUCTURES: "OrderedDict[Tuple[str, str, int], PathLPStructure]" = OrderedDict()
-_SHARED_STRUCTURE_MAX = 8
+_SHARED_STRUCTURES = Memo("flow.lp_structures", max_entries=8)
 
 
 class PathLPStructure:
@@ -259,19 +258,8 @@ def shared_path_lp_structure(
     key = (csr_graph(topology.graph).content_hash, scheme, k)
     structure = _SHARED_STRUCTURES.get(key)
     if structure is not None and structure.matches(topology):
-        _SHARED_STRUCTURES.move_to_end(key)
         return structure
-    structure = PathLPStructure(topology, scheme=scheme, k=k)
-    _SHARED_STRUCTURES[key] = structure
-    _SHARED_STRUCTURES.move_to_end(key)
-    while len(_SHARED_STRUCTURES) > _SHARED_STRUCTURE_MAX:
-        _SHARED_STRUCTURES.popitem(last=False)
-    return structure
-
-
-def clear_shared_lp_structures() -> None:
-    """Drop every cached demand-independent LP structure."""
-    _SHARED_STRUCTURES.clear()
+    return _SHARED_STRUCTURES.put(key, PathLPStructure(topology, scheme=scheme, k=k))
 
 
 def max_concurrent_flow_path_lp(

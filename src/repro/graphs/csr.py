@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
 import sys
 import weakref
-from collections import OrderedDict
+from operator import attrgetter
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
+from repro.memo import Memo, memo_stats
 from repro.resources import active_profile
 from repro.telemetry import count, trace
 
@@ -52,32 +52,18 @@ _BFS_SOURCE_CHUNK = 4096
 
 #: Default scratch budget for one BFS chunk's transient arrays (the
 #: ``(edges+1) x words`` gather plus frontier/visited bit-planes and the
-#: chunk's distance rows).  Override per call via ``scratch_bytes`` or
-#: globally with ``REPRO_BFS_SCRATCH_MB``.
+#: chunk's distance rows).  Override per call via ``scratch_bytes``.
 DEFAULT_BFS_SCRATCH_BYTES = 256 * 1024 * 1024
 
 
-def _env_mb(name: str, default_bytes: int) -> int:
-    """Resolve an ``<NAME>``-in-megabytes env override to bytes."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default_bytes
-    try:
-        return max(1, int(float(raw) * 1024 * 1024))
-    except ValueError:
-        return default_bytes
-
-
 def default_bfs_scratch_bytes() -> int:
-    """The active BFS scratch budget (env-overridable, read per call).
+    """The active BFS scratch budget (read per call).
 
     The active :class:`~repro.resources.ExecutionProfile` scales the result
     (degradation-ladder rungs halve the scratch budget), so a degraded
     re-dispatch genuinely allocates less transient memory per BFS chunk.
     """
-    profile = active_profile()
-    budget = _env_mb("REPRO_BFS_SCRATCH_MB", DEFAULT_BFS_SCRATCH_BYTES)
-    return profile.scale_bytes(budget, profile.bfs_scratch_scale)
+    return active_profile().scaled(DEFAULT_BFS_SCRATCH_BYTES)
 
 
 def bfs_source_chunk(
@@ -114,12 +100,11 @@ def index_dtype(num_nodes: int, num_directed_edges: int) -> np.dtype:
         return np.dtype(np.int64)
     return np.dtype(np.int32)
 
-#: Size guards for the per-graph memos, mirroring the intent of
+#: Entry caps of the per-view memos, mirroring the intent of
 #: ``ALL_PAIRS_MEMO_NODE_LIMIT`` in :mod:`repro.graphs.properties`: an
 #: all-pairs k-shortest-path sweep over a fig05-scale graph must not retain
-#: the whole result set for the graph's lifetime.  Hitting a cap evicts the
-#: cache wholesale (generation-style), which keeps the steady-state regimes
-#: — repeated queries over a bounded working set — fully cached.
+#: the whole result set for the graph's lifetime, while repeated queries
+#: over a bounded working set stay fully cached.
 _RESULT_CACHE_MAX_ENTRIES = 65536
 _PARENT_TREE_CACHE_MAX = 256
 
@@ -132,97 +117,23 @@ _MINUS_ONE_SURROGATE = 0x2545F4914F6CDD1D
 #: :mod:`repro.graphs.properties` as ``ALL_PAIRS_MEMO_NODE_LIMIT``.
 DIST_ROW_MEMO_NODE_LIMIT = 1500
 
-#: Byte budget for the global distance-row memo (env ``REPRO_DIST_MEMO_MB``).
+#: Byte budget of the distance-row memo.
 DEFAULT_DIST_MEMO_BYTES = 64 * 1024 * 1024
 
-
-class _DistanceRowMemo:
-    """Content-hash-keyed LRU of memoized BFS distance rows.
-
-    Keys are ``(csr.content_hash, source_index)``, so structurally equal
-    graphs — and successive CSR views of the same mutating graph — share
-    rows, while any structural change produces fresh keys and the stale
-    entries age out.  The memo is bounded by a byte budget: storing past it
-    evicts least-recently-used rows (surfaced via
-    :func:`distance_memo_stats` and the ``memo.dist_row_evictions``
-    telemetry counter), so a week-long sweep over thousands of topologies
-    can no longer grow the memo without limit.
-    """
-
-    __slots__ = ("entries", "bytes", "budget_bytes", "hits", "misses", "evictions")
-
-    def __init__(self, budget_bytes: int) -> None:
-        self.entries: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
-        self.bytes = 0
-        self.budget_bytes = budget_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: Tuple[str, int]) -> Optional[np.ndarray]:
-        row = self.entries.get(key)
-        if row is None:
-            self.misses += 1
-            return None
-        self.entries.move_to_end(key)
-        self.hits += 1
-        return row
-
-    def effective_budget(self) -> int:
-        """The byte budget scaled by the active execution profile."""
-        profile = active_profile()
-        return profile.scale_bytes(self.budget_bytes, profile.dist_memo_scale)
-
-    def store(self, key: Tuple[str, int], row: np.ndarray) -> None:
-        budget = self.effective_budget()
-        if row.nbytes > budget or key in self.entries:
-            return
-        self.entries[key] = row
-        self.bytes += row.nbytes
-        evicted = 0
-        while self.bytes > budget:
-            _, dropped = self.entries.popitem(last=False)
-            self.bytes -= dropped.nbytes
-            evicted += 1
-        if evicted:
-            self.evictions += evicted
-            count("memo.dist_row_evictions", evicted)
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "rows": len(self.entries),
-            "bytes": self.bytes,
-            "budget_bytes": self.budget_bytes,
-            "effective_budget_bytes": self.effective_budget(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-_DIST_ROW_MEMO = _DistanceRowMemo(_env_mb("REPRO_DIST_MEMO_MB", DEFAULT_DIST_MEMO_BYTES))
-
-
-def dist_row_memo_get(content_hash: str, source: int) -> Optional[np.ndarray]:
-    """Look up a memoized distance row by graph content hash and source."""
-    return _DIST_ROW_MEMO.get((content_hash, source))
-
-
-def dist_row_memo_store(content_hash: str, source: int, row: np.ndarray) -> None:
-    """Store a distance row in the bounded global memo (LRU-evicting)."""
-    _DIST_ROW_MEMO.store((content_hash, source), row)
+#: Memoized BFS distance rows, keyed by ``(csr.content_hash, source_index)``
+#: so structurally equal graphs -- and successive CSR views of the same
+#: mutating graph -- share rows, while any structural change produces fresh
+#: keys and the stale entries age out.  Rows must own their data: a view
+#: into a larger distance matrix would pin the whole matrix while only the
+#: row's bytes are counted.
+DIST_ROW_MEMO = Memo(
+    "graphs.dist_rows", budget=DEFAULT_DIST_MEMO_BYTES, cost=attrgetter("nbytes")
+)
 
 
 def distance_memo_stats() -> Dict[str, int]:
-    """Occupancy and hit/miss/eviction counters of the distance-row memo."""
-    return _DIST_ROW_MEMO.stats()
+    """Counts and occupancy of the distance-row memo (see :func:`memo_stats`)."""
+    return memo_stats()["graphs.dist_rows"]
 
 
 def _graph_fingerprint(graph: nx.Graph) -> Tuple[int, int, int, int]:
@@ -295,8 +206,8 @@ class CSRGraph:
         "fingerprint",
         "_adj_lists",
         "_edge_src",
-        "_parent_trees",
-        "result_cache",
+        "parent_trees",
+        "routes",
         "_seen",
         "_parent",
         "_stamp",
@@ -333,12 +244,11 @@ class CSRGraph:
     def _init_caches(self) -> None:
         self._adj_lists: Optional[List[List[int]]] = None
         self._edge_src: Optional[np.ndarray] = None
-        self._parent_trees: Dict[int, List[int]] = {}
-        # Routing modules memoize query results here via store_result (e.g.
-        # ("ksp", s, t, k)).  The cache lives and dies with this CSR view,
-        # so any graph mutation — which forces a rebuild via the
-        # fingerprint — drops it wholesale.
-        self.result_cache: Dict = {}
+        self.parent_trees = Memo("graphs.parent_trees", max_entries=_PARENT_TREE_CACHE_MAX)
+        # Routing modules memoize query results here (e.g. ("ksp", s, t, k)).
+        # The memo lives and dies with this CSR view, so any graph mutation
+        # — which forces a rebuild via the fingerprint — drops it wholesale.
+        self.routes = Memo("routing.results", max_entries=_RESULT_CACHE_MAX_ENTRIES)
         # Yen/BFS scratch arrays (lazy): visited stamps and parent pointers.
         self._seen: Optional[List[int]] = None
         self._parent: Optional[List[int]] = None
@@ -407,12 +317,6 @@ class CSRGraph:
             digest.update(self.indices.tobytes())
             self._content_hash = digest.hexdigest()
         return self._content_hash
-
-    def store_result(self, key, value) -> None:
-        """Memoize a routing query result, evicting wholesale at the cap."""
-        if len(self.result_cache) >= _RESULT_CACHE_MAX_ENTRIES:
-            self.result_cache.clear()
-        self.result_cache[key] = value
 
     def adj_lists(self) -> List[List[int]]:
         """Adjacency as plain Python int lists (fastest for scalar BFS loops)."""
@@ -576,10 +480,10 @@ class CSRGraph:
         if self.num_nodes > DIST_ROW_MEMO_NODE_LIMIT:
             return self.hop_distance_matrix([source])[0]
         key = (self.content_hash, source)
-        row = _DIST_ROW_MEMO.get(key)
+        row = DIST_ROW_MEMO.get(key)
         if row is None:
-            row = self.hop_distance_matrix([source])[0]
-            _DIST_ROW_MEMO.store(key, row)
+            # The one-row matrix's buffer holds exactly the row's bytes.
+            row = DIST_ROW_MEMO.put(key, self.hop_distance_matrix([source])[0])
         return row
 
     def bfs_parent_tree(self, source: int) -> List[int]:
@@ -588,11 +492,10 @@ class CSRGraph:
         Parent assignments follow CSR (= networkx adjacency) order, so the
         path extracted for any target equals the one an early-exit BFS to
         that target would have produced.  Trees are memoized per source
-        (bounded; evicted wholesale at the cap), so repeated
-        k-shortest-path queries from one source (or one pair) skip their
-        initial full BFS.
+        (LRU-bounded), so repeated k-shortest-path queries from one source
+        (or one pair) skip their initial full BFS.
         """
-        cached = self._parent_trees.get(source)
+        cached = self.parent_trees.get(source)
         if cached is not None:
             return cached
         adj = self.adj_lists()
@@ -607,10 +510,7 @@ class CSRGraph:
                     seen[v] = stamp
                     parents[v] = u
                     queue.append(v)
-        if len(self._parent_trees) >= _PARENT_TREE_CACHE_MAX:
-            self._parent_trees.clear()
-        self._parent_trees[source] = parents
-        return parents
+        return self.parent_trees.put(source, parents)
 
 
 def path_from_parent_tree(parents: Sequence[int], source: int, target: int) -> Optional[IndexPath]:
@@ -820,9 +720,8 @@ def adopt_csr_view(graph: nx.Graph, view: CSRGraph) -> None:
 
 
 def clear_csr_cache() -> None:
-    """Drop every cached CSR view and the global distance-row memo."""
+    """Drop every cached CSR view (memos are emptied by ``clear_memos``)."""
     _csr_cache.clear()
-    _DIST_ROW_MEMO.clear()
 
 
 def batched_hop_distances(

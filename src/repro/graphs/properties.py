@@ -6,13 +6,13 @@ so everything reduces to BFS hop distances; the heavy lifting runs on the
 bit-parallel batched BFS kernel in :mod:`repro.graphs.csr` and pairwise
 histograms are reduced with ``numpy`` straight from the distance matrix.
 
-Per-source distance rows are memoized on the cached :class:`~repro.graphs.csr.CSRGraph`
-(weakly referenced per graph object), so one BFS sweep is shared by
-:func:`average_path_length`, :func:`diameter` and :func:`path_length_cdf`.
-The cache is revalidated against the CSR structural fingerprint computed at
-build time, so in-place mutations — including edge-count-preserving rewires
-such as failure injection followed by repair — are detected without the old
-frozenset-of-frozensets hashing on every memo hit.
+Per-source distance rows are memoized in
+:data:`~repro.graphs.csr.DIST_ROW_MEMO`, keyed by the CSR content hash, so
+one BFS sweep is shared by :func:`average_path_length`, :func:`diameter`
+and :func:`path_length_cdf`.  The CSR view is revalidated against its
+structural fingerprint, so in-place mutations — including
+edge-count-preserving rewires such as failure injection followed by repair
+— produce a new content hash and fresh rows.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ import networkx as nx
 import numpy as np
 
 from repro.graphs.csr import (
-    CSRGraph,
+    DIST_ROW_MEMO,
     DIST_ROW_MEMO_NODE_LIMIT,
-    clear_csr_cache,
+    CSRGraph,
     csr_graph,
-    dist_row_memo_get,
-    dist_row_memo_store,
 )
 from repro.resources import PROFILE_SAMPLE_SEED, active_profile
 
@@ -82,11 +80,6 @@ def _bfs_matrix(csr: CSRGraph, source_indices: List[int]) -> np.ndarray:
     return csr.hop_distance_matrix(source_indices)
 
 
-def clear_distance_memo() -> None:
-    """Drop every memoized BFS result (mainly useful in tests)."""
-    clear_csr_cache()
-
-
 def _distance_rows(
     graph: nx.Graph,
     sources: Optional[Iterable] = None,
@@ -117,7 +110,7 @@ def _rows_for_indices(
         rows: Dict[int, np.ndarray] = {}
         missing = []
         for index in wanted:
-            row = dist_row_memo_get(content, index)
+            row = DIST_ROW_MEMO.get((content, index))
             if row is None:
                 missing.append(index)
             else:
@@ -125,8 +118,8 @@ def _rows_for_indices(
         if missing:
             matrix = _bfs_matrix(csr, missing)
             for position, index in enumerate(missing):
-                rows[index] = matrix[position]
-                dist_row_memo_store(content, index, matrix[position])
+                # A copy owns its bytes; a view would pin the whole matrix.
+                rows[index] = DIST_ROW_MEMO.put((content, index), matrix[position].copy())
         return [rows[index] for index in wanted]
     return list(_bfs_matrix(csr, wanted))
 

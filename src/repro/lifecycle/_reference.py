@@ -24,8 +24,7 @@ from repro.graphs.csr import clear_csr_cache
 from repro.graphs.properties import csr_component_labels
 from repro.lifecycle.metrics import component_summary, evaluate_epoch
 from repro.lifecycle.state import LifecycleState, _node_key
-from repro.routing.paths import clear_shared_path_sets
-from repro.simulation.capacity import clear_capacity_cache
+from repro.memo import clear_memos
 
 
 class ColdMetrics:
@@ -67,8 +66,7 @@ class ColdMetrics:
 
     def epoch(self, epoch_index: int) -> Dict[str, float]:
         # Cold semantics: no warm routing state survives into an epoch.
-        clear_shared_path_sets()
-        clear_capacity_cache()
+        clear_memos()
         clear_csr_cache()
         topology = self.state.materialize()
         return evaluate_epoch(

@@ -43,6 +43,7 @@ from repro.lifecycle.state import (
     LifecycleState,
     _node_key,
 )
+from repro.memo import Memo
 from repro.topologies.base import Topology
 from repro.traffic.matrices import random_permutation_traffic
 
@@ -196,7 +197,7 @@ class IncrementalMetrics:
         #: Epoch metrics memoized by topology content hash -- sound only
         #: under ``traffic="fixed"``, where an epoch is a pure function of
         #: the state (cleared on expansion, which changes the plant).
-        self._epoch_memo: Dict[str, Dict[str, float]] = {}
+        self._epoch_memo = Memo("lifecycle.epochs")
         self._rebuild()
 
     # -- full relabel (construction and expansion only) -----------------
@@ -206,7 +207,7 @@ class IncrementalMetrics:
         self.members = {}
         self._rows = {}
         self._dirty = set()
-        self._epoch_memo = {}
+        self._epoch_memo.clear()
         self._next_comp = 0
         for node in self.adjacency:
             if node in self.comp_of:
@@ -360,5 +361,5 @@ class IncrementalMetrics:
             topology, config, self.state.seed, epoch_index,
             self.state.plant_servers(),
         )
-        self._epoch_memo[key] = dict(record)
+        self._epoch_memo.put(key, dict(record))
         return record

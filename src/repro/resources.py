@@ -4,9 +4,10 @@ Two halves, both stdlib-only so every layer (engine, graph kernels, chaos
 harness) can import them without cycles:
 
 **Execution profiles** -- a :class:`ExecutionProfile` describes how much
-fidelity a scenario point should spend: scratch/memo byte-budget scales for
-the streaming BFS kernels, whether exact kernels should switch to the
-sampled estimators, and a trial/source scale for the estimators themselves.
+fidelity a scenario point should spend: a memory scale for the streaming
+BFS scratch budget and every memo bound (:mod:`repro.memo`), whether exact
+kernels should switch to the sampled estimators, and a trial/source scale
+for the estimators themselves.
 :data:`PROFILE_LADDER` orders the profiles from full fidelity (rung 0) to
 the cheapest honest mode (rung ``MAX_DEGRADATION_LEVEL``); the supervised
 runner walks one rung down each time a point fails on *resource exhaustion*
@@ -22,9 +23,8 @@ degraded values.
 address space with a ``RLIMIT_AS`` *soft* limit of "what is currently
 mapped, plus the per-point budget, plus a safety margin", so an overrun
 raises a catchable :class:`MemoryError` inside the worker instead of
-drawing the kernel OOM killer.  The budget comes from ``--memory-mb``,
-``$REPRO_MEMORY_MB`` (:func:`default_memory_mb`) or
-``SweepDef.memory_mb``.  See ``docs/robustness.md``.
+drawing the kernel OOM killer.  The budget comes from ``--memory-mb``.
+See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional
-
-#: Environment variable supplying a default per-point memory budget (MB).
-MEMORY_MB_ENV = "REPRO_MEMORY_MB"
 
 #: Headroom added above the measured baseline address space when applying a
 #: budget, so the worker itself (pickling results, formatting the failure)
@@ -62,28 +59,27 @@ PROFILE_SAMPLE_SEED = 0
 class ExecutionProfile:
     """One rung of the degradation ladder (frozen, JSON-friendly).
 
-    ``bfs_scratch_scale`` / ``dist_memo_scale`` multiply the streaming-BFS
-    scratch budget and the global distance-row memo budget; ``sampled``
-    switches exact path-length kernels to the sampled estimators (with
-    their recorded confidence intervals); ``trial_scale`` shrinks
-    trial/source counts requested from the estimators.  Rung 0 is full
-    fidelity: every scale is 1.0 and ``sampled`` is off.
+    ``memory_scale`` multiplies the streaming-BFS scratch budget and the
+    entry cap and cost budget of every memo; ``sampled`` switches exact
+    path-length kernels to the sampled estimators (with their recorded
+    confidence intervals); ``trial_scale`` shrinks trial/source counts
+    requested from the estimators.  Rung 0 is full fidelity: every scale
+    is 1.0 and ``sampled`` is off.
     """
 
     level: int = 0
-    bfs_scratch_scale: float = 1.0
-    dist_memo_scale: float = 1.0
+    memory_scale: float = 1.0
     sampled: bool = False
     trial_scale: float = 1.0
 
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def scale_bytes(self, budget_bytes: int, scale: float) -> int:
-        """Apply one of the byte-budget scales (floored at 1 byte)."""
-        if scale >= 1.0:
-            return int(budget_bytes)
-        return max(1, int(budget_bytes * scale))
+    def scaled(self, bound: int) -> int:
+        """A memory bound times ``memory_scale``, floored at 1."""
+        if self.memory_scale >= 1.0:
+            return int(bound)
+        return max(1, int(bound * self.memory_scale))
 
     def plan_sources(self, num_nodes: int, requested: Optional[int]) -> Optional[int]:
         """The source-sample size this profile allows.
@@ -116,21 +112,13 @@ class ExecutionProfile:
 
 
 #: The ladder, full fidelity first.  Rung 1 halves the streaming-BFS scratch
-#: and distance-memo budgets; rung 2 additionally switches exact kernels to
+#: budget and every memo bound; rung 2 additionally switches exact kernels to
 #: the sampled estimators; rung 3 additionally halves trial/source counts.
 PROFILE_LADDER = (
     ExecutionProfile(level=0),
-    ExecutionProfile(level=1, bfs_scratch_scale=0.5, dist_memo_scale=0.5),
-    ExecutionProfile(
-        level=2, bfs_scratch_scale=0.5, dist_memo_scale=0.5, sampled=True
-    ),
-    ExecutionProfile(
-        level=3,
-        bfs_scratch_scale=0.5,
-        dist_memo_scale=0.5,
-        sampled=True,
-        trial_scale=0.5,
-    ),
+    ExecutionProfile(level=1, memory_scale=0.5),
+    ExecutionProfile(level=2, memory_scale=0.5, sampled=True),
+    ExecutionProfile(level=3, memory_scale=0.5, sampled=True, trial_scale=0.5),
 )
 
 assert len(PROFILE_LADDER) == MAX_DEGRADATION_LEVEL + 1
@@ -172,18 +160,6 @@ def activate_profile(
 # --------------------------------------------------------------------------- #
 # Memory budgets (RLIMIT_AS soft caps)
 # --------------------------------------------------------------------------- #
-def default_memory_mb() -> Optional[float]:
-    """The ``$REPRO_MEMORY_MB`` budget, or ``None`` when unset/invalid."""
-    raw = os.environ.get(MEMORY_MB_ENV)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 def current_address_space_bytes() -> Optional[int]:
     """This process's mapped address space (``None`` where unmeasurable).
 

@@ -33,7 +33,7 @@ def all_shortest_paths(
     if csr is None:
         csr = csr_graph(graph)
     key = ("ecmp", source, target)
-    cached = csr.result_cache.get(key)
+    cached = csr.routes.get(key)
     if cached is not None:
         return list(cached)
     try:
@@ -46,7 +46,7 @@ def all_shortest_paths(
     index_paths = all_shortest_path_indices(csr, source_index, target_index)
     nodes = csr.nodes
     result = [tuple(nodes[i] for i in path) for path in index_paths]
-    csr.store_result(key, result)
+    csr.routes.put(key, result)
     return list(result)
 
 

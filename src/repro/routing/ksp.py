@@ -42,7 +42,7 @@ def k_shortest_paths(
         raise ValueError("k must be positive")
     csr = csr_graph(graph)
     key = ("ksp", source, target, k)
-    cached = csr.result_cache.get(key)
+    cached = csr.routes.get(key)
     if cached is not None:
         return list(cached)
     try:
@@ -56,14 +56,14 @@ def k_shortest_paths(
         csr.bfs_parent_tree(source_index), source_index, target_index
     )
     if first is None:
-        csr.store_result(key, [])
+        csr.routes.put(key, [])
         return []
     index_paths = k_shortest_path_indices(
         csr, source_index, target_index, k, first_path=first
     )
     nodes = csr.nodes
     result = [tuple(nodes[i] for i in path) for path in index_paths]
-    csr.store_result(key, result)
+    csr.routes.put(key, result)
     return list(result)
 
 
@@ -94,7 +94,7 @@ def all_pairs_k_shortest_paths(
     for source_index, group in by_source.items():
         pending = []
         for pair in group:
-            cached = csr.result_cache.get(("ksp", pair[0], pair[1], k))
+            cached = csr.routes.get(("ksp", pair[0], pair[1], k))
             if cached is not None:
                 table[pair] = list(cached)
             else:
@@ -108,13 +108,13 @@ def all_pairs_k_shortest_paths(
             )
             key = ("ksp", pair[0], pair[1], k)
             if first is None:
-                csr.store_result(key, [])
+                csr.routes.put(key, [])
                 table[pair] = []
                 continue
             index_paths = k_shortest_path_indices(
                 csr, source_index, csr.index_of[pair[1]], k, first_path=first
             )
             result = [tuple(nodes[i] for i in path) for path in index_paths]
-            csr.store_result(key, result)
+            csr.routes.put(key, result)
             table[pair] = list(result)
     return table

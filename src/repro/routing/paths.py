@@ -8,68 +8,28 @@ Both the LP-based throughput harness and the fluid simulator consume it.
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import networkx as nx
 
 from repro.graphs.csr import csr_graph
+from repro.memo import Memo
 from repro.routing.ecmp import ecmp_paths
 from repro.routing.ksp import Path, all_pairs_k_shortest_paths
-from repro.telemetry import count
 
 Pair = Tuple[Hashable, Hashable]
 
-#: Content-hash-keyed LRU of shared path tables (see :func:`shared_path_set`).
-_SHARED_PATH_SETS: "OrderedDict[Tuple[str, str, int], PathSet]" = OrderedDict()
-_SHARED_PATH_SET_MAX = 16
-
-#: Total stored paths allowed across every shared table before LRU tables
-#: are evicted (env ``REPRO_PATHSET_PATH_BUDGET``).  A k=8 KSP table over a
-#: 180-switch all-pairs sweep holds ~258k paths; the default admits a couple
-#: of those plus change, so week-long sweeps over many topologies recycle
-#: table slots instead of accreting every table they ever built.
-_SHARED_PATH_SET_PATH_BUDGET = int(
-    os.environ.get("REPRO_PATHSET_PATH_BUDGET", 600_000)
+#: Shared path tables (see :func:`shared_path_set`) as ``(table, stored
+#: paths)`` entries, bounded by table count and by total stored paths.  A
+#: k=8 KSP table over a 180-switch all-pairs sweep holds ~258k paths; the
+#: budget admits a couple of those plus change, so week-long sweeps over
+#: many topologies recycle table slots instead of accreting every table
+#: they ever built.
+_SHARED_PATH_SETS = Memo(
+    "routing.path_sets", max_entries=16, budget=600_000, cost=itemgetter(1)
 )
-
-#: Stored-path count per cached table (maintained by :func:`shared_path_set`).
-_shared_path_counts: Dict[Tuple[str, str, int], int] = {}
-_shared_pathset_evictions = 0
-
-
-def _evict_shared_tables(current_key: Tuple[str, str, int]) -> None:
-    """Evict LRU tables past the entry cap or the total-path budget.
-
-    The table just used (``current_key``) is never evicted — a single
-    oversized table is allowed to exist, it just forces everything else
-    out — so callers always get back the table they extended.
-    """
-    global _shared_pathset_evictions
-    del current_key  # always newest (moved to end), so never the LRU victim
-    evicted = 0
-    while len(_SHARED_PATH_SETS) > 1 and (
-        len(_SHARED_PATH_SETS) > _SHARED_PATH_SET_MAX
-        or sum(_shared_path_counts.values()) > _SHARED_PATH_SET_PATH_BUDGET
-    ):
-        key, _ = _SHARED_PATH_SETS.popitem(last=False)
-        _shared_path_counts.pop(key, None)
-        evicted += 1
-    if evicted:
-        _shared_pathset_evictions += evicted
-        count("pathset.evictions", evicted)
-
-
-def shared_path_set_stats() -> Dict[str, int]:
-    """Occupancy and eviction counters of the shared path-table cache."""
-    return {
-        "tables": len(_SHARED_PATH_SETS),
-        "paths": sum(_shared_path_counts.values()),
-        "path_budget": _SHARED_PATH_SET_PATH_BUDGET,
-        "evictions": _shared_pathset_evictions,
-    }
 
 
 @dataclass
@@ -217,13 +177,8 @@ def shared_path_set(
     if scheme not in ("ksp", "ecmp"):
         raise ValueError(f"unknown routing scheme {scheme!r}")
     key = (csr_graph(graph).content_hash, scheme, k)
-    table = _SHARED_PATH_SETS.get(key)
-    if table is None:
-        table = PathSet(paths={}, kind=f"{scheme}-{k}")
-        _SHARED_PATH_SETS[key] = table
-        _shared_path_counts[key] = 0
-    else:
-        _SHARED_PATH_SETS.move_to_end(key)
+    entry = _SHARED_PATH_SETS.get(key)
+    table = PathSet(paths={}, kind=f"{scheme}-{k}") if entry is None else entry[0]
     pending = [
         (source, target)
         for source, target in pairs
@@ -231,16 +186,7 @@ def shared_path_set(
     ]
     if pending:
         _extend_table(graph, table.paths, pending, scheme, k, on_unreachable)
-        _shared_path_counts[key] = sum(
-            len(options) for options in table.paths.values()
-        )
-    _evict_shared_tables(key)
+    if entry is None or pending:
+        stored = sum(len(options) for options in table.paths.values())
+        _SHARED_PATH_SETS.put(key, (table, stored))
     return table
-
-
-def clear_shared_path_sets() -> None:
-    """Drop every cached shared path table (and reset the stats counters)."""
-    global _shared_pathset_evictions
-    _SHARED_PATH_SETS.clear()
-    _shared_path_counts.clear()
-    _shared_pathset_evictions = 0

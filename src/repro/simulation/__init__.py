@@ -1,6 +1,6 @@
 """Simulators that account for routing and congestion control (paper Section 5)."""
 
-from repro.simulation.capacity import clear_capacity_cache, link_capacities
+from repro.simulation.capacity import link_capacities
 from repro.simulation.fluid import FluidResult, SimulationConfig, simulate_fluid
 from repro.simulation.aimd import (
     AimdConfig,
@@ -18,5 +18,4 @@ __all__ = [
     "measure_convergence_round",
     "simulate_aimd",
     "link_capacities",
-    "clear_capacity_cache",
 ]

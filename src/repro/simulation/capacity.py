@@ -20,21 +20,20 @@ entry.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Hashable, Tuple
 from weakref import WeakKeyDictionary
 
 import networkx as nx
 
 from repro.graphs.csr import _graph_fingerprint
+from repro.memo import Memo
 from repro.topologies.base import Topology
 
 DirectedLink = Tuple[Hashable, Hashable]
 
 #: Content-hash-keyed LRU of capacity tables (same discipline as the shared
 #: path tables in :mod:`repro.routing.paths`).
-_CAPACITY_CACHE: "OrderedDict[tuple, Dict[DirectedLink, float]]" = OrderedDict()
-_CAPACITY_CACHE_MAX = 16
+_CAPACITY_CACHE = Memo("simulation.capacities", max_entries=16)
 
 #: Per-graph memo of explicit ``capacity`` edge attributes, revalidated
 #: against the structural fingerprint so cache hits skip the O(E) edge walk.
@@ -81,7 +80,6 @@ def link_capacities(topology: Topology, scale: float = 1.0) -> Dict[DirectedLink
     key = (topology.content_hash(), float(scale), explicit)
     cached = _CAPACITY_CACHE.get(key)
     if cached is not None:
-        _CAPACITY_CACHE.move_to_end(key)
         return cached
 
     core = topology.core()
@@ -98,14 +96,4 @@ def link_capacities(topology: Topology, scale: float = 1.0) -> Dict[DirectedLink
         value = cap * scale
         capacities[(u, v)] = value
         capacities[(v, u)] = value
-
-    _CAPACITY_CACHE[key] = capacities
-    while len(_CAPACITY_CACHE) > _CAPACITY_CACHE_MAX:
-        _CAPACITY_CACHE.popitem(last=False)
-    return capacities
-
-
-def clear_capacity_cache() -> None:
-    """Drop every cached capacity table (benchmarks measure cold starts)."""
-    _CAPACITY_CACHE.clear()
-    _EXPLICIT_CACHE.clear()
+    return _CAPACITY_CACHE.put(key, capacities)

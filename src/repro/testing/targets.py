@@ -50,7 +50,7 @@ def profile_point(
 def hungry_point(
     x: int = 0, mb: float = 96.0, seed: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Allocate ``mb`` megabytes scaled by the active profile's scratch scale.
+    """Allocate ``mb`` megabytes scaled by the active profile's memory scale.
 
     Under a tight ``memory_mb`` budget the full-fidelity attempt overruns
     the rlimit (raising ``MemoryError`` -> an ``oom`` fault), while a
@@ -60,7 +60,7 @@ def hungry_point(
     from repro.resources import active_profile
 
     profile = active_profile()
-    want = int(mb * 1024 * 1024 * profile.bfs_scratch_scale)
+    want = int(mb * 1024 * 1024 * profile.memory_scale)
     block = bytearray(want)
     block[::4096] = b"x" * len(block[::4096])  # touch pages so the VSZ is real
     size = len(block)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.simulation._reference import simulate_aimd_reference
 from repro.simulation.aimd import AimdConfig, measure_convergence_round, simulate_aimd
-from repro.simulation.capacity import clear_capacity_cache, link_capacities
+from repro.memo import clear_memos
+from repro.simulation.capacity import link_capacities
 from repro.topologies.clos import LeafSpineTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import Demand, TrafficMatrix, random_permutation_traffic
@@ -167,7 +168,7 @@ class TestCapacityHelper:
         assert scaled[edge] == table[edge] * 100
 
     def test_matches_graph_walk(self, small_jellyfish):
-        clear_capacity_cache()
+        clear_memos()
         table = link_capacities(small_jellyfish, scale=7.0)
         expected = {}
         for u, v, data in small_jellyfish.graph.edges(data=True):
@@ -175,7 +176,7 @@ class TestCapacityHelper:
         assert table == expected
 
     def test_explicit_capacities_honored(self):
-        clear_capacity_cache()
+        clear_memos()
         topology = LeafSpineTopology.build(
             num_leaves=4, num_spines=2, servers_per_leaf=2,
             leaf_ports=10, spine_ports=12, links_per_pair=3,
@@ -186,7 +187,7 @@ class TestCapacityHelper:
             assert table[(v, u)] == float(data.get("capacity", 1.0))
 
     def test_cache_distinguishes_capacity_annotations(self):
-        clear_capacity_cache()
+        clear_memos()
         small = LeafSpineTopology.build(
             num_leaves=3, num_spines=2, servers_per_leaf=2,
             leaf_ports=8, spine_ports=8, links_per_pair=1,

@@ -8,31 +8,29 @@ The hyperscale mode's correctness rests on three invariants this suite pins:
 * **No silent index overflow** — ``index_dtype`` promotes to int64 past the
   int32 range, and ``CSRGraph.from_arrays`` rejects arrays whose ``indptr``
   betrays a wrapped 32-bit cumulative sum.
-* **Bounded caches** — the global distance-row memo and the shared path-set
-  cache evict LRU entries past their budgets and surface the evictions in
-  their stats counters (and through ``repro stats`` telemetry).
+* **Bounded caches** — the distance-row memo and the shared path-set memo
+  evict LRU entries past their budgets, never the entry just stored, count
+  exactly the bytes or paths they hold, and surface their evictions in
+  :func:`repro.memo.memo_stats` (and through ``repro stats`` telemetry).
 """
 
 import numpy as np
 import pytest
 
 from repro.graphs.csr import (
-    DEFAULT_BFS_SCRATCH_BYTES,
+    DEFAULT_DIST_MEMO_BYTES,
+    DIST_ROW_MEMO,
     CSRGraph,
     bfs_source_chunk,
     clear_csr_cache,
     csr_graph,
-    default_bfs_scratch_bytes,
-    dist_row_memo_get,
-    dist_row_memo_store,
     distance_memo_stats,
     index_dtype,
 )
-from repro.routing.paths import (
-    clear_shared_path_sets,
-    shared_path_set,
-    shared_path_set_stats,
-)
+from repro.graphs.properties import average_path_length_csr
+from repro.memo import clear_memos, memo_stats
+from repro.resources import ExecutionProfile, activate_profile
+from repro.routing.paths import shared_path_set
 from repro.topologies.ensemble import single_rrg_core
 from repro.topologies.jellyfish import JellyfishTopology
 
@@ -40,10 +38,15 @@ from repro.topologies.jellyfish import JellyfishTopology
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_csr_cache()
-    clear_shared_path_sets()
+    clear_memos()
     yield
     clear_csr_cache()
-    clear_shared_path_sets()
+    clear_memos()
+
+
+def _memory_scale_for(budget: int, default: int) -> ExecutionProfile:
+    """A profile that scales a ``default`` memo bound down to ``budget``."""
+    return ExecutionProfile(memory_scale=budget / default)
 
 
 # --------------------------------------------------------------------------- #
@@ -84,12 +87,6 @@ def test_bfs_source_chunk_respects_budget_and_floors():
     assert (chunk // 64) * per_word <= 256 * 2**20
 
 
-def test_default_scratch_budget_env_override(monkeypatch):
-    assert default_bfs_scratch_bytes() == DEFAULT_BFS_SCRATCH_BYTES
-    monkeypatch.setenv("REPRO_BFS_SCRATCH_MB", "7")
-    assert default_bfs_scratch_bytes() == 7 * 2**20
-
-
 # --------------------------------------------------------------------------- #
 # Index dtype promotion / overflow guards
 # --------------------------------------------------------------------------- #
@@ -125,43 +122,48 @@ def test_from_arrays_promotes_dtype_consistently():
 def test_distance_memo_reports_hits_misses():
     csr = single_rrg_core(60, 8, 5, seed=1).csr()
     baseline = distance_memo_stats()
-    assert baseline["rows"] == 0
+    assert baseline["entries"] == 0
     csr.distance_row(0)
     csr.distance_row(0)
     stats = distance_memo_stats()
-    assert stats["rows"] == 1
+    assert stats["entries"] == 1
     assert stats["hits"] >= 1
     assert stats["misses"] >= 1
     assert stats["evictions"] == 0
 
 
-def test_distance_memo_evicts_lru_past_budget(monkeypatch):
-    import repro.graphs.csr as csr_module
-
-    memo = csr_module._DistanceRowMemo(budget_bytes=1000)
-    monkeypatch.setattr(csr_module, "_DIST_ROW_MEMO", memo)
-    row = np.zeros(100, dtype=np.int32)  # 400 bytes
-    dist_row_memo_store("hash-a", 0, row)
-    dist_row_memo_store("hash-a", 1, row.copy())
-    assert distance_memo_stats()["rows"] == 2
-    dist_row_memo_store("hash-a", 2, row.copy())  # 1200 bytes > budget
+def test_distance_memo_evicts_lru_past_budget():
+    csr = single_rrg_core(100, 8, 5, seed=1).csr()  # 400-byte rows
+    with activate_profile(_memory_scale_for(1000, DEFAULT_DIST_MEMO_BYTES)):
+        for source in (0, 1, 2):
+            csr.distance_row(source)  # the third row takes 1200 bytes > 1000
     stats = distance_memo_stats()
-    assert stats["rows"] == 2
+    assert stats["entries"] == 2
     assert stats["evictions"] == 1
-    assert stats["bytes"] <= 1000
+    assert stats["cost"] == 800
     # LRU order: source 0 was oldest, so it went first.
-    assert dist_row_memo_get("hash-a", 0) is None
-    assert dist_row_memo_get("hash-a", 1) is not None
-    assert dist_row_memo_get("hash-a", 2) is not None
+    assert DIST_ROW_MEMO.get((csr.content_hash, 0)) is None
+    assert DIST_ROW_MEMO.get((csr.content_hash, 1)) is not None
+    assert DIST_ROW_MEMO.get((csr.content_hash, 2)) is not None
+    # A row over the whole budget is still stored: it evicts everything else.
+    with activate_profile(ExecutionProfile(memory_scale=1e-12)):
+        csr.distance_row(3)
+    assert distance_memo_stats()["entries"] == 1
 
 
-def test_distance_memo_skips_oversized_rows(monkeypatch):
-    import repro.graphs.csr as csr_module
-
-    memo = csr_module._DistanceRowMemo(budget_bytes=100)
-    monkeypatch.setattr(csr_module, "_DIST_ROW_MEMO", memo)
-    dist_row_memo_store("hash-b", 0, np.zeros(1000, dtype=np.int32))
-    assert distance_memo_stats()["rows"] == 0
+def test_distance_memo_accounts_the_bytes_it_holds():
+    csr = single_rrg_core(1200, 12, 9, seed=5).csr()
+    row_bytes = 4 * csr.num_nodes
+    with activate_profile(_memory_scale_for(2 * row_bytes, DEFAULT_DIST_MEMO_BYTES)):
+        average_path_length_csr(csr)  # one batched all-pairs BFS
+    stats = distance_memo_stats()
+    assert stats["evictions"] == csr.num_nodes - 2
+    # A stored row that were a view would pin its whole distance matrix.
+    held = {}
+    for row in DIST_ROW_MEMO._entries.values():
+        owner = row if row.base is None else row.base
+        held[id(owner)] = owner.nbytes
+    assert stats["cost"] == sum(held.values()) == 2 * row_bytes
 
 
 def test_structurally_equal_graphs_share_memo_rows():
@@ -179,29 +181,32 @@ def test_structurally_equal_graphs_share_memo_rows():
 
 
 # --------------------------------------------------------------------------- #
-# Shared path-set cache: entry cap + total-path budget
+# Shared path-set memo: entry cap + total-path budget
 # --------------------------------------------------------------------------- #
 def test_pathset_budget_evicts_lru_tables(monkeypatch):
     import repro.routing.paths as paths_module
 
-    monkeypatch.setattr(paths_module, "_SHARED_PATH_SET_PATH_BUDGET", 40)
+    monkeypatch.setattr(paths_module._SHARED_PATH_SETS, "budget", 40)
     topologies = [JellyfishTopology.build(12, 6, 3, rng=seed) for seed in range(4)]
     pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
     for topology in topologies:
         shared_path_set(topology.graph, pairs, scheme="ksp", k=2)
-    stats = shared_path_set_stats()
+    stats = memo_stats()["routing.path_sets"]
     assert stats["evictions"] >= 1
-    assert stats["tables"] < 4
-    assert stats["paths"] <= 40 or stats["tables"] == 1
+    assert stats["entries"] < 4
+    assert stats["cost"] <= 40 or stats["entries"] == 1
 
 
 def test_pathset_never_evicts_current_table(monkeypatch):
     import repro.routing.paths as paths_module
 
-    monkeypatch.setattr(paths_module, "_SHARED_PATH_SET_PATH_BUDGET", 1)
+    monkeypatch.setattr(paths_module._SHARED_PATH_SETS, "budget", 1)
     topology = JellyfishTopology.build(12, 6, 3, rng=0)
     pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    shared_path_set(topology.graph, pairs[:4], scheme="ksp", k=2)
     table = shared_path_set(topology.graph, pairs, scheme="ksp", k=2)
     assert len(table) == len(pairs)
-    stats = shared_path_set_stats()
-    assert stats["tables"] == 1  # one oversized table survives alone
+    stats = memo_stats()["routing.path_sets"]
+    assert stats["entries"] == 1  # one oversized table survives alone
+    # The lazily extended table is counted at its current size.
+    assert stats["cost"] == sum(len(options) for options in table.paths.values())

@@ -1,4 +1,14 @@
-"""Smoke and shape tests for the experiment runners (one per paper figure/table)."""
+"""Smoke, golden-row and shape tests for the experiment runners.
+
+``tests/golden/small_seed0.json`` pins the rows every experiment produces at
+small scale, seed 0.  Rewrite it with ``PYTHONPATH=src python
+tests/test_experiments.py`` only when a change is meant to alter results.
+"""
+
+import json
+import math
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +18,49 @@ from repro.experiments.common import (
     list_experiments,
     run_experiment,
 )
+from repro.memo import clear_memos, memo_stats
+from repro.resources import ExecutionProfile
 
 ALL_EXPERIMENTS = list_experiments()
+
+GOLDEN = Path(__file__).parent / "golden" / "small_seed0.json"
+
+
+def _plain(value):
+    """JSON-shaped rows: tuples become lists, numpy scalars Python numbers."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value.item() if hasattr(value, "item") else value
+
+
+def _matches(expected, actual) -> bool:
+    """The end-to-end benchmark's rule: floats equal within a relative 1e-9,
+    everything else exactly."""
+    if isinstance(expected, float) or isinstance(actual, float):
+        return (
+            isinstance(expected, (int, float))
+            and isinstance(actual, (int, float))
+            and math.isclose(expected, actual, rel_tol=1e-9, abs_tol=0.0)
+        )
+    if isinstance(expected, list) and isinstance(actual, list):
+        return len(expected) == len(actual) and all(map(_matches, expected, actual))
+    return type(expected) is type(actual) and expected == actual
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())["rows"]
+
+
+def assert_golden_rows(result: ExperimentResult, golden) -> None:
+    expected = golden[result.experiment_id]
+    rows = _plain(result.rows)
+    diff = [
+        f"row {index}: expected {want!r}, got {got!r}"
+        for index, (want, got) in enumerate(zip_longest(expected, rows))
+        if not _matches(want, got)
+    ]
+    assert not diff, f"{result.experiment_id} differs from {GOLDEN.name}:\n" + "\n".join(diff)
 
 
 class TestRegistry:
@@ -58,13 +109,33 @@ class TestResultContainer:
 
 
 @pytest.mark.parametrize("experiment_id", ALL_EXPERIMENTS)
-def test_every_experiment_runs_at_small_scale(experiment_id):
+def test_every_experiment_runs_at_small_scale(experiment_id, golden):
     result = run_experiment(experiment_id, scale="small", seed=0)
     assert isinstance(result, ExperimentResult)
     assert result.rows, f"{experiment_id} produced no rows"
     assert result.experiment_id == experiment_id
+    assert_golden_rows(result, golden)
     # The formatted table must render without errors.
     assert format_table(result)
+
+
+@pytest.mark.parametrize(
+    "experiment_id", ["fig02c", "table1", "fig09", "fig10", "fig13-dynamics"]
+)
+def test_one_entry_memos_leave_rows_unchanged(experiment_id, golden, monkeypatch):
+    """Memos are invisible in results, even when each holds one entry."""
+    import repro.memo
+
+    # Patched where memos read it: sweep points activate their own profile.
+    one_entry = ExecutionProfile(memory_scale=1e-12)
+    monkeypatch.setattr(repro.memo, "active_profile", lambda: one_entry)
+    clear_memos()
+    result = run_experiment(experiment_id, scale="small", seed=0)
+    stats = memo_stats()
+    clear_memos()
+    assert_golden_rows(result, golden)
+    for namespace in ("graphs.dist_rows", "routing.path_sets", "flow.lp_structures"):
+        assert stats[namespace]["entries"] <= 1
 
 
 class TestHeadlineClaims:
@@ -149,3 +220,14 @@ class TestHeadlineClaims:
         rows = result.as_dicts()
         moderate = [r for r in rows if r["requested_local_fraction"] <= 0.6]
         assert all(r["throughput_normalized_to_unrestricted"] > 0.7 for r in moderate)
+
+
+if __name__ == "__main__":
+    rows = {
+        experiment_id: _plain(run_experiment(experiment_id, scale="small", seed=0).rows)
+        for experiment_id in ALL_EXPERIMENTS
+    }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps({"scale": "small", "seed": 0, "rows": rows}, indent=1, sort_keys=True) + "\n"
+    )

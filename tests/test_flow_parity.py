@@ -31,11 +31,11 @@ from repro.flow.maxmin import FlowSpec, max_min_fair_allocation
 from repro.flow.mcf import _assemble_edge_lp, max_concurrent_flow_edge_lp
 from repro.flow.path_lp import (
     PathLPStructure,
-    clear_shared_lp_structures,
     max_concurrent_flow_path_lp,
     shared_path_lp_structure,
 )
-from repro.routing.paths import build_path_set, clear_shared_path_sets, shared_path_set
+from repro.memo import clear_memos
+from repro.routing.paths import build_path_set, shared_path_set
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 
@@ -214,8 +214,7 @@ class TestPathLpThetaFig10Suite:
     @pytest.mark.parametrize("config", [(10, 7, 4), (20, 8, 5)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_theta_unchanged(self, config, seed):
-        clear_shared_path_sets()
-        clear_shared_lp_structures()
+        clear_memos()
         num_switches, ports, degree = config
         topology = JellyfishTopology.build(num_switches, ports, degree, rng=seed)
         for trial in range(2):
@@ -260,7 +259,7 @@ class TestDecisionPathParity:
 
 class TestSharedState:
     def test_structure_reused_for_unchanged_graph(self):
-        clear_shared_lp_structures()
+        clear_memos()
         topology = JellyfishTopology.build(10, 6, 3, rng=3)
         first = shared_path_lp_structure(topology, k=8)
         second = shared_path_lp_structure(topology, k=8)
@@ -268,7 +267,7 @@ class TestSharedState:
         assert shared_path_lp_structure(topology, k=4) is not first
 
     def test_structure_invalidated_on_mutation(self):
-        clear_shared_lp_structures()
+        clear_memos()
         topology = JellyfishTopology.build(10, 6, 3, rng=3)
         first = shared_path_lp_structure(topology, k=8)
         edge = next(iter(topology.graph.edges))
@@ -278,7 +277,7 @@ class TestSharedState:
         assert second.num_arcs == first.num_arcs - 2
 
     def test_shared_path_set_extends_lazily(self):
-        clear_shared_path_sets()
+        clear_memos()
         topology = JellyfishTopology.build(10, 6, 3, rng=5)
         nodes = sorted(topology.graph.nodes)
         table = shared_path_set(topology.graph, [(nodes[0], nodes[1])], k=4)
@@ -290,7 +289,7 @@ class TestSharedState:
         assert len(table) == 2
 
     def test_shared_path_set_matches_build_path_set(self):
-        clear_shared_path_sets()
+        clear_memos()
         topology = JellyfishTopology.build(12, 6, 4, rng=6)
         nodes = sorted(topology.graph.nodes)
         pairs = [(a, b) for a in nodes[:4] for b in nodes[:4] if a != b]

@@ -4,11 +4,11 @@ import networkx as nx
 import pytest
 
 import repro.graphs.properties as properties
+from repro.graphs.csr import clear_csr_cache
 from repro.graphs.properties import (
     all_pairs_hop_distances,
     average_path_length,
     bfs_distances,
-    clear_distance_memo,
     degree_histogram,
     diameter,
     is_connected,
@@ -16,6 +16,7 @@ from repro.graphs.properties import (
     path_length_cdf,
     path_length_distribution,
 )
+from repro.memo import clear_memos
 
 
 class TestBfsDistances:
@@ -90,9 +91,11 @@ class TestAllPairsMemoization:
 
     @pytest.fixture(autouse=True)
     def _fresh_memo(self):
-        clear_distance_memo()
+        clear_csr_cache()
+        clear_memos()
         yield
-        clear_distance_memo()
+        clear_csr_cache()
+        clear_memos()
 
     @pytest.fixture()
     def bfs_counter(self, monkeypatch):

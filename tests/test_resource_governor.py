@@ -27,7 +27,6 @@ from repro.resources import (
     active_profile,
     apply_memory_budget,
     current_address_space_bytes,
-    default_memory_mb,
     memory_budget_bytes,
     profile_for_level,
 )
@@ -64,8 +63,7 @@ class TestExecutionProfile:
         assert levels == list(range(len(PROFILE_LADDER)))
         # Monotone: every knob only gets cheaper down the ladder.
         for shallow, deep in zip(PROFILE_LADDER, PROFILE_LADDER[1:]):
-            assert deep.bfs_scratch_scale <= shallow.bfs_scratch_scale
-            assert deep.dist_memo_scale <= shallow.dist_memo_scale
+            assert deep.memory_scale <= shallow.memory_scale
             assert deep.trial_scale <= shallow.trial_scale
             assert deep.sampled >= shallow.sampled
 
@@ -74,11 +72,10 @@ class TestExecutionProfile:
         assert profile_for_level(0) == PROFILE_LADDER[0]
         assert profile_for_level(99) == PROFILE_LADDER[-1]
 
-    def test_scale_bytes_floors_at_one(self):
-        profile = PROFILE_LADDER[1]
-        assert profile.scale_bytes(100, 0.5) == 50
-        assert profile.scale_bytes(1, 0.5) == 1
-        assert profile.scale_bytes(100, 1.0) == 100
+    def test_scaled_floors_at_one(self):
+        assert PROFILE_LADDER[1].scaled(100) == 50
+        assert PROFILE_LADDER[1].scaled(1) == 1
+        assert PROFILE_LADDER[0].scaled(100) == 100
 
     def test_plan_sources_exact_stays_exact_at_rung0(self):
         assert PROFILE_LADDER[0].plan_sources(1000, None) is None
@@ -120,8 +117,7 @@ class TestExecutionProfile:
         payload = PROFILE_LADDER[3].as_dict()
         assert payload == {
             "level": 3,
-            "bfs_scratch_scale": 0.5,
-            "dist_memo_scale": 0.5,
+            "memory_scale": 0.5,
             "sampled": True,
             "trial_scale": 0.5,
         }
@@ -129,16 +125,6 @@ class TestExecutionProfile:
 
 
 class TestMemoryBudgetHelpers:
-    def test_default_memory_mb_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEMORY_MB", raising=False)
-        assert default_memory_mb() is None
-        monkeypatch.setenv("REPRO_MEMORY_MB", "256")
-        assert default_memory_mb() == 256.0
-        monkeypatch.setenv("REPRO_MEMORY_MB", "0")
-        assert default_memory_mb() is None
-        monkeypatch.setenv("REPRO_MEMORY_MB", "banana")
-        assert default_memory_mb() is None
-
     @linux_only
     def test_budget_sits_above_baseline(self):
         baseline = current_address_space_bytes()
@@ -351,13 +337,33 @@ class TestProfileAwareKernels:
         assert default_bfs_scratch_bytes() == full
 
     def test_distance_memo_budget_scales(self):
-        from repro.graphs import csr as csr_module
+        import networkx as nx
 
-        memo = csr_module._DistanceRowMemo(budget_bytes=1000)
-        assert memo.effective_budget() == 1000
-        with activate_profile(PROFILE_LADDER[1]):
-            assert memo.effective_budget() == 500
-        assert memo.stats()["effective_budget_bytes"] == 1000
+        from repro.graphs.csr import DEFAULT_DIST_MEMO_BYTES, csr_graph, distance_memo_stats
+        from repro.memo import clear_memos
+
+        csr = csr_graph(nx.random_regular_graph(4, 100, seed=3))  # 400-byte rows
+        ten_rows = 4000 / DEFAULT_DIST_MEMO_BYTES
+        for memory_scale, rows in ((ten_rows, 10), (ten_rows / 2, 5)):
+            clear_memos()
+            with activate_profile(ExecutionProfile(memory_scale=memory_scale)):
+                for source in range(20):
+                    csr.distance_row(source)
+            assert distance_memo_stats()["entries"] == rows
+        clear_memos()
+
+    def test_every_memo_bound_scales(self):
+        from repro.memo import Memo
+
+        memo = Memo("test.rung1", max_entries=4, budget=1000, cost=len)
+        with activate_profile(PROFILE_LADDER[1]):  # halves every memo bound
+            for key in range(4):
+                memo.put(key, b"x" * 100)
+            assert len(memo) == 2
+            memo.put(4, b"x" * 450)  # 100 + 450 bytes > the halved 500
+            assert len(memo) == 1
+        memo.put(5, b"x" * 450)
+        assert len(memo) == 2
 
     def test_sampled_estimator_honors_profile(self):
         import networkx as nx
@@ -540,11 +546,3 @@ class TestSurfaces:
         assert code == 0
         out = capsys.readouterr().out
         assert "fig01" in out
-
-    def test_sweepdef_memory_mb_default(self):
-        from repro.engine.registry import SweepDef
-
-        sweep = SweepDef(
-            sweep_id="x", description="", build=None, assemble=None, memory_mb=512
-        )
-        assert sweep.memory_mb == 512
