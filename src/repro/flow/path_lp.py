@@ -22,6 +22,16 @@ cache), so a throughput sweep that probes one topology against several
 traffic matrices only rebuilds the theta column per matrix.  The historical
 cell-by-cell assembly is retained in :mod:`repro.flow._reference`; the
 canonical CSR matrices produced here are identical to it bit-for-bit.
+
+The LP's size, not its caller, picks the HiGHS method: dual simplex below
+:data:`IPM_MIN_NNZ` constraint nonzeros, the interior-point method with
+crossover at or above it.  These LPs are highly degenerate, so simplex
+pivot counts grow quickly with size (about 3,500 on a 100-switch fig04
+Jellyfish LP) while IPM takes about 20 iterations; on small LPs simplex
+wins because IPM's fixed cost dominates.  Crossover returns a vertex, so
+theta agrees with dual simplex to about 1e-10 relative; without it the
+interior point is off by up to 2e-8.  Theta values and full-rate decisions
+share this one solve.
 """
 
 from __future__ import annotations
@@ -42,6 +52,15 @@ from repro.traffic.matrices import TrafficMatrix
 
 #: Content-hash-keyed LRU of demand-independent LP structures.
 _SHARED_STRUCTURES = Memo("flow.lp_structures", max_entries=8)
+
+#: LPs with at least this many nonzeros in ``a_eq`` and ``a_ub`` together
+#: (the ``nnz`` that ``lp.assemble`` reports) are solved by IPM, smaller
+#: ones by dual simplex.  Re-solving the LPs of the fig02c/03/04/06/08/14
+#: workloads with both methods, simplex won 139 of 141 LPs under 2,000
+#: nonzeros and IPM won about 3 in 4 above it, by up to 3.7x on the
+#: largest.  No LP fell between 1,250 and 2,000 nonzeros, so every
+#: threshold in that range gives the same least total solve time.
+IPM_MIN_NNZ = 1500
 
 
 class PathLPStructure:
@@ -184,65 +203,54 @@ class PathLPStructure:
         )
         return a_eq, b_eq, a_ub, self.capacities, num_vars
 
-    def _solve_assembled(self, assembled: tuple, method: str):
-        a_eq, b_eq, a_ub, b_ub, num_vars = assembled
-        objective = np.zeros(num_vars)
-        objective[num_vars - 1] = -1.0
-        with trace("lp.solve", method=method) as span:
-            result = linprog(
-                objective,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=(0, None),
-                method=method,
-            )
-            span.add(
-                iterations=int(getattr(result, "nit", 0) or 0),
-                success=bool(result.success),
-            )
-        return result
-
     def solve(
         self, demands: Dict, path_set: PathSet, rates: Optional[np.ndarray] = None
     ) -> float:
-        """Concurrent-flow factor theta for one traffic matrix."""
-        assembled = self.assemble(demands, path_set, rates)
-        result = self._solve_assembled(assembled, "highs")
-        if not result.success:
-            raise FlowSolverError(f"LP solver failed: {result.message}")
-        return float(result.x[assembled[-1] - 1])
+        """Concurrent-flow factor theta for one traffic matrix.
+
+        One HiGHS solve whose method follows the assembled LP's size: IPM
+        with crossover from :data:`IPM_MIN_NNZ` nonzeros up, dual simplex
+        below.  A solve that ends short of optimality is retried once with
+        the other method; :class:`FlowSolverError` is raised only when both
+        fail.
+        """
+        a_eq, b_eq, a_ub, b_ub, num_vars = self.assemble(demands, path_set, rates)
+        objective = np.zeros(num_vars)
+        objective[num_vars - 1] = -1.0
+        methods = ("highs-ds", "highs-ipm")
+        if a_eq.nnz + a_ub.nnz >= IPM_MIN_NNZ:
+            methods = methods[::-1]
+        for method in methods:
+            with trace("lp.solve", method=method) as span:
+                result = linprog(
+                    objective,
+                    A_ub=a_ub,
+                    b_ub=b_ub,
+                    A_eq=a_eq,
+                    b_eq=b_eq,
+                    bounds=(0, None),
+                    method=method,
+                )
+                span.add(
+                    iterations=int(getattr(result, "nit", 0) or 0),
+                    crossover_iterations=int(getattr(result, "crossover_nit", 0) or 0),
+                    success=bool(result.success),
+                )
+            if result.success:
+                return float(result.x[num_vars - 1])
+        raise FlowSolverError(f"LP solver failed: {result.message}")
 
     def solve_decision(
-        self,
-        demands: Dict,
-        path_set: PathSet,
-        guard: float = 1e-6,
-        rates: Optional[np.ndarray] = None,
+        self, demands: Dict, path_set: PathSet, rates: Optional[np.ndarray] = None
     ) -> float:
-        """Theta for callers that only consume the ``theta >= 1`` decision.
+        """Theta for the full-line-rate decision: the same solve as :meth:`solve`.
 
-        The LP's optimal value is unique, so any solver that reaches
-        optimality yields the same decision whenever theta is farther than
-        solver noise from the threshold.  This first runs HiGHS's
-        interior-point method (with crossover — roughly 2x faster than the
-        default dual simplex on these degenerate concurrent-flow LPs) and
-        accepts its theta only when it is at least ``guard`` away from 1;
-        inside the guard band — or on any solver failure — it falls back to
-        the exact :meth:`solve` path, so the decision is always the one the
-        pre-refactor implementation produced.
+        Decisions and reported theta values share one LP and one method, so
+        a decision always equals the one :meth:`solve`'s theta implies.  It
+        stays a separate entry point so that decision solves can be counted
+        apart from theta evaluations.
         """
-        assembled = self.assemble(demands, path_set, rates)
-        result = self._solve_assembled(assembled, "highs-ipm")
-        if result.success:
-            theta = float(result.x[assembled[-1] - 1])
-            if abs(theta - 1.0) >= guard:
-                return theta
-        result = self._solve_assembled(assembled, "highs")
-        if not result.success:
-            raise FlowSolverError(f"LP solver failed: {result.message}")
-        return float(result.x[assembled[-1] - 1])
+        return self.solve(demands, path_set, rates)
 
 
 def shared_path_lp_structure(

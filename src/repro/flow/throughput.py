@@ -42,9 +42,16 @@ from repro.topologies.base import Topology
 from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
 from repro.utils.rng import RngLike, ensure_rng
 
+#: Theta at or above this is full line rate.  Both the reported
+#: :meth:`ThroughputResult.supports_full_capacity` and the decision path
+#: (:func:`_supports_matrix`) compare against it; the 1e-9 slack absorbs
+#: solver rounding around theta = 1.
+FULL_RATE_THETA = 1.0 - 1e-9
+
 #: Bound screens skip the LP only when they prove theta short of full line
-#: rate by at least this margin (comfortably wider than the 1e-9 decision
-#: epsilon, so floating-point noise in a bound can never flip a decision).
+#: rate by at least this margin (comfortably wider than the 1e-9 slack in
+#: :data:`FULL_RATE_THETA`, so floating-point noise in a bound can never
+#: flip a decision).
 _SCREEN_MARGIN = 1e-6
 
 
@@ -57,7 +64,7 @@ class ThroughputResult:
     num_flows: int
 
     def supports_full_capacity(self) -> bool:
-        return self.theta >= 1.0 - 1e-9
+        return self.theta >= FULL_RATE_THETA
 
 
 @dataclass(frozen=True)
@@ -259,11 +266,13 @@ def _supports_matrix(
 ) -> bool:
     """Full-line-rate decision for one traffic matrix.
 
-    For the path engine this runs the decision-optimized solve path
-    (:meth:`~repro.flow.path_lp.PathLPStructure.solve_decision`): the
-    analytic bound screens first — a probe they prove infeasible never
-    assembles paths or an LP at all — then the guarded IPM/simplex solve.
-    Decisions are identical to evaluating ``normalized_throughput``.
+    The analytic bound screens first: a probe they prove infeasible never
+    assembles paths or an LP at all.  Otherwise the path engine solves the
+    same LP, with the same size-chosen HiGHS method, that
+    ``normalized_throughput`` would
+    (:meth:`~repro.flow.path_lp.PathLPStructure.solve_decision`), and
+    compares theta against the same :data:`FULL_RATE_THETA`, so decisions
+    are identical to evaluating ``normalized_throughput`` by construction.
     """
     if len(traffic) == 0:
         return True
@@ -284,7 +293,7 @@ def _supports_matrix(
         structure = shared_path_lp_structure(topology, scheme="ksp", k=k)
         path_set = shared_path_set(topology.graph, arrays.pairs, scheme="ksp", k=k)
         theta = structure.solve_decision(demands, path_set, rates=arrays.rates)
-    return theta >= 1.0 - 1e-9
+    return theta >= FULL_RATE_THETA
 
 
 def supports_full_throughput(

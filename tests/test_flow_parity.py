@@ -10,7 +10,10 @@ implementations (:mod:`repro.flow._reference`):
 * LP assembly: the COO-built constraint matrices equal the historical
   ``lil_matrix`` assembly entry-for-entry for both the edge and the path
   formulation;
-* path-LP theta unchanged to 1e-9 on the fig10 small-graph suite;
+* path-LP theta unchanged to 1e-9 on the fig10 small-graph suite and one
+  fig04-sized LP, whichever HiGHS method the LP's size selects;
+* the size rule itself: the method each ``lp.solve`` span records, and the
+  one retry with the other method when a solve fails;
 * the shared path-set / LP-structure caches: reuse on an unchanged graph,
   invalidation on mutation.
 """
@@ -20,6 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
+from repro.flow import path_lp
 from repro.flow._reference import (
     assemble_edge_lp_reference,
     assemble_path_lp_reference,
@@ -28,8 +33,13 @@ from repro.flow._reference import (
     max_min_fair_allocation_reference,
 )
 from repro.flow.maxmin import FlowSpec, max_min_fair_allocation
-from repro.flow.mcf import _assemble_edge_lp, max_concurrent_flow_edge_lp
+from repro.flow.mcf import (
+    FlowSolverError,
+    _assemble_edge_lp,
+    max_concurrent_flow_edge_lp,
+)
 from repro.flow.path_lp import (
+    IPM_MIN_NNZ,
     PathLPStructure,
     max_concurrent_flow_path_lp,
     shared_path_lp_structure,
@@ -209,9 +219,15 @@ class TestLpAssemblyParity:
 
 
 class TestPathLpThetaFig10Suite:
-    """Theta parity to 1e-9 on the fig10 small-graph configurations."""
+    """Theta parity to 1e-9 against the dual-simplex reference.
 
-    @pytest.mark.parametrize("config", [(10, 7, 4), (20, 8, 5)])
+    The fig10 small-graph configurations give 1.3k-3.3k nonzeros, on both
+    sides of ``IPM_MIN_NNZ``; the fig04 small configuration (100 switches,
+    degree 6, 2 servers each) gives about 12k, where IPM replaces thousands
+    of simplex pivots.
+    """
+
+    @pytest.mark.parametrize("config", [(10, 7, 4), (20, 8, 5), (100, 8, 6)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_theta_unchanged(self, config, seed):
         clear_memos()
@@ -222,6 +238,75 @@ class TestPathLpThetaFig10Suite:
             new = max_concurrent_flow_path_lp(topology, traffic, k=12)
             old = max_concurrent_flow_path_lp_reference(topology, traffic, k=12)
             assert new == pytest.approx(old, abs=1e-9)
+
+
+def _traced_solve(topology, traffic, k):
+    """Theta plus the ``lp.assemble`` nnz and ``lp.solve`` counters."""
+    clear_memos()
+    tracer = telemetry.enable()
+    try:
+        theta = max_concurrent_flow_path_lp(topology, traffic, k=k)
+    finally:
+        telemetry.disable()
+    (assembled,) = [e for e in tracer.events if e["name"] == "lp.assemble"]
+    solves = [e["counters"] for e in tracer.events if e["name"] == "lp.solve"]
+    return theta, assembled["counters"]["nnz"], solves
+
+
+class TestSolveMethodBySize:
+    """The LP's nonzero count, not the caller, picks the HiGHS method."""
+
+    @pytest.mark.parametrize(
+        "config, method",
+        [((8, 6, 3), "highs-ds"), ((20, 8, 5), "highs-ipm")],
+    )
+    def test_span_records_method_for_lp_size(self, config, method):
+        topology = JellyfishTopology.build(*config, rng=0)
+        traffic = random_permutation_traffic(topology, rng=0)
+        _, nnz, solves = _traced_solve(topology, traffic, k=8)
+        assert (nnz >= IPM_MIN_NNZ) == (method == "highs-ipm")
+        (solve,) = solves
+        assert solve["method"] == method
+        assert solve["success"] is True
+        if method == "highs-ipm":
+            assert solve["crossover_iterations"] > 0
+        else:
+            assert solve["crossover_iterations"] == 0
+
+    def test_failed_solve_is_retried_once_with_the_other_method(self, monkeypatch):
+        topology = JellyfishTopology.build(8, 6, 3, rng=0)
+        traffic = random_permutation_traffic(topology, rng=0)
+        expected, _, _ = _traced_solve(topology, traffic, k=8)
+        real = path_lp.linprog
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(kwargs["method"])
+            if len(calls) == 1:
+                result.success = False
+            return result
+
+        monkeypatch.setattr(path_lp, "linprog", fail_first)
+        theta, _, solves = _traced_solve(topology, traffic, k=8)
+        assert calls == ["highs-ds", "highs-ipm"]
+        assert [s["success"] for s in solves] == [False, True]
+        assert theta == pytest.approx(expected, abs=1e-9)
+
+    def test_raises_when_both_methods_fail(self, monkeypatch):
+        topology = JellyfishTopology.build(8, 6, 3, rng=0)
+        traffic = random_permutation_traffic(topology, rng=0)
+        real = path_lp.linprog
+
+        def always_fail(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.success = False
+            return result
+
+        monkeypatch.setattr(path_lp, "linprog", always_fail)
+        clear_memos()
+        with pytest.raises(FlowSolverError):
+            max_concurrent_flow_path_lp(topology, traffic, k=8)
 
 
 class TestDecisionPathParity:

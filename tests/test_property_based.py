@@ -4,10 +4,12 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.flow.maxmin import FlowSpec, max_min_fair_allocation
+from repro.flow.mcf import max_concurrent_flow_edge_lp
+from repro.flow.path_lp import max_concurrent_flow_path_lp
 from repro.graphs.bisection import bollobas_bisection_lower_bound, cut_size
 from repro.graphs.properties import average_path_length, diameter, path_length_distribution
 from repro.graphs.regular import is_regular, sequential_random_regular_graph
@@ -152,6 +154,57 @@ class TestAllocationProperties:
         assert (
             total >= min(1.0, sum(demands)) - 1e-6
         )
+
+
+@st.composite
+def lp_instance_params(draw):
+    """(switches, network degree, servers per switch, seed) of a small Jellyfish."""
+    return (
+        draw(st.integers(min_value=6, max_value=14)),
+        draw(st.integers(min_value=3, max_value=4)),
+        draw(st.integers(min_value=1, max_value=3)),
+        draw(st.integers(min_value=0, max_value=2**16)),
+    )
+
+
+def _jellyfish_with_permutation(params):
+    switches, degree, servers, seed = params
+    topology = JellyfishTopology.build(switches, degree + servers, degree, rng=seed)
+    return topology, random_permutation_traffic(topology, rng=seed + 1)
+
+
+class TestLpInvariants:
+    """Solver-independent invariants of the max-concurrent-flow LPs.
+
+    They hold whichever HiGHS method solved an LP, so a wrong vertex from
+    either side of the path LP's size rule fails them.  On these graphs
+    k <= 2 keeps every path LP under ``IPM_MIN_NNZ`` (dual simplex) and
+    large k on the larger graphs puts it over (IPM); the two explicit
+    examples are one LP on each side.
+    """
+
+    @COMMON_SETTINGS
+    @given(lp_instance_params(), st.sampled_from([1, 2, 4, 8, 16, 24]))
+    @example((12, 4, 2, 3), 2)
+    @example((12, 4, 2, 3), 24)
+    def test_path_lp_never_exceeds_edge_lp(self, params, k):
+        topology, traffic = _jellyfish_with_permutation(params)
+        assume(topology.is_connected())
+        path_theta = max_concurrent_flow_path_lp(topology, traffic, k=k)
+        edge_theta = max_concurrent_flow_edge_lp(topology, traffic)
+        assert path_theta <= edge_theta + 1e-9
+
+    @COMMON_SETTINGS
+    @given(lp_instance_params(), st.integers(min_value=0, max_value=2**16))
+    def test_removing_a_link_never_raises_edge_lp(self, params, pick):
+        # Edge LP only: the path LP re-routes its k shortest paths when the
+        # graph changes, so its optimum is not monotone in the link set.
+        topology, traffic = _jellyfish_with_permutation(params)
+        theta = max_concurrent_flow_edge_lp(topology, traffic)
+        links = list(topology.graph.edges)
+        failed = topology.copy()
+        failed.remove_links([links[pick % len(links)]])
+        assert max_concurrent_flow_edge_lp(failed, traffic) <= theta + 1e-9
 
 
 class TestStatisticsProperties:
