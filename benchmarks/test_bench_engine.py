@@ -17,7 +17,6 @@ import multiprocessing
 import time
 
 from repro.engine import ResultCache, ScenarioSpec, SweepRunner, expand, run_sweep
-from repro.experiments.common import run_experiment
 
 THROUGHPUT_GRID = ScenarioSpec.grid(
     "repro.engine.benchtargets:jellyfish_throughput_point",
@@ -98,7 +97,7 @@ def test_bench_registered_sweep_with_cache(benchmark, tmp_path):
         rounds=1,
     )
     assert warm.rows == cold.rows
-    assert warm.rows == run_experiment("fig02a").rows
+    assert warm.rows == run_sweep("fig02a").rows
     assert warm_cache.stats.misses == 0
 
 

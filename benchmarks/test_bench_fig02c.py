@@ -1,18 +1,5 @@
-"""Benchmark regenerating Fig 2(c) of the paper: servers at full throughput vs equipment cost (optimal routing).
-
-Runs the experiment at the fast ("small") scale and prints the reproduced
-rows, so `pytest benchmarks/ --benchmark-only` doubles as the harness that
-regenerates every table and figure.
-"""
-
-from repro.experiments.common import format_table, run_experiment
+"""Benchmark regenerating Fig 2(c) of the paper: servers at full throughput vs equipment cost (optimal routing)."""
 
 
-def test_bench_fig02c(benchmark):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig02c",), kwargs={"scale": "small", "seed": 0},
-        iterations=1, rounds=1,
-    )
-    assert result.rows
-    print()
-    print(format_table(result))
+def test_bench_fig02c(bench_figure):
+    bench_figure("fig02c")

@@ -1,18 +1,5 @@
-"""Benchmark regenerating Fig 7 of the paper: expansion cost: Jellyfish vs LEGUP-like Clos upgrades.
-
-Runs the experiment at the fast ("small") scale and prints the reproduced
-rows, so `pytest benchmarks/ --benchmark-only` doubles as the harness that
-regenerates every table and figure.
-"""
-
-from repro.experiments.common import format_table, run_experiment
+"""Benchmark regenerating Fig 7 of the paper: expansion cost: Jellyfish vs LEGUP-like Clos upgrades."""
 
 
-def test_bench_fig07(benchmark):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig07",), kwargs={"scale": "small", "seed": 0},
-        iterations=1, rounds=1,
-    )
-    assert result.rows
-    print()
-    print(format_table(result))
+def test_bench_fig07(bench_figure):
+    bench_figure("fig07")

@@ -1,18 +1,5 @@
-"""Benchmark regenerating Fig 9 of the paper: path diversity: ECMP vs k-shortest-path routing.
-
-Runs the experiment at the fast ("small") scale and prints the reproduced
-rows, so `pytest benchmarks/ --benchmark-only` doubles as the harness that
-regenerates every table and figure.
-"""
-
-from repro.experiments.common import format_table, run_experiment
+"""Benchmark regenerating Fig 9 of the paper: path diversity: ECMP vs k-shortest-path routing."""
 
 
-def test_bench_fig09(benchmark):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig09",), kwargs={"scale": "small", "seed": 0},
-        iterations=1, rounds=1,
-    )
-    assert result.rows
-    print()
-    print(format_table(result))
+def test_bench_fig09(bench_figure):
+    bench_figure("fig09")

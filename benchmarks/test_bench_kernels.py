@@ -61,18 +61,7 @@ def test_bench_fig05_scale_metrics(benchmark, fig05_scale_graph):
 def test_bench_csr_yen_cold(benchmark, ksp_graph):
     nodes = sorted(ksp_graph.nodes)
     clear_csr_cache()
-    csr = csr_graph(ksp_graph)
-
-    def run():
-        csr.routes.clear()
-        return k_shortest_paths(ksp_graph, nodes[0], nodes[-1], 8)
-
-    paths = benchmark(run)
-    assert len(paths) == 8
-
-
-def test_bench_csr_yen_warm(benchmark, ksp_graph):
-    nodes = sorted(ksp_graph.nodes)
+    csr_graph(ksp_graph)
     paths = benchmark(k_shortest_paths, ksp_graph, nodes[0], nodes[-1], 8)
     assert len(paths) == 8
 

@@ -1,18 +1,5 @@
-"""Benchmark regenerating Table 1 of the paper: routing x congestion-control throughput matrix.
-
-Runs the experiment at the fast ("small") scale and prints the reproduced
-rows, so `pytest benchmarks/ --benchmark-only` doubles as the harness that
-regenerates every table and figure.
-"""
-
-from repro.experiments.common import format_table, run_experiment
+"""Benchmark regenerating Table 1 of the paper: routing x congestion-control throughput matrix."""
 
 
-def test_bench_table1(benchmark):
-    result = benchmark.pedantic(
-        run_experiment, args=("table1",), kwargs={"scale": "small", "seed": 0},
-        iterations=1, rounds=1,
-    )
-    assert result.rows
-    print()
-    print(format_table(result))
+def test_bench_table1(bench_figure):
+    bench_figure("table1")

@@ -62,7 +62,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments.common import format_table, list_experiments, run_experiment
+from repro.experiments.common import format_table, list_experiments
 
 
 def _add_reproducibility_options(parser: argparse.ArgumentParser) -> None:
@@ -144,8 +144,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-point wall-clock timeout; overrides the sweep's registry "
-        "default (0 disables deadlines). Timeouts force supervised "
+        help="per-point wall-clock timeout; overrides the one-hour default "
+        "(0 disables deadlines). Timeouts force supervised "
         "execution even with --workers 0",
     )
     run_parser.add_argument(
@@ -230,18 +230,18 @@ def _sweep_list() -> int:
 
 
 def _sweep_show(args: argparse.Namespace) -> int:
-    from repro.engine import get_sweep, sweep_specs
+    from repro.engine import get_sweep
 
     exit_code = 0
     for sweep_id in args.sweeps:
         try:
             sweep = get_sweep(sweep_id)
-            specs = sweep_specs(sweep_id, scale=args.scale, seed=args.seed)
+            specs = sweep.build_specs(args.scale, args.seed)
         except (KeyError, ValueError) as error:
             print(f"error: {sweep_id}: {error}", file=sys.stderr)
             exit_code = 2
             continue
-        print(f"{sweep_id}: {sweep.description}")
+        print(f"{sweep_id}: {sweep.__doc__.strip().splitlines()[0]}")
         for spec in specs:
             print(f"  spec {spec.spec_hash[:12]} name={spec.name or sweep_id}")
             print(f"    target: {spec.target}")
@@ -314,6 +314,7 @@ def _sweep_run(args: argparse.Namespace) -> int:
         expand,
         get_sweep,
     )
+    from repro.engine.registry import POINT_TIMEOUT_S
     from repro.telemetry import RunRecorder, enable, enable_in_subprocesses, get_logger
     from repro.telemetry.manifest import (
         journal_path,
@@ -430,15 +431,15 @@ def _sweep_run(args: argparse.Namespace) -> int:
 
             try:
                 sweep = get_sweep(sweep_id)
-                specs = sweep.build(scale, seed)
+                specs = sweep.build_specs(scale, seed)
             except (KeyError, ValueError) as error:
                 # ValueError: a scale the sweep does not define (e.g.
                 # 'hyperscale' is only meaningful for the *-scale sweeps).
                 print(f"error: {sweep_id}: {error}", file=sys.stderr)
                 exit_code = 2
                 continue
-            timeout_s = args.timeout if args.timeout is not None else sweep.timeout_s
-            if timeout_s is not None and timeout_s <= 0:
+            timeout_s = args.timeout if args.timeout is not None else POINT_TIMEOUT_S
+            if timeout_s <= 0:
                 timeout_s = None
             memory_mb = args.memory_mb
             if memory_mb is not None and memory_mb <= 0:
@@ -1173,10 +1174,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.experiments:
         parser.error("no experiments given (use --list to see the available ids)")
 
+    from repro.engine import run_sweep
+
     exit_code = 0
     for experiment_id in args.experiments:
         try:
-            result = run_experiment(experiment_id, scale=args.scale, seed=args.seed)
+            result = run_sweep(experiment_id, scale=args.scale, seed=args.seed)
         except (KeyError, ValueError) as error:
             print(f"error: {experiment_id}: {error}", file=sys.stderr)
             exit_code = 2

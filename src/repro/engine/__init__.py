@@ -15,7 +15,8 @@ The engine is the shared execution layer behind the paper's evaluation grid
   value on disk under its content hash, so re-runs and overlapping sweeps
   hit cache instead of re-solving LPs.
 - :mod:`repro.engine.registry` -- every experiment (fig01..fig14, table1)
-  registered as a sweep, runnable via :func:`run_sweep` or ``repro sweep``.
+  is a sweep module, run only through :func:`run_sweep` (also behind
+  ``repro sweep`` and the top-level CLI).
 
 See ``docs/engine.md`` for semantics and examples.
 """
@@ -41,11 +42,8 @@ from repro.engine.spec import (
     resolve_target,
 )
 from repro.engine.registry import (
-    SweepDef,
     get_sweep,
     list_sweeps,
-    register_sweep,
-    run_specs,
     run_sweep,
     sweep_points,
     sweep_specs,
@@ -68,7 +66,6 @@ __all__ = [
     "ResultCache",
     "ScenarioPoint",
     "ScenarioSpec",
-    "SweepDef",
     "SweepError",
     "SweepFailure",
     "SweepRunner",
@@ -82,9 +79,7 @@ __all__ = [
     "list_sweeps",
     "normalize",
     "profile_for_level",
-    "register_sweep",
     "resolve_target",
-    "run_specs",
     "run_sweep",
     "sweep_points",
     "sweep_specs",

@@ -375,7 +375,8 @@ class SweepRunner:
     ----------
     workers:
         ``0`` or ``1`` runs everything serially in-process (no pool
-        overhead; the default, and what experiment ``run()`` wrappers use).
+        overhead; the default, and what :func:`~repro.engine.registry.run_sweep`
+        uses when given no runner).
         ``n > 1`` shards distinct scenarios across ``n`` supervised worker
         processes.  Setting ``timeout_s`` forces supervised execution even
         for ``workers <= 1`` (a single supervised worker), because a hung

@@ -149,7 +149,7 @@ class ScenarioSpec:
     with a repetition index; per-point seeds follow ``seed_strategy``:
 
     - ``"shared"``: every point gets ``seed`` verbatim (the right choice for
-      reproducing a legacy experiment whose rng stream spans the whole run).
+      a single-point figure whose rng stream spans the whole run).
     - ``"derived"``: each point gets a seed derived from ``(seed, params,
       repetition)`` so repetitions and cells are independent trials.
     - ``"auto"`` (default): ``shared`` when ``repetitions == 1``, else

@@ -1,11 +1,14 @@
-"""Experiment runners: one module per table/figure in the paper's evaluation.
+"""Experiment sweeps: one module per table/figure in the paper's evaluation.
 
-Every module exposes a ``run(scale=..., seed=...)`` function that returns a
-:class:`repro.experiments.common.ExperimentResult` whose rows mirror the
-series the paper plots.  ``scale`` is ``"small"`` (fast, used by the
-benchmark suite and CI) or ``"paper"`` (closer to the paper's sizes; slower).
+Every module is a sweep with two entry points: ``build_specs(scale, seed)``
+declares its scenario points and ``assemble(values, scale, seed)`` turns
+their values into a :class:`repro.experiments.common.ExperimentResult`
+whose rows mirror the series the paper plots.  Run one with
+:func:`repro.engine.registry.run_sweep`.  ``scale`` is ``"small"`` (fast,
+used by the benchmark suite and CI) or ``"paper"`` (closer to the paper's
+sizes; slower).
 """
 
-from repro.experiments.common import ExperimentResult, format_table, list_experiments, run_experiment
+from repro.experiments.common import ExperimentResult, format_table, list_experiments
 
-__all__ = ["ExperimentResult", "format_table", "list_experiments", "run_experiment"]
+__all__ = ["ExperimentResult", "format_table", "list_experiments"]

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -63,7 +62,7 @@ def format_table(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-# Registry mapping experiment id -> module path (relative to repro.experiments).
+# Registry mapping experiment id -> sweep module path (see repro.engine.registry).
 EXPERIMENTS: Dict[str, str] = {
     "fig01": "repro.experiments.fig01_path_length",
     "fig02a": "repro.experiments.fig02a_bisection",
@@ -96,13 +95,3 @@ EXPERIMENTS: Dict[str, str] = {
 def list_experiments() -> List[str]:
     """Identifiers of every reproducible table/figure."""
     return sorted(EXPERIMENTS)
-
-
-def run_experiment(experiment_id: str, scale: str = "small", seed: Optional[int] = 0) -> ExperimentResult:
-    """Run one experiment by id and return its result."""
-    if experiment_id not in EXPERIMENTS:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {', '.join(list_experiments())}"
-        )
-    module = importlib.import_module(EXPERIMENTS[experiment_id])
-    return module.run(scale=scale, seed=seed)

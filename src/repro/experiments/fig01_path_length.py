@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.engine.registry import run_specs
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.topologies.fattree import FatTreeTopology
@@ -83,7 +81,3 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
         result.add_row(hop, cumulative(jelly_cdf, hop), cumulative(fat_cdf, hop))
     return result
 
-
-def run(scale: str = "small", seed: int = 0, runner: SweepRunner = None) -> ExperimentResult:
-    """Path-length CDFs for a fat-tree and a same-equipment Jellyfish."""
-    return run_specs(build_specs(scale, seed), assemble, scale, seed, runner)

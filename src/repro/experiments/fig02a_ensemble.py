@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.engine.registry import run_specs
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.graphs.bisection import bollobas_bisection_lower_bound
@@ -105,7 +103,3 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
         )
     return result
 
-
-def run(scale: str = "small", seed: int = 0, runner: SweepRunner = None) -> ExperimentResult:
-    """Ensemble measured-bisection curves (mean/std/min per server count)."""
-    return run_specs(build_specs(scale, seed), assemble, scale, seed, runner)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import Any, List
 
-from repro.engine.registry import run_specs
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.graphs.bisection import bollobas_bisection_lower_bound
@@ -110,6 +108,3 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
             )
     return result
 
-
-def run(scale: str = "small", seed: int = 0, runner: SweepRunner = None) -> ExperimentResult:
-    return run_specs(build_specs(scale, seed), assemble, scale, seed, runner)

@@ -10,6 +10,9 @@ largest size it could solve with CPLEX.
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import max_servers_at_full_throughput
 from repro.topologies.fattree import FatTreeTopology
@@ -21,25 +24,15 @@ _SCALES = {
     "paper": {"port_counts": [6, 8, 10, 12, 14], "num_matrices": 3, "k_paths": 12},
 }
 
+_TARGET = "repro.experiments.fig02c_servers_full_throughput:compute_rows"
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
 
-    result = ExperimentResult(
-        experiment_id="fig02c",
-        title="Servers at full throughput vs equipment cost (optimal routing)",
-        columns=[
-            "ports_per_switch",
-            "equipment_total_ports",
-            "fattree_servers",
-            "jellyfish_servers",
-            "jellyfish_advantage",
-        ],
-        notes="advantage = jellyfish_servers / fattree_servers",
-    )
+    rows = []
     for ports in config["port_counts"]:
         fattree = FatTreeTopology.build(ports)
         num_switches = fattree.num_switches
@@ -66,11 +59,31 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             k=config["k_paths"],
             rng=rng,
         )
-        result.add_row(
-            ports,
-            fattree.total_ports,
-            fattree_servers,
-            best,
-            best / fattree_servers,
+        rows.append(
+            [ports, fattree.total_ports, fattree_servers, best, best / fattree_servers]
         )
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig02c", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="fig02c",
+        title="Servers at full throughput vs equipment cost (optimal routing)",
+        columns=[
+            "ports_per_switch",
+            "equipment_total_ports",
+            "fattree_servers",
+            "jellyfish_servers",
+            "jellyfish_advantage",
+        ],
+        notes="advantage = jellyfish_servers / fattree_servers",
+    )
+    for row in values[0]:
+        result.add_row(*row)
     return result

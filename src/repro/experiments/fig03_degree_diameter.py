@@ -10,6 +10,9 @@ constructions where available and local-search-optimized graphs otherwise
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import normalized_throughput
 from repro.topologies.degree_diameter import DegreeDiameterTopology
@@ -38,6 +41,8 @@ _SCALES = {
     },
 }
 
+_TARGET = "repro.experiments.fig03_degree_diameter:compute_rows"
+
 
 def _throughput(topology, trials, rng) -> float:
     values = []
@@ -47,22 +52,12 @@ def _throughput(topology, trials, rng) -> float:
     return mean(values)
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
 
-    result = ExperimentResult(
-        experiment_id="fig03",
-        title="Normalized throughput: best-known degree-diameter graph vs Jellyfish",
-        columns=[
-            "config (switches, ports, degree)",
-            "degree_diameter_throughput",
-            "jellyfish_throughput",
-            "jellyfish_fraction_of_benchmark",
-        ],
-    )
+    rows = []
     for num_switches, ports, degree in config["configs"]:
         benchmark = DegreeDiameterTopology.build(
             num_switches,
@@ -77,10 +72,34 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         bench_throughput = _throughput(benchmark, config["trials"], rng)
         jelly_throughput = _throughput(jellyfish, config["trials"], rng)
         ratio = jelly_throughput / bench_throughput if bench_throughput else 0.0
-        result.add_row(
-            f"({num_switches}, {ports}, {degree})",
-            bench_throughput,
-            jelly_throughput,
-            ratio,
+        rows.append(
+            [
+                f"({num_switches}, {ports}, {degree})",
+                bench_throughput,
+                jelly_throughput,
+                ratio,
+            ]
         )
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig03", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="fig03",
+        title="Normalized throughput: best-known degree-diameter graph vs Jellyfish",
+        columns=[
+            "config (switches, ports, degree)",
+            "degree_diameter_throughput",
+            "jellyfish_throughput",
+            "jellyfish_fraction_of_benchmark",
+        ],
+    )
+    for row in values[0]:
+        result.add_row(*row)
     return result

@@ -8,6 +8,9 @@ to 2 servers to expose the capacity differences).  Jellyfish's throughput is
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import normalized_throughput
 from repro.topologies.jellyfish import JellyfishTopology
@@ -26,6 +29,8 @@ _SCALES = {
 _DEGREE = 6
 _SERVERS_PER_SWITCH = 2
 
+_TARGET = "repro.experiments.fig04_swdc:compute_rows"
+
 
 def _throughput(topology, trials, rng) -> float:
     values = []
@@ -37,9 +42,8 @@ def _throughput(topology, trials, rng) -> float:
     return mean(values)
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     square_nodes = config["square_nodes"]
@@ -68,12 +72,24 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         ),
     }
 
+    return [
+        [name, topology.num_switches, topology.num_servers, _throughput(topology, trials, rng)]
+        for name, topology in topologies.items()
+    ]
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig04", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig04",
         title="Normalized throughput: Jellyfish vs SWDC variants (degree 6, 2 servers/switch)",
         columns=["topology", "num_switches", "num_servers", "normalized_throughput"],
     )
-    for name, topology in topologies.items():
-        value = _throughput(topology, trials, rng)
-        result.add_row(name, topology.num_switches, topology.num_servers, value)
+    for row in values[0]:
+        result.add_row(*row)
     return result

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.engine.registry import run_specs
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.topologies.ensemble import _mean_std
@@ -99,7 +97,3 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
         )
     return result
 
-
-def run(scale: str = "small", seed: int = 0, runner: SweepRunner = None) -> ExperimentResult:
-    """Ensemble path-length scaling (mean/std per size)."""
-    return run_specs(build_specs(scale, seed), assemble, scale, seed, runner)

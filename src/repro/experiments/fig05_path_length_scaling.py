@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.engine.registry import run_specs
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.graphs.properties import average_path_length, diameter
@@ -116,6 +114,3 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
         result.add_row(*row)
     return result
 
-
-def run(scale: str = "small", seed: int = 0, runner: SweepRunner = None) -> ExperimentResult:
-    return run_specs(build_specs(scale, seed), assemble, scale, seed, runner)

@@ -15,7 +15,7 @@ cheaper equipment) using the memory-bounded machinery from
   pretend-exact number.
 
 Each switch count is its own scenario point (derived seed), so the sweep
-shards across workers and caches per size like any engine-native grid.
+shards across workers and caches per size like any per-point grid.
 At the ``small`` scale the sample still covers a minority of sources, so
 tests exercise the same estimator path the hyperscale runs use.
 
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.engine.registry import run_specs
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.graphs.sampling import sampled_path_length_stats
@@ -144,7 +142,3 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
         )
     return result
 
-
-def run(scale: str = "small", seed: int = 0, runner: SweepRunner = None) -> ExperimentResult:
-    """Sampled path-length scaling curve (one row per switch count)."""
-    return run_specs(build_specs(scale, seed), assemble, scale, seed, runner)

@@ -8,6 +8,9 @@ from scratch at each size; the curves coincide.
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import normalized_throughput
 from repro.topologies.jellyfish import JellyfishTopology
@@ -24,6 +27,8 @@ _PORTS = 12
 _SERVERS_PER_SWITCH = 4
 _NETWORK_DEGREE = _PORTS - _SERVERS_PER_SWITCH
 
+_TARGET = "repro.experiments.fig06_incremental:compute_rows"
+
 
 def _throughput(topology, trials, rng) -> float:
     values = []
@@ -35,30 +40,19 @@ def _throughput(topology, trials, rng) -> float:
     return mean(values)
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     increment = config["increment"]
     stages = config["stages"]
     trials = config["trials"]
 
-    result = ExperimentResult(
-        experiment_id="fig06",
-        title="Incrementally grown vs from-scratch Jellyfish throughput",
-        columns=[
-            "num_switches",
-            "num_servers",
-            "incremental_throughput",
-            "from_scratch_throughput",
-        ],
-    )
-
     grown = JellyfishTopology.build(
         increment, _PORTS, _NETWORK_DEGREE,
         rng=rng, servers_per_switch=_SERVERS_PER_SWITCH,
     )
+    rows = []
     for stage in range(1, stages + 1):
         count = increment * stage
         if stage > 1:
@@ -69,10 +63,34 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             count, _PORTS, _NETWORK_DEGREE,
             rng=rng, servers_per_switch=_SERVERS_PER_SWITCH,
         )
-        result.add_row(
-            count,
-            count * _SERVERS_PER_SWITCH,
-            _throughput(grown, trials, rng),
-            _throughput(scratch, trials, rng),
+        rows.append(
+            [
+                count,
+                count * _SERVERS_PER_SWITCH,
+                _throughput(grown, trials, rng),
+                _throughput(scratch, trials, rng),
+            ]
         )
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig06", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="fig06",
+        title="Incrementally grown vs from-scratch Jellyfish throughput",
+        columns=[
+            "num_switches",
+            "num_servers",
+            "incremental_throughput",
+            "from_scratch_throughput",
+        ],
+    )
+    for row in values[0]:
+        result.add_row(*row)
     return result

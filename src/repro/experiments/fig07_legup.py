@@ -10,6 +10,9 @@ structure and reserved ports).
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.expansion.cost import CostModel
 from repro.expansion.legup import ClosExpansionPlanner
 from repro.expansion.planner import JellyfishExpansionPlanner
@@ -34,10 +37,11 @@ _SCALES = {
 _SWITCH_PORTS = 24
 _SERVERS_PER_LEAF = 15
 
+_TARGET = "repro.experiments.fig07_legup:compute_rows"
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     cost_model = CostModel()
@@ -56,6 +60,36 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         rng=rng,
     )
 
+    rows = []
+    budget = config["budget_per_stage"]
+    for stage in range(config["stages"]):
+        if stage == 0:
+            new_servers = config["initial_servers"]
+        elif stage == 1:
+            new_servers = config["expansion_servers"]
+        else:
+            new_servers = 0
+        clos_state = clos.expand(budget, new_servers=new_servers)
+        jelly_state = jellyfish.expand(budget, new_servers=new_servers)
+        rows.append(
+            [
+                stage,
+                budget * (stage + 1),
+                jelly_state.num_servers,
+                clos_state.normalized_bisection_bandwidth(),
+                jelly_state.normalized_bisection,
+            ]
+        )
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig07", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig07",
         title="Bisection bandwidth vs cumulative budget: Jellyfish vs Clos (LEGUP-like)",
@@ -67,22 +101,6 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             "jellyfish_normalized_bisection",
         ],
     )
-
-    budget = config["budget_per_stage"]
-    for stage in range(config["stages"]):
-        if stage == 0:
-            new_servers = config["initial_servers"]
-        elif stage == 1:
-            new_servers = config["expansion_servers"]
-        else:
-            new_servers = 0
-        clos_state = clos.expand(budget, new_servers=new_servers)
-        jelly_state = jellyfish.expand(budget, new_servers=new_servers)
-        result.add_row(
-            stage,
-            budget * (stage + 1),
-            jelly_state.num_servers,
-            clos_state.normalized_bisection_bandwidth(),
-            jelly_state.normalized_bisection,
-        )
+    for row in values[0]:
+        result.add_row(*row)
     return result

@@ -8,9 +8,12 @@ of capacity), degrading more slowly than the fat-tree.
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.failures.injection import throughput_under_link_failures
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import FatTreeTopology, fattree_num_servers
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
 
@@ -23,20 +26,24 @@ _SCALES = {
     },
 }
 
+_TARGET = "repro.experiments.fig08_failures:compute_rows"
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+
+def _jellyfish_servers(config) -> int:
+    return int(round(fattree_num_servers(config["k"]) * config["jellyfish_server_factor"]))
+
+
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     k = config["k"]
 
     fattree = FatTreeTopology.build(k)
-    jellyfish_servers = int(round(fattree.num_servers * config["jellyfish_server_factor"]))
     jellyfish = JellyfishTopology.from_equipment(
         num_switches=fattree.num_switches,
         ports_per_switch=k,
-        num_servers=jellyfish_servers,
+        num_servers=_jellyfish_servers(config),
         rng=rng,
     )
 
@@ -46,12 +53,26 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     fat_series = throughput_under_link_failures(
         fattree, config["fractions"], engine="path", k=8, rng=rng
     )
+    return [
+        [fraction, jelly_value, fat_value]
+        for (fraction, jelly_value), (_, fat_value) in zip(jelly_series, fat_series)
+    ]
 
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig08", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    config = _SCALES[scale]
     result = ExperimentResult(
         experiment_id="fig08",
         title=(
-            f"Throughput under random link failures: Jellyfish ({jellyfish.num_servers} "
-            f"servers) vs fat-tree ({fattree.num_servers} servers), same equipment"
+            f"Throughput under random link failures: Jellyfish "
+            f"({_jellyfish_servers(config)} servers) vs fat-tree "
+            f"({fattree_num_servers(config['k'])} servers), same equipment"
         ),
         columns=[
             "fraction_links_failed",
@@ -59,6 +80,6 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             "fattree_throughput",
         ],
     )
-    for (fraction, jelly_value), (_, fat_value) in zip(jelly_series, fat_series):
-        result.add_row(fraction, jelly_value, fat_value)
+    for row in values[0]:
+        result.add_row(*row)
     return result

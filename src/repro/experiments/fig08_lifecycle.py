@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.engine.registry import run_specs
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.topologies.fattree import FatTreeTopology
@@ -137,7 +135,3 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
     )
     return result
 
-
-def run(scale: str = "small", seed: int = 0, runner: SweepRunner = None) -> ExperimentResult:
-    """Jellyfish vs fat-tree under one seeded failure/repair lifecycle."""
-    return run_specs(build_specs(scale, seed), assemble, scale, seed, runner)

@@ -9,6 +9,9 @@ versus ~6% under 8-shortest-path routing.
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.routing.diversity import fraction_links_at_or_below, link_path_counts
 from repro.routing.paths import build_path_set
@@ -25,10 +28,11 @@ _SCHEMES = [
     ("8 shortest paths", "ksp", 8),
 ]
 
+_TARGET = "repro.experiments.fig09_ecmp_diversity:compute_rows"
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     k = _SCALES[scale]
     rng = ensure_rng(seed)
 
@@ -43,6 +47,24 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     pairs = list(traffic.switch_pairs())
     total_directed_links = 2 * jellyfish.num_links
 
+    rows = []
+    for label, scheme, width in _SCHEMES:
+        path_set = build_path_set(jellyfish.graph, pairs, scheme=scheme, k=width)
+        all_paths = [path for options in path_set.paths.values() for path in options]
+        counts = link_path_counts(all_paths)
+        fraction = fraction_links_at_or_below(counts, 2, total_directed_links)
+        mean_paths = sum(counts.values()) / total_directed_links
+        rows.append([label, fraction, mean_paths, max(counts.values()) if counts else 0])
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig09", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig09",
         title="Distinct paths per inter-switch link under ECMP vs k-shortest-path routing",
@@ -53,11 +75,6 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             "max_paths_on_a_link",
         ],
     )
-    for label, scheme, width in _SCHEMES:
-        path_set = build_path_set(jellyfish.graph, pairs, scheme=scheme, k=width)
-        all_paths = [path for options in path_set.paths.values() for path in options]
-        counts = link_path_counts(all_paths)
-        fraction = fraction_links_at_or_below(counts, 2, total_directed_links)
-        mean_paths = sum(counts.values()) / total_directed_links
-        result.add_row(label, fraction, mean_paths, max(counts.values()) if counts else 0)
+    for row in values[0]:
+        result.add_row(*row)
     return result

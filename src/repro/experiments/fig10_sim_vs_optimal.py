@@ -9,6 +9,9 @@ and the path LP plays CPLEX's (DESIGN.md, substitutions 1 and 2).
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import normalized_throughput
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
@@ -27,24 +30,16 @@ _SCALES = {
     },
 }
 
+_TARGET = "repro.experiments.fig10_sim_vs_optimal:compute_rows"
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     sim_config = SimulationConfig(routing="ksp", k=8, congestion_control=MPTCP)
 
-    result = ExperimentResult(
-        experiment_id="fig10",
-        title="Jellyfish throughput: optimal (LP) routing vs 8-shortest-path + MPTCP",
-        columns=[
-            "num_servers",
-            "optimal_throughput",
-            "ksp_mptcp_throughput",
-            "fraction_of_optimal",
-        ],
-    )
+    rows = []
     for num_switches, ports, degree in config["configs"]:
         topology = JellyfishTopology.build(num_switches, ports, degree, rng=rng)
         optimal_values, sim_values = [], []
@@ -59,5 +54,27 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         optimal = mean(optimal_values)
         simulated = mean(sim_values)
         ratio = simulated / optimal if optimal else 0.0
-        result.add_row(topology.num_servers, optimal, simulated, ratio)
+        rows.append([topology.num_servers, optimal, simulated, ratio])
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig10", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="fig10",
+        title="Jellyfish throughput: optimal (LP) routing vs 8-shortest-path + MPTCP",
+        columns=[
+            "num_servers",
+            "optimal_throughput",
+            "ksp_mptcp_throughput",
+            "fraction_of_optimal",
+        ],
+    )
+    for row in values[0]:
+        result.add_row(*row)
     return result

@@ -9,6 +9,9 @@ paper reports >25% more servers at its largest simulated size.
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
 from repro.topologies.fattree import FatTreeTopology
@@ -21,6 +24,8 @@ _SCALES = {
     "small": {"port_counts": [4, 6], "trials": 2},
     "paper": {"port_counts": [6, 8, 10, 12, 14], "trials": 5},
 }
+
+_TARGET = "repro.experiments.fig11_servers_packet_level:compute_rows"
 
 
 def _average_throughput(topology, config, trials, rng) -> float:
@@ -66,26 +71,14 @@ def max_jellyfish_servers_matching(
     return low
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     trials = config["trials"]
     fattree_config = SimulationConfig(routing="ecmp", k=8, congestion_control=MPTCP)
 
-    result = ExperimentResult(
-        experiment_id="fig11",
-        title="Servers at the fat-tree's throughput, with routing and congestion control",
-        columns=[
-            "ports_per_switch",
-            "equipment_total_ports",
-            "fattree_servers",
-            "fattree_throughput",
-            "jellyfish_servers",
-            "jellyfish_advantage",
-        ],
-    )
+    rows = []
     for ports in config["port_counts"]:
         fattree = FatTreeTopology.build(ports)
         target = _average_throughput(fattree, fattree_config, trials, rng)
@@ -98,12 +91,38 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             trials=trials,
             rng=rng,
         )
-        result.add_row(
-            ports,
-            fattree.total_ports,
-            fattree.num_servers,
-            target,
-            best,
-            best / fattree.num_servers,
+        rows.append(
+            [
+                ports,
+                fattree.total_ports,
+                fattree.num_servers,
+                target,
+                best,
+                best / fattree.num_servers,
+            ]
         )
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig11", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="fig11",
+        title="Servers at the fat-tree's throughput, with routing and congestion control",
+        columns=[
+            "ports_per_switch",
+            "equipment_total_ports",
+            "fattree_servers",
+            "fattree_throughput",
+            "jellyfish_servers",
+            "jellyfish_advantage",
+        ],
+    )
+    for row in values[0]:
+        result.add_row(*row)
     return result

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.engine.registry import run_specs
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.simulation.aimd import AimdConfig, simulate_aimd
@@ -186,9 +184,3 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
             )
     return result
 
-
-def run(
-    scale: str = "small", seed: int = 0, runner: Optional[SweepRunner] = None
-) -> ExperimentResult:
-    """AIMD convergence/stability envelope (dynamic fig12 counterpart)."""
-    return run_specs(build_specs(scale, seed), assemble, scale, seed, runner)

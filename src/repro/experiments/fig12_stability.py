@@ -8,6 +8,9 @@ average at least matching the fat-tree's while hosting more servers.
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
 from repro.topologies.fattree import FatTreeTopology
@@ -21,21 +24,18 @@ _SCALES = {
     "paper": {"port_counts": [8, 10, 12, 14], "runs": 10, "jellyfish_server_factor": 1.25},
 }
 
+_TARGET = "repro.experiments.fig12_stability:compute_rows"
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     runs = config["runs"]
     fattree_config = SimulationConfig(routing="ecmp", k=8, congestion_control=MPTCP)
     jellyfish_config = SimulationConfig(routing="ksp", k=8, congestion_control=MPTCP)
 
-    result = ExperimentResult(
-        experiment_id="fig12",
-        title="Throughput stability across runs (varying topology and traffic)",
-        columns=["topology", "num_servers", "min", "mean", "max"],
-    )
+    rows = []
     for ports in config["port_counts"]:
         fattree = FatTreeTopology.build(ports)
         fat_values = []
@@ -45,9 +45,11 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
                 simulate_fluid(fattree, traffic, fattree_config, rng=rng).average_throughput
             )
         fat_summary = summarize(fat_values)
-        result.add_row(
-            "fat-tree", fattree.num_servers,
-            fat_summary.minimum, fat_summary.mean, fat_summary.maximum,
+        rows.append(
+            [
+                "fat-tree", fattree.num_servers,
+                fat_summary.minimum, fat_summary.mean, fat_summary.maximum,
+            ]
         )
 
         jellyfish_servers = int(round(fattree.num_servers * config["jellyfish_server_factor"]))
@@ -64,8 +66,27 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
                 simulate_fluid(jellyfish, traffic, jellyfish_config, rng=rng).average_throughput
             )
         jelly_summary = summarize(jelly_values)
-        result.add_row(
-            "jellyfish", jellyfish_servers,
-            jelly_summary.minimum, jelly_summary.mean, jelly_summary.maximum,
+        rows.append(
+            [
+                "jellyfish", jellyfish_servers,
+                jelly_summary.minimum, jelly_summary.mean, jelly_summary.maximum,
+            ]
         )
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig12", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="fig12",
+        title="Throughput stability across runs (varying topology and traffic)",
+        columns=["topology", "num_servers", "min", "mean", "max"],
+    )
+    for row in values[0]:
+        result.add_row(*row)
     return result

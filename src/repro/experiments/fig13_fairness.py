@@ -7,6 +7,9 @@ Jain's fairness index for both topologies under one representative run:
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
 from repro.topologies.fattree import FatTreeTopology
@@ -20,10 +23,11 @@ _SCALES = {
     "paper": {"k": 14, "jellyfish_server_factor": 1.137},
 }
 
+_TARGET = "repro.experiments.fig13_fairness:compute_rows"
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     k = config["k"]
@@ -35,7 +39,35 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         num_servers=int(round(fattree.num_servers * config["jellyfish_server_factor"])),
         rng=rng,
     )
+    cases = [
+        ("fat-tree", fattree, SimulationConfig(routing="ecmp", k=8, congestion_control=MPTCP)),
+        ("jellyfish", jellyfish, SimulationConfig(routing="ksp", k=8, congestion_control=MPTCP)),
+    ]
+    rows = []
+    for name, topology, sim_config in cases:
+        traffic = random_permutation_traffic(topology, rng=rng)
+        outcome = simulate_fluid(topology, traffic, sim_config, rng=rng)
+        flows = outcome.sorted_throughputs()
+        rows.append(
+            [
+                name,
+                len(flows),
+                outcome.fairness,
+                percentile(flows, 5),
+                percentile(flows, 50),
+                min(flows),
+            ]
+        )
+    return rows
 
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig13", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig13",
         title="Flow fairness: per-flow throughput distribution and Jain's index",
@@ -48,20 +80,6 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             "min_flow_throughput",
         ],
     )
-    cases = [
-        ("fat-tree", fattree, SimulationConfig(routing="ecmp", k=8, congestion_control=MPTCP)),
-        ("jellyfish", jellyfish, SimulationConfig(routing="ksp", k=8, congestion_control=MPTCP)),
-    ]
-    for name, topology, sim_config in cases:
-        traffic = random_permutation_traffic(topology, rng=rng)
-        outcome = simulate_fluid(topology, traffic, sim_config, rng=rng)
-        flows = outcome.sorted_throughputs()
-        result.add_row(
-            name,
-            len(flows),
-            outcome.fairness,
-            percentile(flows, 5),
-            percentile(flows, 50),
-            min(flows),
-        )
+    for row in values[0]:
+        result.add_row(*row)
     return result

@@ -9,7 +9,10 @@ links are localized, which already exceeds the fat-tree's in-pod fraction of
 
 from __future__ import annotations
 
+from typing import Any, List
+
 from repro.cabling.containers import build_localized_jellyfish, local_link_fraction
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import normalized_throughput
 from repro.topologies.jellyfish import JellyfishTopology
@@ -34,6 +37,8 @@ _PORTS = 10
 _NETWORK_DEGREE = 6
 _SERVERS_PER_SWITCH = 4  # oversubscribed so localization effects are visible
 
+_TARGET = "repro.experiments.fig14_localization:compute_rows"
+
 
 def _throughput(topology, trials, rng) -> float:
     values = []
@@ -45,23 +50,13 @@ def _throughput(topology, trials, rng) -> float:
     return mean(values)
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     trials = config["trials"]
 
-    result = ExperimentResult(
-        experiment_id="fig14",
-        title="Localized (two-layer) Jellyfish throughput vs fraction of in-container links",
-        columns=[
-            "num_servers",
-            "requested_local_fraction",
-            "achieved_local_fraction",
-            "throughput_normalized_to_unrestricted",
-        ],
-    )
+    rows = []
     for containers, per_container in config["sizes"]:
         num_switches = containers * per_container
         unrestricted = JellyfishTopology.build(
@@ -84,10 +79,34 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             )
             value = _throughput(localized, trials, rng)
             normalized = value / baseline if baseline else 0.0
-            result.add_row(
-                localized.num_servers,
-                fraction,
-                local_link_fraction(localized),
-                normalized,
+            rows.append(
+                [
+                    localized.num_servers,
+                    fraction,
+                    local_link_fraction(localized),
+                    normalized,
+                ]
             )
+    return rows
+
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="fig14", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="fig14",
+        title="Localized (two-layer) Jellyfish throughput vs fraction of in-container links",
+        columns=[
+            "num_servers",
+            "requested_local_fraction",
+            "achieved_local_fraction",
+            "throughput_normalized_to_unrestricted",
+        ],
+    )
+    for row in values[0]:
+        result.add_row(*row)
     return result

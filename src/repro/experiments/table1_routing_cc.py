@@ -9,6 +9,9 @@ does at least as well on Jellyfish as on the fat-tree.
 
 from __future__ import annotations
 
+from typing import Any, List
+
+from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.simulation.fluid import (
     MPTCP,
@@ -17,7 +20,7 @@ from repro.simulation.fluid import (
     SimulationConfig,
     simulate_fluid,
 )
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import FatTreeTopology, fattree_num_servers
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
@@ -34,6 +37,8 @@ _CONTROLS = [
     ("MPTCP 8 subflows", MPTCP),
 ]
 
+_TARGET = "repro.experiments.table1_routing_cc:compute_rows"
+
 
 def _average(topology, routing, control, trials, rng) -> float:
     config = SimulationConfig(routing=routing, k=8, congestion_control=control)
@@ -44,28 +49,49 @@ def _average(topology, routing, control, trials, rng) -> float:
     return mean(values)
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+def _jellyfish_servers(config) -> int:
+    return int(round(fattree_num_servers(config["k"]) * config["jellyfish_server_factor"]))
+
+
+def compute_rows(scale: str, seed: int = 0) -> list:
+    """Scenario target: every row of the table, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
     k = config["k"]
     trials = config["trials"]
 
     fattree = FatTreeTopology.build(k)
-    jellyfish_servers = int(round(fattree.num_servers * config["jellyfish_server_factor"]))
     jellyfish = JellyfishTopology.from_equipment(
         num_switches=fattree.num_switches,
         ports_per_switch=k,
-        num_servers=jellyfish_servers,
+        num_servers=_jellyfish_servers(config),
         rng=rng,
     )
+    return [
+        [
+            label,
+            _average(fattree, "ecmp", control, trials, rng),
+            _average(jellyfish, "ecmp", control, trials, rng),
+            _average(jellyfish, "ksp", control, trials, rng),
+        ]
+        for label, control in _CONTROLS
+    ]
 
+
+def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
+    if scale not in _SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    return [ScenarioSpec.grid(_TARGET, name="table1", seed=seed, scale=scale)]
+
+
+def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
+    config = _SCALES[scale]
     result = ExperimentResult(
         experiment_id="table1",
         title=(
             f"Average per-server throughput (fraction of NIC rate): fat-tree "
-            f"({fattree.num_servers} servers) vs Jellyfish ({jellyfish.num_servers} servers)"
+            f"({fattree_num_servers(config['k'])} servers) vs Jellyfish "
+            f"({_jellyfish_servers(config)} servers)"
         ),
         columns=[
             "congestion_control",
@@ -74,11 +100,6 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             "jellyfish_8_shortest_paths",
         ],
     )
-    for label, control in _CONTROLS:
-        result.add_row(
-            label,
-            _average(fattree, "ecmp", control, trials, rng),
-            _average(jellyfish, "ecmp", control, trials, rng),
-            _average(jellyfish, "ksp", control, trials, rng),
-        )
+    for row in values[0]:
+        result.add_row(*row)
     return result

@@ -100,12 +100,10 @@ def index_dtype(num_nodes: int, num_directed_edges: int) -> np.dtype:
         return np.dtype(np.int64)
     return np.dtype(np.int32)
 
-#: Entry caps of the per-view memos, mirroring the intent of
-#: ``ALL_PAIRS_MEMO_NODE_LIMIT`` in :mod:`repro.graphs.properties`: an
-#: all-pairs k-shortest-path sweep over a fig05-scale graph must not retain
-#: the whole result set for the graph's lifetime, while repeated queries
-#: over a bounded working set stay fully cached.
-_RESULT_CACHE_MAX_ENTRIES = 65536
+#: Entry cap of the per-view parent-tree memo, mirroring the intent of
+#: ``ALL_PAIRS_MEMO_NODE_LIMIT`` in :mod:`repro.graphs.properties`: a sweep
+#: over every source of a fig05-scale graph must not retain every tree for
+#: the graph's lifetime.
 _PARENT_TREE_CACHE_MAX = 256
 
 #: Stand-in hash for node ``-1`` (CPython hashes -1 and -2 identically).
@@ -207,7 +205,6 @@ class CSRGraph:
         "_adj_lists",
         "_edge_src",
         "parent_trees",
-        "routes",
         "_seen",
         "_parent",
         "_stamp",
@@ -244,11 +241,9 @@ class CSRGraph:
     def _init_caches(self) -> None:
         self._adj_lists: Optional[List[List[int]]] = None
         self._edge_src: Optional[np.ndarray] = None
-        self.parent_trees = Memo("graphs.parent_trees", max_entries=_PARENT_TREE_CACHE_MAX)
-        # Routing modules memoize query results here (e.g. ("ksp", s, t, k)).
         # The memo lives and dies with this CSR view, so any graph mutation
         # — which forces a rebuild via the fingerprint — drops it wholesale.
-        self.routes = Memo("routing.results", max_entries=_RESULT_CACHE_MAX_ENTRIES)
+        self.parent_trees = Memo("graphs.parent_trees", max_entries=_PARENT_TREE_CACHE_MAX)
         # Yen/BFS scratch arrays (lazy): visited stamps and parent pointers.
         self._seen: Optional[List[int]] = None
         self._parent: Optional[List[int]] = None

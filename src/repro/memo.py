@@ -1,7 +1,7 @@
 """One bounded memo for every in-process cache.
 
 The evaluation derives the same data many times over: hop distances, BFS
-parent trees, routes, path tables, path-LP structures, link capacities and
+parent trees, path tables, path-LP structures, link capacities and
 lifecycle epoch metrics.  Each is kept in a :class:`Memo`, a
 least-recently-used (LRU) map bounded by an entry cap, a cost budget in the
 namespace's own unit (bytes, stored paths), or both.  Every bound shrinks
@@ -12,7 +12,7 @@ cache.
 Each memo belongs to a namespace (``graphs.dist_rows``,
 ``routing.path_sets``, ...).  Hit, miss and eviction counts are kept per
 namespace and summed over its instances -- every CSR view carries its own
-``graphs.parent_trees`` and ``routing.results`` memos -- and evictions are
+``graphs.parent_trees`` memo -- and evictions are
 also reported to telemetry as ``memo.<namespace>.evictions``.
 :func:`memo_stats` reads the counts; :func:`clear_memos` empties every live
 memo and zeroes them.

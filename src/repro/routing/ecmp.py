@@ -32,10 +32,6 @@ def all_shortest_paths(
     """
     if csr is None:
         csr = csr_graph(graph)
-    key = ("ecmp", source, target)
-    cached = csr.routes.get(key)
-    if cached is not None:
-        return list(cached)
     try:
         source_index = csr.index_of[source]
         target_index = csr.index_of[target]
@@ -45,9 +41,7 @@ def all_shortest_paths(
         ) from None
     index_paths = all_shortest_path_indices(csr, source_index, target_index)
     nodes = csr.nodes
-    result = [tuple(nodes[i] for i in path) for path in index_paths]
-    csr.routes.put(key, result)
-    return list(result)
+    return [tuple(nodes[i] for i in path) for path in index_paths]
 
 
 def ecmp_paths(

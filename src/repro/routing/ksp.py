@@ -41,10 +41,6 @@ def k_shortest_paths(
     if k <= 0:
         raise ValueError("k must be positive")
     csr = csr_graph(graph)
-    key = ("ksp", source, target, k)
-    cached = csr.routes.get(key)
-    if cached is not None:
-        return list(cached)
     try:
         source_index = csr.index_of[source]
         target_index = csr.index_of[target]
@@ -56,15 +52,12 @@ def k_shortest_paths(
         csr.bfs_parent_tree(source_index), source_index, target_index
     )
     if first is None:
-        csr.routes.put(key, [])
         return []
     index_paths = k_shortest_path_indices(
         csr, source_index, target_index, k, first_path=first
     )
     nodes = csr.nodes
-    result = [tuple(nodes[i] for i in path) for path in index_paths]
-    csr.routes.put(key, result)
-    return list(result)
+    return [tuple(nodes[i] for i in path) for path in index_paths]
 
 
 def all_pairs_k_shortest_paths(
@@ -74,8 +67,7 @@ def all_pairs_k_shortest_paths(
 
     Pairs are grouped by source and each source's BFS shortest-path tree is
     computed once and shared across its targets, so the per-pair Yen run
-    skips its initial full BFS.  Results share the same per-graph
-    ``("ksp", source, target, k)`` cache as :func:`k_shortest_paths`.
+    skips its initial full BFS.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -92,29 +84,16 @@ def all_pairs_k_shortest_paths(
 
     table: Dict[Tuple[Hashable, Hashable], List[Path]] = {}
     for source_index, group in by_source.items():
-        pending = []
-        for pair in group:
-            cached = csr.routes.get(("ksp", pair[0], pair[1], k))
-            if cached is not None:
-                table[pair] = list(cached)
-            else:
-                pending.append(pair)
-        if not pending:
-            continue
         parents = csr.bfs_parent_tree(source_index)
-        for pair in pending:
+        for pair in group:
             first = path_from_parent_tree(
                 parents, source_index, csr.index_of[pair[1]]
             )
-            key = ("ksp", pair[0], pair[1], k)
             if first is None:
-                csr.routes.put(key, [])
                 table[pair] = []
                 continue
             index_paths = k_shortest_path_indices(
                 csr, source_index, csr.index_of[pair[1]], k, first_path=first
             )
-            result = [tuple(nodes[i] for i in path) for path in index_paths]
-            csr.routes.put(key, result)
-            table[pair] = list(result)
+            table[pair] = [tuple(nodes[i] for i in path) for path in index_paths]
     return table

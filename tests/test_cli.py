@@ -68,6 +68,7 @@ class TestSweepMain:
     def test_sweep_show(self, capsys):
         assert main(["sweep", "show", "fig02a"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("fig02a: Fig 2(a): normalized bisection bandwidth")
         assert "jellyfish_curve_point" in out
         assert "point " in out
 
@@ -92,8 +93,14 @@ class TestSweepMain:
         assert not list(tmp_path.glob("??/*.json"))
 
     def test_sweep_run_unknown_sweep(self, capsys, tmp_path):
-        argv = ["sweep", "run", "fig99", "--cache-dir", str(tmp_path), "--quiet"]
-        assert main(argv) == 2
+        """An unknown id, or a scale the sweep does not define, is a usage
+        error: exit 2 before any point runs or any manifest is written."""
+        runs = tmp_path / "runs"
+        for args in (["fig99"], ["fig04", "--scale", "hyperscale"]):
+            argv = ["sweep", "run", *args, "--cache-dir", str(tmp_path),
+                    "--runs-dir", str(runs), "--quiet"]
+            assert main(argv) == 2
+            assert not list(runs.glob("run-*"))
 
     def test_sweep_show_unknown_sweep(self, capsys):
         assert main(["sweep", "show", "fig99"]) == 2

@@ -207,7 +207,7 @@ class TestCsrGraphCache:
         second = CSRGraph(nx.cycle_graph(12))
         assert first.content_hash == second.content_hash
 
-    def test_result_cache_dropped_on_rebuild(self):
+    def test_mutation_reroutes(self):
         graph = nx.cycle_graph(8)
         paths = k_shortest_paths(graph, 0, 4, 2)
         assert len(paths) == 2
@@ -216,11 +216,11 @@ class TestCsrGraphCache:
         assert rerouted == k_shortest_paths_reference(graph, 0, 4, 2)
         assert rerouted != paths
 
-    def test_repeated_queries_hit_the_result_cache(self):
+    def test_repeated_queries_return_equal_fresh_lists(self):
         topology = JellyfishTopology.build(20, 6, 4, rng=3)
         graph = topology.graph
         nodes = sorted(graph.nodes)
         first = k_shortest_paths(graph, nodes[0], nodes[-1], 4)
-        cached = k_shortest_paths(graph, nodes[0], nodes[-1], 4)
-        assert first == cached
-        assert first is not cached  # callers get their own list
+        again = k_shortest_paths(graph, nodes[0], nodes[-1], 4)
+        assert first == again
+        assert first is not again  # callers get their own list

@@ -7,7 +7,7 @@ from repro.engine.runner import SweepError, SweepRunner
 from repro.engine.spec import ScenarioPoint, ScenarioSpec
 
 TARGET = "repro.experiments.fig02a_bisection:jellyfish_curve_point"
-FAILING_TARGET = "repro.experiments.fig02a_bisection:run"  # wrong kwargs -> TypeError
+FAILING_TARGET = "repro.experiments.fig02a_bisection:build_specs"  # wrong kwargs -> TypeError
 
 
 def _grid(servers):

@@ -1,4 +1,4 @@
-"""Smoke, golden-row and shape tests for the experiment runners.
+"""Smoke, golden-row and shape tests for the experiment sweeps.
 
 ``tests/golden/small_seed0.json`` pins the rows every experiment produces at
 small scale, seed 0.  Rewrite it with ``PYTHONPATH=src python
@@ -12,12 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import (
-    ExperimentResult,
-    format_table,
-    list_experiments,
-    run_experiment,
-)
+from repro.engine import run_sweep
+from repro.experiments.common import ExperimentResult, format_table, list_experiments
 from repro.memo import clear_memos, memo_stats
 from repro.resources import ExecutionProfile
 
@@ -82,7 +78,7 @@ class TestRegistry:
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
-            run_experiment("fig99")
+            run_sweep("fig99")
 
 
 class TestResultContainer:
@@ -110,7 +106,7 @@ class TestResultContainer:
 
 @pytest.mark.parametrize("experiment_id", ALL_EXPERIMENTS)
 def test_every_experiment_runs_at_small_scale(experiment_id, golden):
-    result = run_experiment(experiment_id, scale="small", seed=0)
+    result = run_sweep(experiment_id, scale="small", seed=0)
     assert isinstance(result, ExperimentResult)
     assert result.rows, f"{experiment_id} produced no rows"
     assert result.experiment_id == experiment_id
@@ -130,7 +126,7 @@ def test_one_entry_memos_leave_rows_unchanged(experiment_id, golden, monkeypatch
     one_entry = ExecutionProfile(memory_scale=1e-12)
     monkeypatch.setattr(repro.memo, "active_profile", lambda: one_entry)
     clear_memos()
-    result = run_experiment(experiment_id, scale="small", seed=0)
+    result = run_sweep(experiment_id, scale="small", seed=0)
     stats = memo_stats()
     clear_memos()
     assert_golden_rows(result, golden)
@@ -142,7 +138,7 @@ class TestHeadlineClaims:
     """The qualitative results the paper leads with must reproduce."""
 
     def test_fig01_jellyfish_reaches_more_servers_in_fewer_hops(self):
-        result = run_experiment("fig01", scale="small", seed=0)
+        result = run_sweep("fig01", scale="small", seed=0)
         rows = result.as_dicts()
         # At an intermediate hop count Jellyfish's CDF dominates the fat-tree's.
         intermediate = [r for r in rows if 0.05 < r["fattree_fraction"] < 0.999]
@@ -152,35 +148,35 @@ class TestHeadlineClaims:
         )
 
     def test_fig02c_jellyfish_supports_at_least_as_many_servers(self):
-        result = run_experiment("fig02c", scale="small", seed=0)
+        result = run_sweep("fig02c", scale="small", seed=0)
         advantages = result.column("jellyfish_advantage")
         assert max(advantages) >= 1.0
 
     def test_fig05_short_paths(self):
-        result = run_experiment("fig05", scale="small", seed=0)
+        result = run_sweep("fig05", scale="small", seed=0)
         assert all(value <= 4 for value in result.column("scratch_diameter"))
 
     def test_fig06_incremental_matches_scratch(self):
-        result = run_experiment("fig06", scale="small", seed=0)
+        result = run_sweep("fig06", scale="small", seed=0)
         for row in result.as_dicts():
             assert row["incremental_throughput"] == pytest.approx(
                 row["from_scratch_throughput"], abs=0.1
             )
 
     def test_fig07_jellyfish_beats_clos_expansion(self):
-        result = run_experiment("fig07", scale="small", seed=0)
+        result = run_sweep("fig07", scale="small", seed=0)
         last = result.as_dicts()[-1]
         assert last["jellyfish_normalized_bisection"] > last["clos_normalized_bisection"]
 
     def test_fig08_graceful_degradation(self):
-        result = run_experiment("fig08", scale="small", seed=0)
+        result = run_sweep("fig08", scale="small", seed=0)
         rows = result.as_dicts()
         baseline = rows[0]["jellyfish_throughput"]
         worst = rows[-1]["jellyfish_throughput"]
         assert worst >= baseline - 0.45
 
     def test_fig09_ksp_spreads_better_than_ecmp(self):
-        result = run_experiment("fig09", scale="small", seed=0)
+        result = run_sweep("fig09", scale="small", seed=0)
         rows = {row["routing"]: row for row in result.as_dicts()}
         assert (
             rows["8 shortest paths"]["fraction_links_on_at_most_2_paths"]
@@ -188,7 +184,7 @@ class TestHeadlineClaims:
         )
 
     def test_table1_orderings(self):
-        result = run_experiment("table1", scale="small", seed=0)
+        result = run_sweep("table1", scale="small", seed=0)
         rows = {row["congestion_control"]: row for row in result.as_dicts()}
         mptcp = rows["MPTCP 8 subflows"]
         # k-shortest-path routing recovers the capacity ECMP wastes on Jellyfish.
@@ -197,11 +193,11 @@ class TestHeadlineClaims:
         assert mptcp["fattree_ecmp"] > rows["TCP 1 flow"]["fattree_ecmp"]
 
     def test_fig13_fairness_is_high(self):
-        result = run_experiment("fig13", scale="small", seed=0)
+        result = run_sweep("fig13", scale="small", seed=0)
         assert all(value > 0.8 for value in result.column("jain_fairness_index"))
 
     def test_fig13_dynamics_tracks_fluid_fairness(self):
-        result = run_experiment("fig13-dynamics", scale="small", seed=0)
+        result = run_sweep("fig13-dynamics", scale="small", seed=0)
         rows = result.as_dicts()
         # The dynamic controller should land near the fluid equilibrium's
         # fairness and below-or-near its average throughput.
@@ -210,13 +206,13 @@ class TestHeadlineClaims:
             assert row["aimd_throughput"] <= row["fluid_throughput"] + 0.1
 
     def test_fig12_dynamics_reports_convergence(self):
-        result = run_experiment("fig12-dynamics", scale="small", seed=0)
+        result = run_sweep("fig12-dynamics", scale="small", seed=0)
         for row in result.as_dicts():
             assert 0.0 <= row["converged_fraction"] <= 1.0
             assert row["min"] <= row["mean"] <= row["max"]
 
     def test_fig14_localization_costs_little(self):
-        result = run_experiment("fig14", scale="small", seed=0)
+        result = run_sweep("fig14", scale="small", seed=0)
         rows = result.as_dicts()
         moderate = [r for r in rows if r["requested_local_fraction"] <= 0.6]
         assert all(r["throughput_normalized_to_unrestricted"] > 0.7 for r in moderate)
@@ -224,7 +220,7 @@ class TestHeadlineClaims:
 
 if __name__ == "__main__":
     rows = {
-        experiment_id: _plain(run_experiment(experiment_id, scale="small", seed=0).rows)
+        experiment_id: _plain(run_sweep(experiment_id, scale="small", seed=0).rows)
         for experiment_id in ALL_EXPERIMENTS
     }
     GOLDEN.parent.mkdir(exist_ok=True)

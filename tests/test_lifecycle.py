@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.engine import run_sweep
 from repro.engine.spec import expand
 from repro.experiments import fig08_lifecycle
 from repro.lifecycle import (
@@ -299,8 +300,8 @@ class TestFig08Lifecycle:
         assert {point.seed for point in points} == {4}
 
     def test_run_is_deterministic(self):
-        first = fig08_lifecycle.run("small", seed=0)
-        second = fig08_lifecycle.run("small", seed=0)
+        first = run_sweep("fig08-lifecycle", "small", seed=0)
+        second = run_sweep("fig08-lifecycle", "small", seed=0)
         assert first.rows == second.rows
         assert first.columns[0] == "time_h"
         for row in first.rows:
