@@ -56,12 +56,12 @@ from repro.flow.throughput import max_servers_at_full_throughput
 from repro.graphs.csr import clear_csr_cache
 from repro.memo import clear_memos
 from repro.routing.paths import build_path_set
+from repro.simulation.capacity import link_capacities
 from repro.simulation.fluid import (
     MPTCP,
     TCP_EIGHT_FLOWS,
     SimulationConfig,
     _build_flow_specs,
-    _link_capacities,
     simulate_fluid,
 )
 import repro.simulation.fluid as fluid_module
@@ -98,7 +98,7 @@ def _maxmin_case(fattree_k: int, repeats: int, repeats_old=None) -> dict:
     )
     config = SimulationConfig(routing="ksp", k=8, congestion_control=TCP_EIGHT_FLOWS)
     specs = _build_flow_specs(traffic, path_set, config, ensure_rng(3))
-    capacities = _link_capacities(topology)
+    capacities = link_capacities(topology)
     new_seconds = _best_of(
         lambda: max_min_fair_allocation(specs, capacities), repeats
     )

@@ -14,11 +14,11 @@ from repro.flow._reference import (
 from repro.flow.maxmin import max_min_fair_allocation
 from repro.flow.path_lp import PathLPStructure
 from repro.routing.paths import build_path_set
+from repro.simulation.capacity import link_capacities
 from repro.simulation.fluid import (
     TCP_EIGHT_FLOWS,
     SimulationConfig,
     _build_flow_specs,
-    _link_capacities,
 )
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
@@ -41,7 +41,7 @@ def fig13_scale_problem():
     path_set = build_path_set(topology.graph, list(demands), scheme="ksp", k=8)
     config = SimulationConfig(routing="ksp", k=8, congestion_control=TCP_EIGHT_FLOWS)
     specs = _build_flow_specs(traffic, path_set, config, ensure_rng(3))
-    capacities = _link_capacities(topology)
+    capacities = link_capacities(topology)
     return topology, demands, path_set, specs, capacities
 
 

@@ -1,8 +1,8 @@
 """Setup shim for environments without the `wheel` package (offline installs).
 
 All project metadata lives in pyproject.toml; setuptools >= 61 reads it from
-there.  This file only enables the legacy editable-install path
-(`pip install -e . --no-use-pep517`) which does not require building a wheel.
+there.  This file only enables the legacy editable install,
+`python setup.py develop`, which does not build a wheel.
 """
 
 from setuptools import setup

@@ -1,8 +1,8 @@
 """Compute-heavy scenario targets used by the engine benchmarks and demos.
 
-These are real workloads (Jellyfish construction, BFS path metrics, LP
-throughput) packaged as picklable module-level targets so the benchmark
-suite can exercise :class:`~repro.engine.runner.SweepRunner` sharding and the
+These are real workloads (Jellyfish construction and LP throughput)
+packaged as picklable module-level targets so the benchmark suite can
+exercise :class:`~repro.engine.runner.SweepRunner` sharding and the
 result cache on representative scenario points rather than synthetic sleeps.
 """
 
@@ -10,28 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.graphs.properties import average_path_length, diameter
-from repro.flow.throughput import normalized_throughput, supports_full_throughput
-from repro.simulation.aimd import AimdConfig, simulate_aimd
-from repro.simulation.fluid import SimulationConfig, simulate_fluid
+from repro.flow.throughput import normalized_throughput
 from repro.telemetry import trace
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
-
-
-def jellyfish_path_metrics(
-    num_switches: int, ports: int, network_degree: int, seed: Optional[int] = None
-) -> dict:
-    """Mean switch-to-switch path length and diameter of one random Jellyfish."""
-    with trace("target.build", switches=num_switches):
-        topology = JellyfishTopology.build(
-            num_switches, ports, network_degree, rng=seed
-        )
-    return {
-        "mean_path_length": average_path_length(topology.graph),
-        "diameter": diameter(topology.graph),
-    }
 
 
 def jellyfish_throughput_point(
@@ -50,96 +33,3 @@ def jellyfish_throughput_point(
     traffic = random_permutation_traffic(topology, rng=rng)
     value = normalized_throughput(topology, traffic, engine="path", k=k).normalized
     return {"normalized_throughput": value}
-
-
-def jellyfish_fluid_point(
-    num_switches: int,
-    ports: int,
-    network_degree: int,
-    routing: str = "ksp",
-    congestion_control: str = "mptcp",
-    k: int = 8,
-    seed: Optional[int] = None,
-) -> dict:
-    """Fluid-simulator throughput/fairness of one Jellyfish (max-min engine).
-
-    Exercises the vectorized progressive-filling kernel plus the shared
-    path-table state on a representative routing + congestion-control combo.
-    """
-    rng = ensure_rng(seed)
-    with trace("target.build", switches=num_switches):
-        topology = JellyfishTopology.build(
-            num_switches, ports, network_degree, rng=rng
-        )
-    traffic = random_permutation_traffic(topology, rng=rng)
-    config = SimulationConfig(
-        routing=routing, k=k, congestion_control=congestion_control
-    )
-    outcome = simulate_fluid(topology, traffic, config, rng=rng)
-    return {
-        "average_throughput": outcome.average_throughput,
-        "fairness": outcome.fairness,
-    }
-
-
-def jellyfish_aimd_point(
-    num_switches: int,
-    ports: int,
-    network_degree: int,
-    routing: str = "ksp",
-    congestion_control: str = "mptcp",
-    k: int = 8,
-    rounds: int = 200,
-    warmup_rounds: int = 50,
-    seed: Optional[int] = None,
-) -> dict:
-    """Round-based AIMD dynamics of one Jellyfish (vectorized round engine).
-
-    Exercises the subflow compilation plus the array-native round loop --
-    and, across repeated points on one topology, the shared path-table and
-    capacity caches -- on a representative dynamics workload.
-    """
-    rng = ensure_rng(seed)
-    with trace("target.build", switches=num_switches):
-        topology = JellyfishTopology.build(
-            num_switches, ports, network_degree, rng=rng
-        )
-    traffic = random_permutation_traffic(topology, rng=rng)
-    config = AimdConfig(
-        routing=routing,
-        k=k,
-        congestion_control=congestion_control,
-        rounds=rounds,
-        warmup_rounds=warmup_rounds,
-    )
-    outcome = simulate_aimd(topology, traffic, config, rng=rng)
-    return {
-        "average_throughput": outcome.average_throughput,
-        "fairness": outcome.fairness,
-        "convergence_round": outcome.convergence_round,
-    }
-
-
-def jellyfish_full_throughput_point(
-    num_switches: int,
-    ports: int,
-    network_degree: int,
-    num_matrices: int = 2,
-    k: int = 8,
-    seed: Optional[int] = None,
-) -> dict:
-    """Full-line-rate feasibility of one Jellyfish (decision LP + screens).
-
-    Exercises the throughput harness's shared path-set / LP-structure state
-    across ``num_matrices`` permutation matrices on a single topology — the
-    warm regime of the fig02c binary search.
-    """
-    rng = ensure_rng(seed)
-    with trace("target.build", switches=num_switches):
-        topology = JellyfishTopology.build(
-            num_switches, ports, network_degree, rng=rng
-        )
-    value = supports_full_throughput(
-        topology, num_matrices=num_matrices, engine="path", k=k, rng=rng
-    )
-    return {"supports_full_throughput": bool(value)}

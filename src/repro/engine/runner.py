@@ -183,12 +183,6 @@ class FaultStats:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def any_faults(self) -> bool:
-        return bool(
-            self.retries or self.timeouts or self.crashes or self.ooms
-            or self.signals or self.errors or self.quarantined
-        )
-
     def __str__(self) -> str:
         return (
             f"{self.retries} retries, {self.timeouts} timeouts, "

@@ -113,12 +113,6 @@ class ClosExpansionPlanner:
     def _uplink_ports_available_per_leaf(self) -> int:
         return self.leaf_ports - self.servers_per_leaf - self.reserved_ports_per_leaf
 
-    def _spine_capacity_remaining(self) -> int:
-        """How many more leaves the current spines could accept."""
-        if self.num_spines == 0:
-            return 0
-        return self.spine_ports // self.links_per_pair - self.num_leaves
-
     def _leaf_cost(self) -> float:
         """Cost of one new leaf: the switch, its server cabling and uplinks."""
         switch = self.cost_model.switch_cost(self.leaf_ports)

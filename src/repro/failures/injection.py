@@ -27,8 +27,8 @@ from typing import Hashable, List, Tuple
 
 import numpy as np
 
-from repro.failures.degradation import DegradationReport, split_reachable_demands
-from repro.flow.throughput import degraded_throughput, normalized_throughput
+from repro.failures.degradation import DegradationReport
+from repro.flow.throughput import degraded_throughput
 from repro.topologies.base import Topology
 from repro.topologies.core import TopologyCore
 from repro.utils.rng import RngLike, ensure_rng
@@ -244,25 +244,3 @@ def throughput_under_switch_failures(
         )
         results.append((fraction, outcome.normalized, outcome.report))
     return results
-
-
-def _throughput_with_disconnections(topology: Topology, engine, k, rand) -> float:
-    """Throughput when some switch pairs may be unreachable (legacy shim).
-
-    Retained for the ensemble scenario targets; the component filtering now
-    runs on the CSR labeling shared with :mod:`repro.failures.degradation`
-    (numerically identical to the old per-call ``networkx`` component
-    scan).
-    """
-    from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
-
-    traffic = random_permutation_traffic(topology, rng=rand)
-    if len(traffic) == 0:
-        return 1.0
-    reachable, _ = split_reachable_demands(topology, traffic)
-    if not reachable:
-        return 0.0
-    result = normalized_throughput(
-        topology, TrafficMatrix(reachable), engine=engine, k=k, rng=rand
-    )
-    return (result.normalized * len(reachable)) / len(traffic)

@@ -222,15 +222,6 @@ def csr_component_labels(csr: CSRGraph) -> np.ndarray:
     return labels
 
 
-def connected_components_csr(csr: CSRGraph) -> List[np.ndarray]:
-    """Node-index arrays of each connected component (discovery order)."""
-    labels = csr_component_labels(csr)
-    if csr.num_nodes == 0:
-        return []
-    count = int(labels.max()) + 1
-    return [np.flatnonzero(labels == label) for label in range(count)]
-
-
 def average_path_length_csr(csr: CSRGraph) -> float:
     """Mean shortest-path length over distinct reachable pairs (CSR entry).
 

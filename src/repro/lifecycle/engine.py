@@ -102,9 +102,6 @@ class LifecycleResult:
     failed_epochs: int = 0
     duration_s: float = 0.0
 
-    def epoch_column(self, name: str) -> List:
-        return [record[name] for record in self.epochs]
-
     def time_average(self, name: str) -> float:
         """Epoch-weighted mean of one epoch metric (0.0 when empty)."""
         values = [

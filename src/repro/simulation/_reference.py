@@ -45,7 +45,7 @@ from repro.simulation.aimd import (
     measure_convergence_round,
 )
 from repro.simulation.capacity import link_capacities
-from repro.simulation.fluid import MPTCP, TCP_EIGHT_FLOWS, TCP_ONE_FLOW
+from repro.simulation.fluid import MPTCP, TCP_EIGHT_FLOWS, plan_subflows
 from repro.topologies.base import Topology
 from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
 from repro.utils.rng import RngLike, ensure_rng
@@ -74,31 +74,20 @@ def _build_subflows_reference(
     returned set so result assembly reports it at exactly 0.0, mirroring
     the vectorized engine's degradation semantics.
     """
+    tcp8 = config.congestion_control == TCP_EIGHT_FLOWS
     subflows: List[_Subflow] = []
     demands: List[float] = []
     unreachable: set = set()
-    for index, demand in enumerate(traffic):
-        src, dst = demand.source_switch, demand.destination_switch
+    for index, demand, options, picks in plan_subflows(
+        traffic, path_set, config, rand
+    ):
         demand_pkts = demand.rate * config.packets_per_round
         demands.append(demand_pkts)
-        if src == dst:
-            continue  # same-rack traffic never crosses the network
-        options = path_set.get((src, dst))
-        if not options:
+        if options is not None and not options:
             unreachable.add(index)
-            continue
-        if config.congestion_control == TCP_ONE_FLOW:
-            chosen = options[rand.randrange(len(options))]
-            subflows.append(_Subflow(index, chosen, config.initial_cwnd))
-        else:
-            cap = (
-                demand_pkts / config.subflows
-                if config.congestion_control == TCP_EIGHT_FLOWS
-                else float("inf")
-            )
-            for i in range(config.subflows):
-                path = options[i % len(options)]
-                subflows.append(_Subflow(index, path, config.initial_cwnd, cap))
+        cap = demand_pkts / config.subflows if tcp8 else float("inf")
+        for pick in picks:
+            subflows.append(_Subflow(index, options[pick], config.initial_cwnd, cap))
     return subflows, demands, unreachable
 
 

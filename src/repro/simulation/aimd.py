@@ -47,14 +47,15 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.routing.paths import PathSet, shared_path_set
+from repro.routing.paths import PathSet
 from repro.simulation.capacity import link_capacities
 from repro.telemetry import count, trace
 from repro.simulation.fluid import (
     MPTCP,
     TCP_EIGHT_FLOWS,
-    TCP_ONE_FLOW,
     SimulationConfig,
+    plan_subflows,
+    route_demands,
 )
 from repro.topologies.base import Topology
 from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
@@ -233,28 +234,19 @@ def _compile_subflows(
 ) -> _CompiledSubflows:
     """Compile traffic + paths into the engine's incidence arrays.
 
-    Path-to-link-id translation happens once per distinct (pair, path) --
-    connections sharing a switch pair reuse the compiled arrays -- and the
-    tcp1 path draws consume ``rand.randrange`` in demand order, exactly as
-    the scalar reference does, so both engines pick the same paths for the
-    same rng.
+    Paths come from :func:`repro.simulation.fluid.plan_subflows`, as in the
+    scalar reference; each pair's options are compiled to link ids once.
     """
     csr = topology.csr()
     index_of = csr.index_of
     num_nodes = csr.num_nodes
-    tcp1 = config.congestion_control == TCP_ONE_FLOW
     tcp8 = config.congestion_control == TCP_EIGHT_FLOWS
 
     # Per-pair compiled paths: each option becomes an int64 array of
-    # directed-link keys (u * n + v in CSR index space).  An unreachable
-    # pair (absent from a skip-mode path set) compiles to an empty option
-    # list, not an exception.
+    # directed-link keys (u * n + v in CSR index space).
     compiled_pairs: Dict[Tuple[Hashable, Hashable], List[np.ndarray]] = {}
 
-    def compile_pair(pair: Tuple[Hashable, Hashable]) -> List[np.ndarray]:
-        options = path_set.get(pair)
-        if not options:
-            return []
+    def compile_options(options) -> List[np.ndarray]:
         arrays = []
         for path in options:
             indices = np.fromiter(
@@ -271,41 +263,28 @@ def _compile_subflows(
     has_subflows: List[bool] = []
     unreachable: List[bool] = []
 
-    for index, demand in enumerate(traffic):
-        src, dst = demand.source_switch, demand.destination_switch
+    for index, demand, options, picks in plan_subflows(
+        traffic, path_set, config, rand
+    ):
         demand_pkts = demand.rate * config.packets_per_round
         demands.append(demand_pkts)
-        if src == dst:
-            has_subflows.append(False)
-            unreachable.append(False)
-            continue  # same-rack traffic never crosses the network
-        pair = (src, dst)
-        options = compiled_pairs.get(pair)
-        if options is None:
-            options = compiled_pairs[pair] = compile_pair(pair)
-        if not options:
-            # Degradation semantics: no route -> no subflows, 0.0 reported.
-            has_subflows.append(False)
-            unreachable.append(True)
+        # Same-rack traffic never crosses the network; an unreachable pair
+        # gets no subflows and is reported at 0.0 (degradation semantics).
+        has_subflows.append(bool(picks))
+        unreachable.append(options is not None and not options)
+        if not picks:
             continue
-        has_subflows.append(True)
-        unreachable.append(False)
-        if tcp1:
-            chosen = options[rand.randrange(len(options))]
-            chunks.append(chosen)
+        pair = (demand.source_switch, demand.destination_switch)
+        compiled = compiled_pairs.get(pair)
+        if compiled is None:
+            compiled = compiled_pairs[pair] = compile_options(options)
+        cap = demand_pkts / config.subflows if tcp8 else np.inf
+        for pick in picks:
+            links = compiled[pick]
+            chunks.append(links)
             connection_of.append(index)
-            hop_counts.append(len(chosen))
-            subflow_cap.append(np.inf)
-        else:
-            per_subflow = (
-                demand_pkts / config.subflows if tcp8 else np.inf
-            )
-            for i in range(config.subflows):
-                links = options[i % len(options)]
-                chunks.append(links)
-                connection_of.append(index)
-                hop_counts.append(len(links))
-                subflow_cap.append(per_subflow)
+            hop_counts.append(len(links))
+            subflow_cap.append(cap)
 
     num_subflows = len(chunks)
     if num_subflows:
@@ -480,7 +459,7 @@ def simulate_aimd(
     """Run the round-based AIMD simulation and report normalized throughput.
 
     When ``path_set`` is not supplied, routes come from the content-hash
-    shared path table (:func:`repro.routing.paths.shared_path_set`), so
+    shared path table (:func:`repro.simulation.fluid.route_demands`), so
     repeated simulations over one topology -- the dynamics sweeps' per-seed
     trials -- route each switch pair once.
     """
@@ -493,14 +472,7 @@ def simulate_aimd(
         return AimdResult()
 
     if path_set is None:
-        arrays = traffic.as_switch_array(topology.csr().index_of)
-        path_set = shared_path_set(
-            topology.graph,
-            arrays.pairs,
-            scheme=config.routing,
-            k=config.k,
-            on_unreachable="skip",
-        )
+        path_set = route_demands(topology, traffic, config)
 
     with trace("aimd.compile", connections=len(traffic)) as span:
         compiled = _compile_subflows(topology, traffic, path_set, config, rand)

@@ -17,20 +17,22 @@ problem (see DESIGN.md, substitution 2):
   cap applies.
 
 Routing supplies the candidate paths: ``"ecmp"`` uses up to ``k`` equal-cost
-shortest paths, ``"ksp"`` uses Yen's k shortest paths.
+shortest paths, ``"ksp"`` uses Yen's k shortest paths.  :func:`plan_subflows`
+picks each flow's or subflow's paths; the AIMD engine and its scalar
+reference follow the same plan, so all three route a connection alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.flow.maxmin import FlowSpec, max_min_fair_allocation
 from repro.routing.ksp import Path
 from repro.simulation.capacity import link_capacities
 from repro.routing.paths import PathSet, shared_path_set
 from repro.topologies.base import Topology
-from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
+from repro.traffic.matrices import Demand, TrafficMatrix, random_permutation_traffic
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.stats import jains_fairness_index, mean
 
@@ -84,15 +86,46 @@ class FluidResult:
         return sorted(self.flow_throughputs)
 
 
-def _link_capacities(topology: Topology) -> Dict[Tuple[Hashable, Hashable], float]:
-    """Directed link capacities (shared, content-hash-cached helper).
+def route_demands(topology: Topology, traffic: TrafficMatrix, config) -> PathSet:
+    """Candidate paths (``config.routing``, ``config.k``) of ``traffic``'s pairs.
 
-    Kept as a module-level name for the benchmark recorders; the
-    implementation lives in :func:`repro.simulation.capacity.link_capacities`
-    and is shared with the AIMD round engine.  The returned table is cache
-    state -- read-only (the MPTCP allocator copies it before draining).
+    The table is the shared content-hashed one, so repeated runs over one
+    topology route each switch pair once; unreachable pairs are left out.
     """
-    return link_capacities(topology)
+    return shared_path_set(
+        topology.graph,
+        list(traffic.switch_pairs()),
+        scheme=config.routing,
+        k=config.k,
+        on_unreachable="skip",
+    )
+
+
+def plan_subflows(
+    traffic: TrafficMatrix, path_set: PathSet, config, rand
+) -> Iterator[Tuple[int, Demand, Optional[List[Path]], List[int]]]:
+    """Yield ``(index, demand, options, picks)`` for each demand in order.
+
+    ``options`` is the pair's candidate paths: ``None`` for a same-rack
+    demand, empty for a pair ``path_set`` left out (unreachable).  ``picks``
+    index into ``options``: a routed tcp1 demand makes the only draw, one
+    ``rand.randrange``; tcp8 and MPTCP stripe ``config.subflows`` subflows
+    round-robin.
+    """
+    tcp1 = config.congestion_control == TCP_ONE_FLOW
+    for index, demand in enumerate(traffic):
+        src, dst = demand.source_switch, demand.destination_switch
+        if src == dst:
+            yield index, demand, None, []
+            continue
+        options = path_set.get((src, dst)) or []
+        if not options:
+            picks = []
+        elif tcp1:
+            picks = [rand.randrange(len(options))]
+        else:
+            picks = [i % len(options) for i in range(config.subflows)]
+        yield index, demand, options, picks
 
 
 def _build_flow_specs(
@@ -101,47 +134,28 @@ def _build_flow_specs(
     config: SimulationConfig,
     rand,
 ) -> List[FlowSpec]:
+    tcp8 = config.congestion_control == TCP_EIGHT_FLOWS
     specs: List[FlowSpec] = []
-    for index, demand in enumerate(traffic):
-        src, dst = demand.source_switch, demand.destination_switch
-        flow_id = (index, demand.source, demand.destination)
-        if src == dst:
-            # Same-rack traffic never crosses the network: model as a single
-            # zero-hop path that is always satisfied.
-            specs.append(FlowSpec(flow_id=flow_id, paths=[(src,)], demand=demand.rate))
-            continue
-        options = path_set.get((src, dst))
-        if not options:
-            # Degradation semantics: an unreachable pair (absent from a
-            # skip-mode path set on a partitioned topology) becomes an
-            # unrouted flow -- no subflows, allocated exactly 0.0.
-            specs.append(FlowSpec(flow_id=flow_id, paths=[], demand=demand.rate))
-            continue
-
-        if config.congestion_control == TCP_ONE_FLOW:
-            chosen = options[rand.randrange(len(options))]
-            specs.append(
-                FlowSpec(flow_id=flow_id, paths=[chosen], demand=demand.rate)
+    for index, demand, options, picks in plan_subflows(
+        traffic, path_set, config, rand
+    ):
+        # Same-rack traffic is one zero-hop path, always satisfied; an
+        # unreachable pair is an unrouted flow, allocated exactly 0.0.
+        if options is None:
+            paths = [(demand.source_switch,)]
+        else:
+            paths = [options[pick] for pick in picks]
+        caps = None
+        if tcp8 and picks:  # the application stripes data evenly
+            caps = [demand.rate / config.subflows] * len(picks)
+        specs.append(
+            FlowSpec(
+                flow_id=(index, demand.source, demand.destination),
+                paths=paths,
+                demand=demand.rate,
+                subflow_caps=caps,
             )
-            continue
-
-        subflow_paths = [
-            options[i % len(options)] for i in range(config.subflows)
-        ]
-        if config.congestion_control == TCP_EIGHT_FLOWS:
-            caps = [demand.rate / config.subflows] * config.subflows
-            specs.append(
-                FlowSpec(
-                    flow_id=flow_id,
-                    paths=subflow_paths,
-                    demand=demand.rate,
-                    subflow_caps=caps,
-                )
-            )
-        else:  # MPTCP: only the aggregate cap applies
-            specs.append(
-                FlowSpec(flow_id=flow_id, paths=subflow_paths, demand=demand.rate)
-            )
+        )
     return specs
 
 
@@ -229,21 +243,12 @@ def simulate_fluid(
     if len(traffic) == 0:
         return FluidResult()
 
-    pairs = list(traffic.switch_pairs())
     if path_set is None:
-        # The shared table is content-hashed per graph, so repeated runs over
-        # one topology (fig10's trials, fig13's per-scheme passes) route each
-        # switch pair once instead of once per traffic matrix.
-        path_set = shared_path_set(
-            topology.graph,
-            pairs,
-            scheme=config.routing,
-            k=config.k,
-            on_unreachable="skip",
-        )
+        path_set = route_demands(topology, traffic, config)
 
     specs = _build_flow_specs(traffic, path_set, config, rand)
-    capacities = _link_capacities(topology)
+    # Shared cache state: the MPTCP allocator copies it before draining.
+    capacities = link_capacities(topology)
     if config.congestion_control == MPTCP:
         # Each flow keeps one subflow per distinct candidate path; the coupled
         # controller fills better-ranked paths before spilling onto others.

@@ -8,20 +8,12 @@ live inside the installed package (not under ``tests/``) so
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Optional
 
 
 def echo_point(x: int = 0, tag: str = "", seed: Optional[int] = None) -> Dict[str, Any]:
     """Return the inputs verbatim -- the cheapest possible scenario point."""
     return {"x": x, "tag": tag, "seed": seed}
-
-
-def slow_point(x: int = 0, sleep_s: float = 0.0, seed: Optional[int] = None) -> Dict[str, Any]:
-    """Sleep ``sleep_s`` then echo -- a point with a controllable duration."""
-    if sleep_s > 0.0:
-        time.sleep(sleep_s)
-    return {"x": x, "sleep_s": sleep_s, "seed": seed}
 
 
 def profile_point(

@@ -315,11 +315,8 @@ def ensemble_failure_point(
     disconnected demand pairs as zero like Fig 8 does.
     """
     del instance
-    from repro.failures.injection import (
-        _throughput_with_disconnections,
-        fail_random_links_core,
-    )
-    from repro.flow.throughput import normalized_throughput
+    from repro.failures.injection import fail_random_links_core
+    from repro.flow.throughput import degraded_throughput
 
     rng = ensure_rng(seed)
     topology = JellyfishTopology.from_equipment(
@@ -329,14 +326,8 @@ def ensemble_failure_point(
     failed = JellyfishTopology.from_core(
         failed_core, name=f"{topology.name}+{fraction:.0%}-link-failures"
     )
-    if failed.is_connected():
-        throughput = normalized_throughput(
-            failed, engine="path", k=k, rng=rng
-        ).normalized
-    else:
-        throughput = _throughput_with_disconnections(failed, "path", k, rng)
     return {
-        "throughput": throughput,
+        "throughput": degraded_throughput(failed, k=k, rng=rng).normalized,
         "connected": bool(failed.is_connected()),
         "failed_links": int(topology.core().num_edges - failed_core.num_edges),
     }

@@ -158,9 +158,10 @@ class TestAimdParity:
 
 class TestCapacityHelper:
     def test_shared_between_fluid_and_aimd(self, small_jellyfish):
-        from repro.simulation.fluid import _link_capacities
+        from repro.simulation import aimd, fluid
 
-        table = _link_capacities(small_jellyfish)
+        assert fluid.link_capacities is aimd.link_capacities
+        table = fluid.link_capacities(small_jellyfish)
         assert table is link_capacities(small_jellyfish)
         scaled = link_capacities(small_jellyfish, scale=100)
         assert scaled is not table

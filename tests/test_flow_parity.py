@@ -143,11 +143,11 @@ class TestMaxMinParity:
 
     def test_fluid_scale_instance(self, equipment_jellyfish):
         """One realistic fluid-simulator-sized instance, exact parity."""
+        from repro.simulation.capacity import link_capacities
         from repro.simulation.fluid import (
             TCP_EIGHT_FLOWS,
             SimulationConfig,
             _build_flow_specs,
-            _link_capacities,
         )
         from repro.utils.rng import ensure_rng
 
@@ -159,7 +159,7 @@ class TestMaxMinParity:
             equipment_jellyfish.graph, list(traffic.switch_pairs()), scheme="ksp", k=8
         )
         specs = _build_flow_specs(traffic, path_set, config, ensure_rng(11))
-        capacities = _link_capacities(equipment_jellyfish)
+        capacities = link_capacities(equipment_jellyfish)
         new = max_min_fair_allocation(specs, capacities)
         old = max_min_fair_allocation_reference(specs, capacities)
         assert new.flow_rates == old.flow_rates

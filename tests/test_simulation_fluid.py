@@ -1,18 +1,25 @@
 """Tests for the fluid (flow-level) routing + congestion-control simulator."""
 
+import random
+
 import pytest
 
 from repro.flow.maxmin import FlowSpec
 from repro.flow.throughput import normalized_throughput
+from repro.routing.paths import PathSet, build_path_set
+from repro.simulation._reference import _build_subflows_reference
+from repro.simulation.aimd import AimdConfig
 from repro.simulation.fluid import (
     MPTCP,
     TCP_EIGHT_FLOWS,
     TCP_ONE_FLOW,
     SimulationConfig,
     _allocate_mptcp_sequential,
+    _build_flow_specs,
+    plan_subflows,
     simulate_fluid,
 )
-from repro.traffic.matrices import random_permutation_traffic
+from repro.traffic.matrices import Demand, TrafficMatrix, random_permutation_traffic
 
 
 class TestConfigValidation:
@@ -60,6 +67,92 @@ class TestBasicBehaviour:
             rng=4,
         )
         assert 0.0 < result.fairness <= 1.0
+
+
+@pytest.fixture()
+def plan_problem(small_jellyfish):
+    """Permutation traffic plus one same-rack demand, over a 4-path KSP table
+    with one cross-rack pair removed (as skip mode leaves an unreachable one)."""
+    demands = list(random_permutation_traffic(small_jellyfish, rng=1))
+    switch = demands[0].source_switch
+    demands.insert(3, Demand(source=(switch, 0), destination=(switch, 1), rate=1.0))
+    traffic = TrafficMatrix(demands)
+    table = build_path_set(
+        small_jellyfish.graph, list(traffic.switch_pairs()), scheme="ksp", k=4
+    )
+    paths = dict(table.paths)
+    del paths[(demands[5].source_switch, demands[5].destination_switch)]
+    return traffic, PathSet(paths=paths, kind=table.kind)
+
+
+class TestSubflowPlan:
+    def test_covers_same_rack_and_unreachable_demands(self, plan_problem):
+        traffic, path_set = plan_problem
+        plan = list(
+            plan_subflows(traffic, path_set, SimulationConfig(), random.Random(0))
+        )
+        assert [index for index, *_ in plan] == list(range(len(traffic)))
+        assert [demand for _, demand, *_ in plan] == list(traffic)
+        assert plan[3][2:] == (None, [])
+        assert plan[5][2:] == ([], [])
+
+    def test_tcp1_draws_once_per_routed_cross_rack_demand(self, plan_problem):
+        traffic, path_set = plan_problem
+        config = SimulationConfig(k=4, congestion_control=TCP_ONE_FLOW)
+        rand, replay = random.Random(5), random.Random(5)
+        routed = 0
+        for _, _, options, picks in plan_subflows(traffic, path_set, config, rand):
+            if options:
+                routed += 1
+                assert picks == [replay.randrange(len(options))]
+            else:
+                assert picks == []
+        assert routed == len(traffic) - 2
+        assert rand.getstate() == replay.getstate()
+
+    @pytest.mark.parametrize("congestion_control", [TCP_EIGHT_FLOWS, MPTCP])
+    def test_stripes_round_robin_without_draws(self, plan_problem, congestion_control):
+        traffic, path_set = plan_problem
+        config = SimulationConfig(k=4, congestion_control=congestion_control, subflows=5)
+        rand = random.Random(5)
+        before = rand.getstate()
+        for _, _, options, picks in plan_subflows(traffic, path_set, config, rand):
+            if options:
+                assert picks == [i % len(options) for i in range(5)]
+            else:
+                assert picks == []
+        assert rand.getstate() == before
+
+    @pytest.mark.parametrize(
+        "congestion_control", [TCP_ONE_FLOW, TCP_EIGHT_FLOWS, MPTCP]
+    )
+    def test_fluid_and_aimd_route_every_demand_alike(
+        self, plan_problem, congestion_control
+    ):
+        traffic, path_set = plan_problem
+        specs = _build_flow_specs(
+            traffic,
+            path_set,
+            SimulationConfig(k=4, congestion_control=congestion_control, subflows=5),
+            random.Random(9),
+        )
+        subflows, _, unreachable = _build_subflows_reference(
+            traffic,
+            path_set,
+            AimdConfig(k=4, congestion_control=congestion_control, subflows=5),
+            random.Random(9),
+        )
+        aimd_paths = {}
+        for subflow in subflows:
+            aimd_paths.setdefault(subflow.connection, []).append(subflow.path)
+        assert unreachable == {5}
+        for index, (demand, spec) in enumerate(zip(traffic, specs)):
+            if demand.source_switch == demand.destination_switch:
+                assert spec.paths == [(demand.source_switch,)]
+                assert index not in aimd_paths
+            else:
+                assert spec.paths == aimd_paths.get(index, [])
+        assert specs[5].paths == []
 
 
 class TestMptcpLinkLoads:
