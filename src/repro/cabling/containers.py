@@ -6,48 +6,21 @@ most cables stay short and only the remainder crosses containers.  The
 result is a two-layered random graph: a random graph inside each container
 and a random graph between containers.  Fig 14 shows throughput degrades by
 less than ~6% even when 60% of links are localized.
+
+Both layers are wired by the random step that builds Jellyfish
+(:func:`repro.graphs.regular.fill_random_links` over index rows, stopping
+when stuck instead of splicing); the cross-container rule of the global
+layer is its ``allowed`` predicate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Hashable, List
 
-import networkx as nx
-
+from repro.graphs.regular import fill_random_links, graph_from_rows
 from repro.topologies.base import Topology, TopologyError
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_fraction, require_integer
-
-
-def _fill_random_links(graph: nx.Graph, nodes: List[Hashable], budget: Dict[Hashable, int], rand) -> None:
-    """Randomly add links among ``nodes`` without exceeding per-node budgets."""
-    open_nodes = [node for node in nodes if budget[node] > 0]
-    stalled = 0
-    while len(open_nodes) >= 2 and stalled < 3:
-        added = False
-        attempts = 4 * len(open_nodes)
-        for _ in range(attempts):
-            u, v = rand.sample(open_nodes, 2)
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v)
-                budget[u] -= 1
-                budget[v] -= 1
-                added = True
-                break
-        if not added:
-            for i, u in enumerate(open_nodes):
-                for v in open_nodes[i + 1:]:
-                    if not graph.has_edge(u, v):
-                        graph.add_edge(u, v)
-                        budget[u] -= 1
-                        budget[v] -= 1
-                        added = True
-                        break
-                if added:
-                    break
-        if not added:
-            stalled += 1
-        open_nodes = [node for node in nodes if budget[node] > 0]
 
 
 def build_localized_jellyfish(
@@ -82,49 +55,27 @@ def build_localized_jellyfish(
     local_degree = min(local_degree, switches_per_container - 1)
     global_degree = network_degree - local_degree
 
-    graph = nx.Graph()
-    containers: List[List[Tuple[int, int]]] = []
-    for container in range(num_containers):
-        members = [(container, index) for index in range(switches_per_container)]
-        containers.append(members)
-        graph.add_nodes_from(members)
-
+    num_switches = num_containers * switches_per_container
+    rows: List[dict] = [{} for _ in range(num_switches)]
     # Local layer: a random graph inside each container.
-    for members in containers:
-        budget = {node: local_degree for node in members}
-        _fill_random_links(graph, members, budget, rand)
-
+    free = [local_degree] * num_switches
+    for start in range(0, num_switches, switches_per_container):
+        fill_random_links(rows, free, range(start, start + switches_per_container), rand)
     # Global layer: random links across containers only.
-    if num_containers > 1 and global_degree > 0:
-        budget = {node: global_degree for node in graph.nodes}
-        all_nodes = list(graph.nodes)
-        stalled = 0
-        open_nodes = [node for node in all_nodes if budget[node] > 0]
-        while len(open_nodes) >= 2 and stalled < 3:
-            added = False
-            attempts = 4 * len(open_nodes)
-            for _ in range(attempts):
-                u, v = rand.sample(open_nodes, 2)
-                if u[0] != v[0] and not graph.has_edge(u, v):
-                    graph.add_edge(u, v)
-                    budget[u] -= 1
-                    budget[v] -= 1
-                    added = True
-                    break
-            if not added:
-                for i, u in enumerate(open_nodes):
-                    for v in open_nodes[i + 1:]:
-                        if u[0] != v[0] and not graph.has_edge(u, v):
-                            graph.add_edge(u, v)
-                            budget[u] -= 1
-                            budget[v] -= 1
-                            added = True
-                            break
-                    if added:
-                        break
-            if not added:
-                stalled += 1
-            open_nodes = [node for node in all_nodes if budget[node] > 0]
+    if num_containers > 1:
+        fill_random_links(
+            rows,
+            [global_degree] * num_switches,
+            range(num_switches),
+            rand,
+            allowed=lambda u, v: u // switches_per_container != v // switches_per_container,
+        )
+    labels = [
+        (container, index)
+        for container in range(num_containers)
+        for index in range(switches_per_container)
+    ]
+    graph = graph_from_rows(labels, rows)
 
     ports = {node: ports_per_switch for node in graph.nodes}
     servers = {node: servers_per_switch for node in graph.nodes}

@@ -628,8 +628,9 @@ def build_topo_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["sequential", "stubs", "pairing", "networkx"],
         default="sequential",
-        help="RRG construction: the paper's sequential procedure (default) "
-        "or vectorized stub matching for large batches",
+        help="RRG construction: the paper's sequential procedure (default), "
+        "vectorized stub matching for large batches, or the pairing-model "
+        "and networkx ablations",
     )
     common.add_argument(
         "--seed",

@@ -18,18 +18,25 @@ bit-identical for the same seed.  The historical implementations are
 retained in :mod:`repro.graphs._reference` and the parity is pinned by the
 hypothesis suite in ``tests/test_topology_core.py``.
 
-Three constructions are provided:
+The random step is one function, :func:`add_random_link`.
+:func:`_complete_by_splicing` drives it for the paper's procedure (random
+links, then splice repairs until every port is used), and
+:func:`fill_random_links` for the builders that leave a stuck port free
+(the SWDC shortcuts and the localized Jellyfish layers).
 
-* :func:`sequential_random_regular_graph` -- the paper's procedure (default);
-* :func:`stub_matching_regular_graph` -- a vectorized configuration-model
-  pass (one numpy permutation pairs every stub at once; self-loops and
-  duplicate pairs are dropped first-occurrence-first) followed by the
-  paper's splice repair for the leftover ports.  This is the fast
-  constructor used for large topology ensembles;
-* :func:`pairing_model_regular_graph` -- the classical rejection-sampling
-  configuration model, kept as an ablation baseline.
+:func:`regular_rows` dispatches the constructions on ``method``
+(:func:`random_regular_graph` materializes its rows):
 
-``random_regular_graph`` dispatches between them, and
+* ``"sequential"`` -- the paper's procedure (default);
+* ``"stubs"`` -- a vectorized configuration-model pass (one numpy
+  permutation pairs every stub at once; self-loops and duplicate pairs are
+  dropped first-occurrence-first) followed by the paper's splice repair for
+  the leftover ports.  This is the fast constructor used for large
+  topology ensembles;
+* ``"pairing"`` -- :func:`pairing_model_regular_graph`, the classical
+  rejection-sampling configuration model, kept as an ablation baseline;
+* ``"networkx"`` -- :func:`networkx.random_regular_graph`, an ablation too.
+
 :func:`random_graph_with_degree_budget` generalizes the sequential
 construction to heterogeneous per-node degree budgets.
 """
@@ -37,7 +44,7 @@ construction to heterogeneous per-node degree budgets.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -118,6 +125,79 @@ def _edges_in_iteration_order(rows: List[dict]) -> list:
     return [(u, v) for u, row in enumerate(rows) for v in row if v > u]
 
 
+def _first_linkable_pair(rows: List[dict], open_nodes: List[int], allowed):
+    """The first unlinked, allowed pair of ``open_nodes`` in list order, or None."""
+    for i, u in enumerate(open_nodes):
+        row_u = rows[u]
+        for v in open_nodes[i + 1:]:
+            if v not in row_u and (allowed is None or allowed(u, v)):
+                return u, v
+    return None
+
+
+def add_random_link(
+    rows: List[dict],
+    free: List[int],
+    open_nodes: List[int],
+    rand,
+    allowed: Optional[Callable[[int, int], bool]] = None,
+) -> bool:
+    """The paper's random step: link a random pair of open nodes.
+
+    ``open_nodes`` must hold exactly the indices with ``free > 0`` in node
+    order.  Up to ``4 * len(open_nodes)`` pairs are drawn like
+    ``rand.sample(open_nodes, 2)``; the first not yet linked (and accepted
+    by ``allowed``, if given) is linked, else the first such pair in
+    open-node order.  A node leaves ``open_nodes`` the moment its last port
+    is used, which keeps the list equal to the historical per-link
+    re-filter at one C-level ``list.remove`` per *retired node* instead of
+    a Python-level O(open) pass per *added link*.  Returns False, changing
+    nothing, when no pair can be linked.
+    """
+    if len(open_nodes) < 2:
+        return False
+    for _ in range(4 * len(open_nodes)):
+        u, v = _sample_pair(rand, open_nodes)
+        if v not in rows[u] and (allowed is None or allowed(u, v)):
+            break
+    else:
+        pair = _first_linkable_pair(rows, open_nodes, allowed)
+        if pair is None:
+            return False
+        u, v = pair
+    rows[u][v] = True
+    rows[v][u] = True
+    free[u] -= 1
+    if free[u] == 0:
+        open_nodes.remove(u)
+    free[v] -= 1
+    if free[v] == 0:
+        open_nodes.remove(v)
+    return True
+
+
+def fill_random_links(
+    rows: List[dict],
+    free: List[int],
+    nodes: Iterable[int],
+    rand,
+    allowed: Optional[Callable[[int, int], bool]] = None,
+) -> None:
+    """Add random links among ``nodes`` until stuck; no splice repair.
+
+    The completion of the builders that leave stuck ports free (SWDC
+    shortcuts, the localized Jellyfish layers).  It gives up after the
+    third failed :func:`add_random_link`; a failed step changes nothing but
+    still draws its samples, so ``rand``'s later draws match the
+    historical fills.
+    """
+    open_nodes = [node for node in nodes if free[node] > 0]
+    failed = 0
+    while failed < 3 and len(open_nodes) >= 2:
+        if not add_random_link(rows, free, open_nodes, rand, allowed):
+            failed += 1
+
+
 def _complete_by_splicing(
     rows: List[dict],
     free: List[int],
@@ -128,46 +208,12 @@ def _complete_by_splicing(
 ) -> None:
     """The paper's construction loop over index-space adjacency rows.
 
-    ``open_nodes`` must hold exactly the indices with ``free > 0`` in node
-    order; it is maintained incrementally (a node is removed the moment its
-    last port is consumed), which keeps it equal to what the historical
-    implementation's per-edge ``prune_open_nodes`` pass would produce at
-    the cost of one C-level ``list.remove`` scan per *retired node* instead
-    of a Python-level O(open) re-filter per *added edge*.
+    :func:`add_random_link` until it fails, then a splice repair, until no
+    port is left free (or the repairs stall).
     """
-
-    def consume_port(u: int) -> None:
-        free[u] -= 1
-        if free[u] == 0:
-            open_nodes.remove(u)
-
-    def try_add_random_edge() -> bool:
-        if len(open_nodes) < 2:
-            return False
-        attempts = 4 * len(open_nodes)
-        for _ in range(attempts):
-            u, v = _sample_pair(rand, open_nodes)
-            if v not in rows[u]:
-                rows[u][v] = True
-                rows[v][u] = True
-                consume_port(u)
-                consume_port(v)
-                return True
-        # Exhaustive fallback: look for any addable pair.
-        for i, u in enumerate(open_nodes):
-            row_u = rows[u]
-            for v in open_nodes[i + 1:]:
-                if v not in row_u:
-                    rows[u][v] = True
-                    rows[v][u] = True
-                    consume_port(u)
-                    consume_port(v)
-                    return True
-        return False
-
     stall_rounds = 0
     while True:
-        if try_add_random_edge():
+        if add_random_link(rows, free, open_nodes, rand):
             continue
         # Stuck: no addable pair.  Splice nodes with >= 2 free ports into a
         # random existing edge (the paper's repair step).
@@ -395,7 +441,6 @@ def stub_matching_regular_rows(
     degree: int,
     rng: RngLike = None,
     max_stall_rounds: int = 1000,
-    scratch: Optional[dict] = None,
 ) -> List[dict]:
     """Vectorized stub matching with the paper's splice repair (rows form).
 
@@ -407,14 +452,6 @@ def stub_matching_regular_rows(
     numpy ``Generator`` is seeded with one 64-bit draw from ``rng``, so the
     whole construction is a pure function of the Python seed and is pinned
     bit-identical to :func:`repro.graphs._reference.stub_matching_regular_graph_reference`.
-
-    ``scratch`` is an optional dict reused across calls with the same
-    ``(num_nodes, degree)`` (the ensemble generator passes one per batch):
-    it keeps the stub multiset and the identity permutation template so
-    per-instance construction does no re-allocation for them.  Shuffling the
-    reused index buffer draws from the ``Generator`` exactly like
-    ``permutation`` (which is an arange + shuffle internally), so scratch
-    reuse does not change results.
     """
     _validate_regular_params(num_nodes, degree)
     rand = ensure_rng(rng)
@@ -423,66 +460,41 @@ def stub_matching_regular_rows(
         return rows
 
     with trace("rrg.stub_matching", nodes=num_nodes, degree=degree):
-        return _stub_matching_rows(
-            rows, num_nodes, degree, rand, max_stall_rounds, scratch
-        )
-
-
-def _stub_matching_rows(
-    rows: List[dict],
-    num_nodes: int,
-    degree: int,
-    rand,
-    max_stall_rounds: int,
-    scratch: Optional[dict],
-) -> List[dict]:
-    np_rng = np.random.default_rng(rand.getrandbits(64))
-    key = (num_nodes, degree)
-    if scratch is not None and scratch.get("key") == key:
-        stubs = scratch["stubs"]
-        order = scratch["order"]
-        np.copyto(order, scratch["identity"])
-    else:
+        np_rng = np.random.default_rng(rand.getrandbits(64))
         stubs = np.repeat(np.arange(num_nodes, dtype=np.int64), degree)
-        identity = np.arange(stubs.shape[0])
-        order = identity.copy()
-        if scratch is not None:
-            scratch.update(key=key, stubs=stubs, identity=identity, order=order)
-    np_rng.shuffle(order)
-    paired = stubs[order]
-    u = paired[0::2]
-    v = paired[1::2]
-    # First-occurrence dedup of undirected pairs, excluding self-loops: the
-    # scalar scan adds pair i iff u != v and no earlier pair had the same
-    # endpoints.  np.unique's return_index gives exactly those survivors.
-    keys = np.minimum(u, v) * np.int64(num_nodes) + np.maximum(u, v)
-    valid = np.flatnonzero(u != v)
-    _, first = np.unique(keys[valid], return_index=True)
-    keep = np.sort(valid[first])
+        paired = stubs[np_rng.permutation(stubs.shape[0])]
+        u = paired[0::2]
+        v = paired[1::2]
+        # First-occurrence dedup of undirected pairs, excluding self-loops:
+        # the scalar scan adds pair i iff u != v and no earlier pair had the
+        # same endpoints.  np.unique's return_index gives exactly those
+        # survivors.
+        keys = np.minimum(u, v) * np.int64(num_nodes) + np.maximum(u, v)
+        valid = np.flatnonzero(u != v)
+        _, first = np.unique(keys[valid], return_index=True)
+        keep = np.sort(valid[first])
 
-    kept_u = u[keep].tolist()
-    kept_v = v[keep].tolist()
-    for a, b in zip(kept_u, kept_v):
-        rows[a][b] = True
-        rows[b][a] = True
+        for a, b in zip(u[keep].tolist(), v[keep].tolist()):
+            rows[a][b] = True
+            rows[b][a] = True
 
-    endpoint_counts = np.bincount(
-        np.concatenate((u[keep], v[keep])), minlength=num_nodes
-    )
-    free = (degree - endpoint_counts).tolist()
-    open_nodes = [i for i in range(num_nodes) if free[i] > 0]
-    if open_nodes:
-        _complete_by_splicing(
-            rows,
-            free,
-            open_nodes,
-            rand,
-            max_stall_rounds,
-            error=(
-                "could not complete stub-matching construction "
-                f"(num_nodes={num_nodes}, degree={degree})"
-            ),
+        endpoint_counts = np.bincount(
+            np.concatenate((u[keep], v[keep])), minlength=num_nodes
         )
+        free = (degree - endpoint_counts).tolist()
+        open_nodes = [i for i in range(num_nodes) if free[i] > 0]
+        if open_nodes:
+            _complete_by_splicing(
+                rows,
+                free,
+                open_nodes,
+                rand,
+                max_stall_rounds,
+                error=(
+                    "could not complete stub-matching construction "
+                    f"(num_nodes={num_nodes}, degree={degree})"
+                ),
+            )
     return rows
 
 
@@ -555,27 +567,9 @@ def random_regular_graph(
 ) -> nx.Graph:
     """Build a random ``degree``-regular graph on ``num_nodes`` nodes.
 
-    ``method`` selects the construction: ``"sequential"`` (the paper's
-    procedure, default), ``"stubs"`` (vectorized stub matching with the
-    paper's splice repair -- the fast choice for large ensembles),
-    ``"pairing"`` (configuration model with rejection), or ``"networkx"``
-    (delegate to :func:`networkx.random_regular_graph`).
+    ``method`` selects the construction (see :func:`regular_rows`).
     """
-    if method == "sequential":
-        return sequential_random_regular_graph(num_nodes, degree, rng)
-    if method == "stubs":
-        return stub_matching_regular_graph(num_nodes, degree, rng)
-    if method == "pairing":
-        return pairing_model_regular_graph(num_nodes, degree, rng)
-    if method == "networkx":
-        _validate_regular_params(num_nodes, degree)
-        if num_nodes == 0 or degree == 0:
-            graph = nx.Graph()
-            graph.add_nodes_from(range(num_nodes))
-            return graph
-        rand = ensure_rng(rng)
-        return nx.random_regular_graph(degree, num_nodes, seed=rand.randrange(2**32))
-    raise ValueError(f"unknown construction method: {method!r}")
+    return graph_from_rows(range(num_nodes), regular_rows(num_nodes, degree, rng, method))
 
 
 def regular_rows(
@@ -584,20 +578,27 @@ def regular_rows(
     rng: RngLike = None,
     method: str = "sequential",
 ) -> List[dict]:
-    """Index-space adjacency rows for the array-native construction methods.
+    """Index-space adjacency rows of a random ``degree``-regular graph.
 
-    Only ``"sequential"`` and ``"stubs"`` build rows natively; the ablation
-    methods (``"pairing"``, ``"networkx"``) go through
-    :func:`random_regular_graph` instead.
+    ``method`` is one of the constructions listed in the module docstring;
+    the two ablations build an ``nx.Graph`` whose adjacency order the rows
+    copy.
     """
     if method == "sequential":
         return sequential_random_regular_rows(num_nodes, degree, rng)
     if method == "stubs":
         return stub_matching_regular_rows(num_nodes, degree, rng)
-    raise ValueError(
-        f"no array-native rows construction for method {method!r}; "
-        "use random_regular_graph"
-    )
+    if method == "pairing":
+        graph = pairing_model_regular_graph(num_nodes, degree, rng)
+    elif method == "networkx":
+        _validate_regular_params(num_nodes, degree)
+        if num_nodes == 0 or degree == 0:
+            return [{} for _ in range(num_nodes)]
+        seed = ensure_rng(rng).randrange(2**32)
+        graph = nx.random_regular_graph(degree, num_nodes, seed=seed)
+    else:
+        raise ValueError(f"unknown construction method: {method!r}")
+    return [dict.fromkeys(graph.adj[node], True) for node in range(num_nodes)]
 
 
 def is_regular(graph: nx.Graph, degree: Optional[int] = None) -> bool:

@@ -219,11 +219,6 @@ class Tracer:
                 pass
             self._sink = None
 
-    # -- aggregation ----------------------------------------------------
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-name aggregate over the ring buffer: calls, cum/self seconds."""
-        return summarize_events(self.events)
-
 
 def _json_default(value: Any) -> Any:
     """Fallback serializer: numpy scalars and other reprs become floats/strings."""

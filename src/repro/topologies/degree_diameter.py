@@ -20,13 +20,14 @@ servers and enter the throughput harness.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import networkx as nx
 
 from repro.graphs.properties import average_path_length, diameter
 from repro.graphs.regular import random_regular_graph
-from repro.topologies.base import Topology, TopologyError
+from repro.topologies.base import Topology
+from repro.topologies.jellyfish import rrg_budget
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_integer
 
@@ -131,30 +132,20 @@ class DegreeDiameterTopology(Topology):
         """Build the benchmark graph for (num_switches, network_degree).
 
         Uses an exact classical construction when one is known for the
-        parameters, otherwise the local-search optimizer.  Servers per switch
-        default to ``ports_per_switch - network_degree``.
+        parameters, otherwise the local-search optimizer.  The port budget
+        is checked as for ``RRG(N, k, r)`` (:func:`rrg_budget`: servers per
+        switch default to ``ports_per_switch - network_degree``, and the
+        optimizer's degree drops by one when ``N * r`` is odd).
         """
-        require_integer(num_switches, "num_switches")
-        require_integer(ports_per_switch, "ports_per_switch")
-        require_integer(network_degree, "network_degree")
-        if network_degree > ports_per_switch:
-            raise TopologyError("network_degree cannot exceed ports_per_switch")
-        if servers_per_switch is None:
-            servers_per_switch = ports_per_switch - network_degree
-        if servers_per_switch + network_degree > ports_per_switch:
-            raise TopologyError(
-                "network_degree + servers_per_switch exceeds ports_per_switch"
-            )
-
+        servers_per_switch, degree = rrg_budget(
+            num_switches, ports_per_switch, network_degree, servers_per_switch
+        )
         exact = _EXACT_CONSTRUCTIONS.get((num_switches, network_degree))
         if exact is not None:
             graph = exact()
         else:
-            effective_degree = network_degree
-            if (num_switches * network_degree) % 2 != 0:
-                effective_degree -= 1
             graph = optimized_low_diameter_graph(
-                num_switches, effective_degree, rng=rng, iterations=iterations
+                num_switches, degree, rng=rng, iterations=iterations
             )
         ports = {node: ports_per_switch for node in graph.nodes}
         servers = {node: servers_per_switch for node in graph.nodes}

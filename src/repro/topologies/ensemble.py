@@ -14,8 +14,10 @@ This module generates those batches array-natively:
   the base seed).
 * :func:`generate_cores` / :func:`build_ensemble` produce
   :class:`~repro.topologies.core.TopologyCore` instances (no ``networkx``
-  graph is ever materialized) sharing one construction scratch buffer
-  across the batch.
+  graph is ever materialized) through
+  :func:`~repro.topologies.jellyfish.rrg_core`, the same build
+  :meth:`JellyfishTopology.build` runs, so a serial batch and its sharded
+  scenario points build identical instances.
 * :func:`ensemble_summary` aggregates per-instance structural metrics.
 * ``ensemble_*_point`` functions are picklable scenario targets, so
   ensemble sweeps shard across worker processes through the existing
@@ -28,10 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.graphs.regular import regular_rows, stub_matching_regular_rows
 from repro.telemetry import trace
-from repro.topologies.core import TopologyCore, TopologyError
-from repro.topologies.jellyfish import JellyfishTopology
+from repro.topologies.core import TopologyCore
+from repro.topologies.jellyfish import JellyfishTopology, rrg_budget, rrg_core
 from repro.utils.rng import RngLike, ensure_rng, spawn_seeds
 
 
@@ -55,82 +56,37 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.num_instances < 0:
             raise ValueError("num_instances must be non-negative")
-        if self.network_degree > self.ports_per_switch:
-            raise TopologyError(
-                "network_degree cannot exceed ports_per_switch "
-                f"({self.network_degree} > {self.ports_per_switch})"
-            )
-        servers = self.resolved_servers_per_switch
-        if servers < 0:
-            raise TopologyError("servers_per_switch must be non-negative")
-        if self.network_degree + servers > self.ports_per_switch:
-            raise TopologyError(
-                "network_degree + servers_per_switch exceeds ports_per_switch"
-            )
-
-    @property
-    def resolved_servers_per_switch(self) -> int:
-        if self.servers_per_switch is not None:
-            return self.servers_per_switch
-        return self.ports_per_switch - self.network_degree
+        self.effective_degree  # rrg_budget raises on a bad port budget
 
     @property
     def effective_degree(self) -> int:
         """Construction degree (one lower when ``N * r`` is odd, as in the paper)."""
-        degree = self.network_degree
-        if (self.num_switches * degree) % 2 != 0:
-            degree -= 1
-        return degree
+        return rrg_budget(
+            self.num_switches,
+            self.ports_per_switch,
+            self.network_degree,
+            self.servers_per_switch,
+        )[1]
 
     def instance_seeds(self) -> List[int]:
         """Per-instance construction seeds spawned from the base seed."""
         return spawn_seeds(self.seed, self.num_instances)
 
-
-def _build_core(spec: EnsembleSpec, instance_seed: int, scratch: dict, ports, servers):
-    with trace(
-        "ensemble.build_core",
-        switches=spec.num_switches,
-        degree=spec.effective_degree,
-    ):
-        return _build_core_inner(spec, instance_seed, scratch, ports, servers)
-
-
-def _build_core_inner(
-    spec: EnsembleSpec, instance_seed: int, scratch: dict, ports, servers
-):
-    if spec.method == "stubs":
-        rows = stub_matching_regular_rows(
-            spec.num_switches,
-            spec.effective_degree,
-            ensure_rng(instance_seed),
-            scratch=scratch,
-        )
-    elif spec.method == "sequential":
-        rows = regular_rows(
-            spec.num_switches,
-            spec.effective_degree,
-            ensure_rng(instance_seed),
-            method=spec.method,
-        )
-    else:
-        # Ablation methods (pairing, networkx) have no rows-native path;
-        # derive the core from the constructed graph, matching what the
-        # sharded scenario points (JellyfishTopology.build) produce.
-        from repro.graphs.regular import random_regular_graph
-
-        graph = random_regular_graph(
-            spec.num_switches,
-            spec.effective_degree,
-            ensure_rng(instance_seed),
-            method=spec.method,
-        )
-        return TopologyCore.from_graph(
-            graph,
-            {node: spec.ports_per_switch for node in graph.nodes},
-            {node: spec.resolved_servers_per_switch for node in graph.nodes},
-        )
-    return TopologyCore(range(spec.num_switches), rows, ports, servers)
+    def build_core(self, rng: RngLike) -> TopologyCore:
+        """One instance of the batch, traced as ``ensemble.build_core``."""
+        with trace(
+            "ensemble.build_core",
+            switches=self.num_switches,
+            degree=self.effective_degree,
+        ):
+            return rrg_core(
+                self.num_switches,
+                self.ports_per_switch,
+                self.network_degree,
+                rng,
+                servers_per_switch=self.servers_per_switch,
+                method=self.method,
+            )
 
 
 def single_rrg_core(
@@ -146,8 +102,7 @@ def single_rrg_core(
     The single-instance entry point the hyperscale experiments use:
     defaults to the vectorized stub-matching constructor (the only one that
     is practical at 10k-100k switches) and never materializes a
-    ``networkx`` graph.  Degree handling (odd ``N * r``) matches
-    :class:`EnsembleSpec`.
+    ``networkx`` graph.
     """
     spec = EnsembleSpec(
         num_instances=1,
@@ -156,26 +111,14 @@ def single_rrg_core(
         network_degree=network_degree,
         servers_per_switch=servers_per_switch,
         method=method,
-        seed=0,
     )
-    ports = [ports_per_switch] * num_switches
-    servers = [spec.resolved_servers_per_switch] * num_switches
-    rng = ensure_rng(seed)
-    return _build_core(spec, rng, {}, ports, servers)
+    return spec.build_core(seed)
 
 
 def generate_cores(spec: EnsembleSpec) -> Iterator[Tuple[int, TopologyCore]]:
-    """Yield ``(instance_seed, core)`` pairs for every instance in the batch.
-
-    One scratch dict (stub buffers) and one shared read-only ports template
-    serve the whole batch; each core gets its own server vector so
-    per-instance mutation stays isolated.
-    """
-    scratch: dict = {}
-    ports = [spec.ports_per_switch] * spec.num_switches
-    servers = [spec.resolved_servers_per_switch] * spec.num_switches
+    """Yield ``(instance_seed, core)`` pairs for every instance in the batch."""
     for instance_seed in spec.instance_seeds():
-        yield instance_seed, _build_core(spec, instance_seed, scratch, ports, servers)
+        yield instance_seed, spec.build_core(instance_seed)
 
 
 def build_ensemble(spec: EnsembleSpec) -> List[JellyfishTopology]:
@@ -232,7 +175,7 @@ def summarize_instance_metrics(metrics: List[dict]) -> dict:
 
 
 def ensemble_summary(spec: EnsembleSpec) -> dict:
-    """Structural statistics over the whole batch (serial, shared scratch)."""
+    """Structural statistics over the whole batch (serial)."""
     return summarize_instance_metrics(
         [
             _structural_metrics(JellyfishTopology.from_core(core))

@@ -5,11 +5,14 @@ expansion procedures of Section 4.2 (adding a rack with servers, adding a
 bare switch to boost capacity) and heterogeneous expansion with switches of
 different port counts.
 
-Construction is array-native: the random-graph constructors produce
-index-space adjacency rows which back a
-:class:`~repro.topologies.core.TopologyCore`, and the ``networkx`` view the
-rest of the public API exposes is materialized lazily (bit-identical to the
-historical eager construction, including adjacency insertion order).
+Construction is array-native.  :func:`rrg_core`, the one build of
+``RRG(N, k, r)`` behind :meth:`JellyfishTopology.build` and the ensemble
+generators, checks the port budget (:func:`rrg_budget`, which the
+degree-diameter benchmark reuses) and wraps the random-graph constructors'
+index-space adjacency rows in a :class:`~repro.topologies.core.TopologyCore`.
+The ``networkx`` view the rest of the public API exposes is materialized
+lazily (bit-identical to the historical eager construction, including
+adjacency insertion order).
 Incremental expansion maintains the set of splice-eligible links in a
 rank-selectable structure instead of rebuilding an O(E) candidate list per
 splice; the historical quadratic loop is retained as
@@ -23,11 +26,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.graphs.regular import (
-    random_graph_with_degree_budget_rows,
-    random_regular_graph,
-    regular_rows,
-)
+from repro.graphs.regular import random_graph_with_degree_budget_rows, regular_rows
 from repro.topologies.base import Topology, TopologyError
 from repro.topologies.core import TopologyCore
 from repro.utils.rng import RngLike, ensure_rng
@@ -106,6 +105,63 @@ class _SpliceCandidateSet:
                     position += position & -position
 
 
+def rrg_budget(
+    num_switches: int,
+    ports_per_switch: int,
+    network_degree: int,
+    servers_per_switch: Optional[int] = None,
+) -> Tuple[int, int]:
+    """Check the port budget of ``RRG(N, k, r)``.
+
+    Returns ``(servers_per_switch, degree)``: servers default to
+    ``k - r``, and the construction degree is ``r`` less one when ``N * r``
+    is odd, since the exact regular graph does not exist -- the paper's
+    remark that "only a single unmatched port might remain".
+    """
+    require_integer(num_switches, "num_switches")
+    require_integer(ports_per_switch, "ports_per_switch")
+    require_integer(network_degree, "network_degree")
+    if network_degree > ports_per_switch:
+        raise TopologyError(
+            "network_degree cannot exceed ports_per_switch "
+            f"({network_degree} > {ports_per_switch})"
+        )
+    if servers_per_switch is None:
+        servers_per_switch = ports_per_switch - network_degree
+    if servers_per_switch < 0:
+        raise TopologyError("servers_per_switch must be non-negative")
+    if network_degree + servers_per_switch > ports_per_switch:
+        raise TopologyError(
+            "network_degree + servers_per_switch exceeds ports_per_switch"
+        )
+    return servers_per_switch, network_degree - (num_switches * network_degree) % 2
+
+
+def rrg_core(
+    num_switches: int,
+    ports_per_switch: int,
+    network_degree: int,
+    rng: RngLike = None,
+    servers_per_switch: Optional[int] = None,
+    method: str = "sequential",
+) -> TopologyCore:
+    """Build ``RRG(N, k, r)`` as an array-native core.
+
+    The one RRG build behind :meth:`JellyfishTopology.build` and the
+    ensemble generators: :func:`rrg_budget`'s checks, then
+    :func:`repro.graphs.regular.regular_rows` for ``method``.
+    """
+    servers_per_switch, degree = rrg_budget(
+        num_switches, ports_per_switch, network_degree, servers_per_switch
+    )
+    return TopologyCore(
+        range(num_switches),
+        regular_rows(num_switches, degree, rng, method=method),
+        [ports_per_switch] * num_switches,
+        [servers_per_switch] * num_switches,
+    )
+
+
 class JellyfishTopology(Topology):
     """A Jellyfish data-center network (random regular graph of ToR switches).
 
@@ -142,47 +198,18 @@ class JellyfishTopology(Topology):
         Each switch uses ``network_degree`` ports for the random interconnect
         and, by default, the remaining ``ports_per_switch - network_degree``
         ports for servers (override with ``servers_per_switch``).  The
-        ``"sequential"`` and ``"stubs"`` methods build array-natively (no
-        ``networkx`` graph until something needs it).
+        topology is core-backed (see :func:`rrg_core`): no ``networkx``
+        graph exists until something needs it.
         """
-        require_integer(num_switches, "num_switches")
-        require_integer(ports_per_switch, "ports_per_switch")
-        require_integer(network_degree, "network_degree")
-        if network_degree > ports_per_switch:
-            raise TopologyError(
-                "network_degree cannot exceed ports_per_switch "
-                f"({network_degree} > {ports_per_switch})"
-            )
-        if servers_per_switch is None:
-            servers_per_switch = ports_per_switch - network_degree
-        if servers_per_switch < 0:
-            raise TopologyError("servers_per_switch must be non-negative")
-        if network_degree + servers_per_switch > ports_per_switch:
-            raise TopologyError(
-                "network_degree + servers_per_switch exceeds ports_per_switch"
-            )
-
-        # When N * r is odd the exact regular graph does not exist; the
-        # construction leaves one port free, matching the paper's remark
-        # that "only a single unmatched port might remain".
-        degree = network_degree
-        if (num_switches * degree) % 2 != 0:
-            degree -= 1
-
-        if method in ("sequential", "stubs"):
-            rows = regular_rows(num_switches, degree, rng, method=method)
-            core = TopologyCore(
-                range(num_switches),
-                rows,
-                [ports_per_switch] * num_switches,
-                [servers_per_switch] * num_switches,
-            )
-            return cls.from_core(core, name=name)
-
-        graph = random_regular_graph(num_switches, degree, rng, method=method)
-        ports = {node: ports_per_switch for node in graph.nodes}
-        servers = {node: servers_per_switch for node in graph.nodes}
-        return cls(graph, ports, servers, name=name)
+        core = rrg_core(
+            num_switches,
+            ports_per_switch,
+            network_degree,
+            rng,
+            servers_per_switch=servers_per_switch,
+            method=method,
+        )
+        return cls.from_core(core, name=name)
 
     @classmethod
     def from_equipment(

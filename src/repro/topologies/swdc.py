@@ -7,16 +7,18 @@ paper compares against all three variants at ~484 switches with 1 server per
 switch (then 2 servers to create oversubscription), Fig 4.
 
 The lattice supplies the structured neighbours; the remaining ports are
-filled with uniform-random shortcuts, avoiding duplicate links.
+filled with uniform-random shortcuts, avoiding duplicate links, by the same
+random step that wires Jellyfish
+(:func:`repro.graphs.regular.fill_random_links`, which leaves a stuck port
+free instead of splicing).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Tuple
+from typing import List, Tuple
 
-import networkx as nx
-
+from repro.graphs.regular import fill_random_links, graph_from_rows
 from repro.topologies.base import Topology, TopologyError
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_integer
@@ -28,34 +30,29 @@ HEX_TORUS_3D = "hex3d"
 _VARIANTS = (RING, TORUS_2D, HEX_TORUS_3D)
 
 
-def _ring_lattice(num_nodes: int) -> nx.Graph:
+def _ring_lattice(num_nodes: int) -> Tuple[list, list]:
     """Simple cycle: each node linked to its two ring neighbours."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
-    for node in range(num_nodes):
-        graph.add_edge(node, (node + 1) % num_nodes)
-    return graph
+    return list(range(num_nodes)), [
+        (node, (node + 1) % num_nodes) for node in range(num_nodes)
+    ]
 
 
-def _torus_2d_lattice(num_nodes: int) -> Tuple[nx.Graph, Tuple[int, int]]:
+def _torus_2d_lattice(num_nodes: int) -> Tuple[list, list]:
     """2D torus with wraparound; requires a (near-)square node count."""
     side = int(round(math.sqrt(num_nodes)))
     if side * side != num_nodes:
         raise TopologyError(
             f"2D torus requires a perfect-square node count, got {num_nodes}"
         )
-    graph = nx.Graph()
-    for x in range(side):
-        for y in range(side):
-            graph.add_node((x, y))
-    for x in range(side):
-        for y in range(side):
-            graph.add_edge((x, y), ((x + 1) % side, y))
-            graph.add_edge((x, y), (x, (y + 1) % side))
-    return graph, (side, side)
+    labels = [(x, y) for x in range(side) for y in range(side)]
+    edges = []
+    for x, y in labels:
+        edges.append(((x, y), ((x + 1) % side, y)))
+        edges.append(((x, y), (x, (y + 1) % side)))
+    return labels, edges
 
 
-def _hex_torus_3d_lattice(num_nodes: int) -> nx.Graph:
+def _hex_torus_3d_lattice(num_nodes: int) -> Tuple[list, list]:
     """3D 'hex' torus: nodes on an L x M x 2 grid with 3 lattice links each.
 
     The SWDC paper's 3D hexagonal torus gives every node three lattice
@@ -72,19 +69,25 @@ def _hex_torus_3d_lattice(num_nodes: int) -> nx.Graph:
             "3D hex torus requires num_nodes = 2 * s^2 for integer s, "
             f"got {num_nodes}"
         )
-    graph = nx.Graph()
-    for layer in range(2):
-        for x in range(side):
-            for y in range(side):
-                graph.add_node((x, y, layer))
+    labels = [
+        (x, y, layer) for layer in range(2) for x in range(side) for y in range(side)
+    ]
+    edges = []
     for x in range(side):
         for y in range(side):
             # Each node gets two in-layer links (a hexagonal tiling has
             # alternating link directions) and one inter-layer link.
             for layer in range(2):
-                graph.add_edge((x, y, layer), ((x + 1) % side, y, layer))
-            graph.add_edge((x, y, 0), (x, y, 1))
-    return graph
+                edges.append(((x, y, layer), ((x + 1) % side, y, layer)))
+            edges.append(((x, y, 0), (x, y, 1)))
+    return labels, edges
+
+
+_LATTICES = {
+    RING: _ring_lattice,
+    TORUS_2D: _torus_2d_lattice,
+    HEX_TORUS_3D: _hex_torus_3d_lattice,
+}
 
 
 class SmallWorldTopology(Topology):
@@ -119,19 +122,21 @@ class SmallWorldTopology(Topology):
             raise TopologyError("SWDC topologies need at least 4 nodes")
         rand = ensure_rng(rng)
 
-        if variant == RING:
-            graph = _ring_lattice(num_nodes)
-        elif variant == TORUS_2D:
-            graph, _ = _torus_2d_lattice(num_nodes)
-        else:
-            graph = _hex_torus_3d_lattice(num_nodes)
-
-        lattice_degree = max(dict(graph.degree()).values())
+        labels, lattice = _LATTICES[variant](num_nodes)
+        index_of = {label: i for i, label in enumerate(labels)}
+        rows: List[dict] = [{} for _ in labels]
+        for a, b in lattice:
+            rows[index_of[a]][index_of[b]] = True
+            rows[index_of[b]][index_of[a]] = True
+        lattice_degree = max(len(row) for row in rows)
         if degree < lattice_degree:
             raise TopologyError(
                 f"target degree {degree} is below the lattice degree {lattice_degree}"
             )
-        cls._add_random_shortcuts(graph, degree, rand)
+        # Shortcuts: the paper's random step on every port the lattice left.
+        free = [degree - len(row) for row in rows]
+        fill_random_links(rows, free, range(len(rows)), rand)
+        graph = graph_from_rows(labels, rows)
 
         if ports_per_switch is None:
             ports_per_switch = degree + servers_per_switch
@@ -144,40 +149,6 @@ class SmallWorldTopology(Topology):
             variant=variant,
             name=f"swdc-{variant}",
         )
-
-    @staticmethod
-    def _add_random_shortcuts(graph: nx.Graph, degree: int, rand) -> None:
-        """Fill every node up to ``degree`` with uniform-random shortcut links."""
-        def deficient_nodes() -> List[Hashable]:
-            return [node for node in graph.nodes if graph.degree(node) < degree]
-
-        stalled = 0
-        while True:
-            candidates = deficient_nodes()
-            if len(candidates) < 2:
-                break
-            added = False
-            attempts = 4 * len(candidates)
-            for _ in range(attempts):
-                u, v = rand.sample(candidates, 2)
-                if not graph.has_edge(u, v):
-                    graph.add_edge(u, v)
-                    added = True
-                    break
-            if not added:
-                # Exhaustive check before giving up.
-                for i, u in enumerate(candidates):
-                    for v in candidates[i + 1:]:
-                        if not graph.has_edge(u, v):
-                            graph.add_edge(u, v)
-                            added = True
-                            break
-                    if added:
-                        break
-            if not added:
-                stalled += 1
-                if stalled > 2:
-                    break  # a couple of ports may remain free, as in Jellyfish
 
     def set_servers_per_switch(self, servers_per_switch: int) -> None:
         """Re-provision every switch with ``servers_per_switch`` servers.

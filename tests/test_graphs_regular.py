@@ -1,9 +1,12 @@
 """Tests for random regular graph construction (repro.graphs.regular)."""
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.graphs.regular import (
+    _sample_pair,
     free_port_counts,
     is_regular,
     pairing_model_regular_graph,
@@ -71,6 +74,37 @@ class TestPairingModel:
     def test_odd_product_rejected(self):
         with pytest.raises(ValueError):
             pairing_model_regular_graph(7, 3)
+
+
+class TestSamplePair:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_draws_like_random_sample(self, seed):
+        # n = 2..60 covers both sides of random.sample's 21-element
+        # threshold (pool copy at or below it, rejection above).
+        for n in range(2, 61):
+            population = list(range(100, 100 + n))
+            fast = random.Random(seed * 1000 + n)
+            library = random.Random(seed * 1000 + n)
+            for _ in range(5):
+                assert list(_sample_pair(fast, population)) == library.sample(
+                    population, 2
+                )
+            assert fast.getstate() == library.getstate()
+
+    def test_random_subclass_takes_the_sample_fallback(self):
+        class CountingRandom(random.Random):
+            calls = 0
+
+            def sample(self, population, k, **kwargs):
+                CountingRandom.calls += 1
+                return super().sample(population, k, **kwargs)
+
+        rand = CountingRandom(3)
+        library = random.Random(3)
+        population = list(range(30))
+        assert list(_sample_pair(rand, population)) == library.sample(population, 2)
+        assert CountingRandom.calls == 1
+        assert rand.getstate() == library.getstate()
 
 
 class TestDispatcher:

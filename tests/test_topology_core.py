@@ -8,8 +8,7 @@ retained reference implementations:
 * fast sequential RRG vs :mod:`repro.graphs._reference` (hypothesis);
 * fast degree-budget construction vs its reference, heterogeneous budgets
   and disconnection corners included;
-* vectorized stub matching vs its scalar reference, with and without the
-  shared scratch buffers;
+* vectorized stub matching vs its scalar reference;
 * ``add_switch``'s incremental candidate set vs the historical quadratic
   rebuild;
 * mask-based link/switch failures vs the copy-and-remove path;
@@ -46,7 +45,6 @@ from repro.graphs.regular import (
     random_graph_with_degree_budget,
     sequential_random_regular_graph,
     stub_matching_regular_graph,
-    stub_matching_regular_rows,
 )
 from repro.topologies.base import Topology, TopologyError
 from repro.topologies.core import TopologyCore
@@ -170,23 +168,6 @@ class TestStubMatchingParity:
         )
         assert_same_graph(fast, reference)
         assert fast_rng.random() == reference_rng.random()
-
-    @COMMON_SETTINGS
-    @given(regular_params())
-    def test_scratch_reuse_does_not_change_results(self, params):
-        num_nodes, degree, seed = params
-        scratch = {}
-        # Two builds through one scratch dict, compared against fresh builds.
-        for offset in (0, 1):
-            with_scratch = stub_matching_regular_rows(
-                num_nodes, degree, random.Random(seed + offset), scratch=scratch
-            )
-            fresh = stub_matching_regular_rows(
-                num_nodes, degree, random.Random(seed + offset)
-            )
-            assert [list(row) for row in with_scratch] == [
-                list(row) for row in fresh
-            ]
 
     def test_regular_at_paper_degrees(self):
         graph = stub_matching_regular_graph(60, 11, rng=4)
@@ -499,6 +480,22 @@ class TestEnsembles:
         serial = ensemble_summary(spec)
         values = SweepRunner().run_values(expand(ensemble_point_specs(spec)))
         assert summarize_instance_metrics(values) == serial
+
+    @pytest.mark.parametrize("method", ["stubs", "pairing", "networkx"])
+    def test_sharded_points_match_serial_summary_for_every_method(self, method):
+        # Serial cores and sharded JellyfishTopology.build points run one
+        # builder, so every construction method gives the same summary.
+        from repro.engine.runner import SweepRunner
+        from repro.engine.spec import expand
+
+        spec = EnsembleSpec(
+            num_instances=4, num_switches=16, ports_per_switch=6,
+            network_degree=3, method=method, seed=8,
+        )
+        serial = ensemble_summary(spec)
+        values = SweepRunner().run_values(expand(ensemble_point_specs(spec)))
+        assert summarize_instance_metrics(values) == serial
+        assert serial["distinct_hashes"] == 4
 
     def test_ablation_methods_build_serially_too(self):
         # pairing/networkx have no rows-native path; the serial generator
