@@ -221,7 +221,6 @@ def _search_production(ports: int, seed: int) -> int:
         lower=max(2, fattree.num_servers // 2),
         upper=fattree.num_switches * max(1, ports - 3),
         num_matrices=2,
-        engine="path",
         k=8,
         rng=rng,
     )

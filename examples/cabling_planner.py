@@ -43,7 +43,7 @@ def containerized() -> None:
     unrestricted = JellyfishTopology.build(
         containers * per_container, 10, 6, rng=1, servers_per_switch=4
     )
-    baseline = normalized_throughput(unrestricted, engine="path", k=8, rng=1).normalized
+    baseline = normalized_throughput(unrestricted, k=8, rng=1).normalized
     print(f"  unrestricted jellyfish throughput: {baseline:.3f}")
     print(f"  fat-tree in-pod link fraction (k=10): "
           f"{fattree_local_link_fraction(10):.2f}")
@@ -57,7 +57,7 @@ def containerized() -> None:
             local_fraction=fraction,
             rng=2,
         )
-        value = normalized_throughput(localized, engine="path", k=8, rng=2).normalized
+        value = normalized_throughput(localized, k=8, rng=2).normalized
         print(f"  local fraction {local_link_fraction(localized):.2f}: "
               f"throughput {value:.3f} "
               f"({value / baseline:.0%} of unrestricted)")

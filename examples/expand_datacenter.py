@@ -45,9 +45,7 @@ def main() -> None:
         total_cost += step_cost
 
         if step % 4 == 0:
-            throughput = normalized_throughput(
-                topology, engine="path", k=8, rng=step
-            ).normalized
+            throughput = normalized_throughput(topology, k=8, rng=step).normalized
             print(f"{topology.num_switches:>6} {topology.num_servers:>8} "
                   f"{average_path_length(topology.graph):>10.2f} "
                   f"{diameter(topology.graph):>9} "

@@ -39,7 +39,7 @@ def main() -> None:
 
     # 4. Optimal-routing throughput under random-permutation traffic.
     traffic = random_permutation_traffic(jellyfish, rng=1)
-    optimal = normalized_throughput(jellyfish, traffic, engine="path", k=8)
+    optimal = normalized_throughput(jellyfish, traffic, k=8)
     print(f"LP throughput : {optimal.normalized:.3f} "
           f"(theta = {optimal.theta:.3f}, full capacity = {optimal.supports_full_capacity()})")
 

@@ -13,7 +13,6 @@ from typing import Optional
 from repro.flow.throughput import normalized_throughput
 from repro.telemetry import trace
 from repro.topologies.jellyfish import JellyfishTopology
-from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
 
 
@@ -30,6 +29,5 @@ def jellyfish_throughput_point(
         topology = JellyfishTopology.build(
             num_switches, ports, network_degree, rng=rng
         )
-    traffic = random_permutation_traffic(topology, rng=rng)
-    value = normalized_throughput(topology, traffic, engine="path", k=k).normalized
+    value = normalized_throughput(topology, k=k, rng=rng).normalized
     return {"normalized_throughput": value}

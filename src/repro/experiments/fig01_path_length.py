@@ -17,7 +17,7 @@ from typing import Any, List
 
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import FatTreeTopology, fattree_equipment
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
 
@@ -34,12 +34,7 @@ def compute_cdfs(k: int, seed: int = 0) -> dict:
     """
     rng = ensure_rng(seed)
     fattree = FatTreeTopology.build(k)
-    jellyfish = JellyfishTopology.from_equipment(
-        num_switches=fattree.num_switches,
-        ports_per_switch=k,
-        num_servers=fattree.num_servers,
-        rng=rng,
-    )
+    jellyfish = JellyfishTopology.from_equipment(*fattree_equipment(k), rng=rng)
     return {
         "k": k,
         "num_servers": fattree.num_servers,

@@ -13,7 +13,7 @@ from typing import Any, List
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.graphs.bisection import bollobas_bisection_lower_bound
-from repro.topologies.ensemble import _mean_std
+from repro.utils.stats import mean_std
 
 _SCALES = {
     "small": {
@@ -97,7 +97,7 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
             if degree > 0
             else 0.0
         )
-        mean, std = _mean_std(measured)
+        mean, std = mean_std(measured)
         result.add_row(
             servers, degree, len(points), mean, std, min(measured), bound
         )

@@ -15,7 +15,7 @@ from typing import Any, List
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import max_servers_at_full_throughput
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import fattree_equipment
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
 
@@ -34,9 +34,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
 
     rows = []
     for ports in config["port_counts"]:
-        fattree = FatTreeTopology.build(ports)
-        num_switches = fattree.num_switches
-        fattree_servers = fattree.num_servers
+        num_switches, _, fattree_servers = fattree_equipment(ports)
 
         def factory(num_servers: int, _ports=ports, _switches=num_switches):
             return JellyfishTopology.from_equipment(
@@ -55,12 +53,11 @@ def compute_rows(scale: str, seed: int = 0) -> list:
             lower=max(2, fattree_servers // 2),
             upper=upper,
             num_matrices=config["num_matrices"],
-            engine="path",
             k=config["k_paths"],
             rng=rng,
         )
         rows.append(
-            [ports, fattree.total_ports, fattree_servers, best, best / fattree_servers]
+            [ports, num_switches * ports, fattree_servers, best, best / fattree_servers]
         )
     return rows
 

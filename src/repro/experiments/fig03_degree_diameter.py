@@ -17,7 +17,6 @@ from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import normalized_throughput
 from repro.topologies.degree_diameter import DegreeDiameterTopology
 from repro.topologies.jellyfish import JellyfishTopology
-from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import mean
 
@@ -45,11 +44,9 @@ _TARGET = "repro.experiments.fig03_degree_diameter:compute_rows"
 
 
 def _throughput(topology, trials, rng) -> float:
-    values = []
-    for _ in range(trials):
-        traffic = random_permutation_traffic(topology, rng=rng)
-        values.append(normalized_throughput(topology, traffic, engine="path", k=8).normalized)
-    return mean(values)
+    return mean(
+        normalized_throughput(topology, k=8, rng=rng).normalized for _ in range(trials)
+    )
 
 
 def compute_rows(scale: str, seed: int = 0) -> list:

@@ -14,7 +14,7 @@ from typing import Any, List
 
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
-from repro.topologies.ensemble import _mean_std
+from repro.utils.stats import mean_std
 
 _SCALES = {
     "small": {
@@ -84,8 +84,8 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
         connected = [m for m in metrics if m["connected"]]
         paths = [m["mean_path_length"] for m in connected if "mean_path_length" in m]
         diameters = [float(m["diameter"]) for m in connected if "diameter" in m]
-        path_mean, path_std = _mean_std(paths)
-        diameter_mean, _ = _mean_std(diameters)
+        path_mean, path_std = mean_std(paths)
+        diameter_mean, _ = mean_std(diameters)
         result.add_row(
             count * servers_per_switch,
             len(metrics),

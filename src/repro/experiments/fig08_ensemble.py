@@ -14,8 +14,8 @@ from typing import Any, List
 
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
-from repro.topologies.ensemble import _mean_std
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import fattree_equipment
+from repro.utils.stats import mean_std
 
 _SCALES = {
     "small": {
@@ -37,19 +37,13 @@ _SCALES = {
 _TARGET = "repro.topologies.ensemble:ensemble_failure_point"
 
 
-def _equipment(config) -> tuple:
-    fattree = FatTreeTopology.build(config["k"])
-    num_servers = int(
-        round(fattree.num_servers * config["jellyfish_server_factor"])
-    )
-    return fattree.num_switches, config["k"], num_servers
-
-
 def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}")
     config = _SCALES[scale]
-    num_switches, ports, num_servers = _equipment(config)
+    num_switches, ports, num_servers = fattree_equipment(
+        config["k"], config["jellyfish_server_factor"]
+    )
     return [
         ScenarioSpec.grid(
             _TARGET,
@@ -69,7 +63,9 @@ def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
 
 def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
     config = _SCALES[scale]
-    num_switches, ports, num_servers = _equipment(config)
+    num_switches, ports, num_servers = fattree_equipment(
+        config["k"], config["jellyfish_server_factor"]
+    )
     result = ExperimentResult(
         experiment_id="fig08-ens",
         title=(
@@ -91,7 +87,7 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
     for fraction in config["fractions"]:
         points = [next(iterator) for _ in range(config["num_instances"])]
         throughputs = [p["throughput"] for p in points]
-        mean, std = _mean_std(throughputs)
+        mean, std = mean_std(throughputs)
         result.add_row(
             fraction,
             len(points),

@@ -13,7 +13,11 @@ from typing import Any, List
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.failures.injection import throughput_under_link_failures
-from repro.topologies.fattree import FatTreeTopology, fattree_num_servers
+from repro.topologies.fattree import (
+    FatTreeTopology,
+    fattree_equipment,
+    fattree_num_servers,
+)
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
 
@@ -29,29 +33,23 @@ _SCALES = {
 _TARGET = "repro.experiments.fig08_failures:compute_rows"
 
 
-def _jellyfish_servers(config) -> int:
-    return int(round(fattree_num_servers(config["k"]) * config["jellyfish_server_factor"]))
+def _jellyfish_equipment(config) -> tuple:
+    return fattree_equipment(config["k"], config["jellyfish_server_factor"])
 
 
 def compute_rows(scale: str, seed: int = 0) -> list:
     """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
-    k = config["k"]
 
-    fattree = FatTreeTopology.build(k)
-    jellyfish = JellyfishTopology.from_equipment(
-        num_switches=fattree.num_switches,
-        ports_per_switch=k,
-        num_servers=_jellyfish_servers(config),
-        rng=rng,
-    )
+    fattree = FatTreeTopology.build(config["k"])
+    jellyfish = JellyfishTopology.from_equipment(*_jellyfish_equipment(config), rng=rng)
 
     jelly_series = throughput_under_link_failures(
-        jellyfish, config["fractions"], engine="path", k=8, rng=rng
+        jellyfish, config["fractions"], k=8, rng=rng
     )
     fat_series = throughput_under_link_failures(
-        fattree, config["fractions"], engine="path", k=8, rng=rng
+        fattree, config["fractions"], k=8, rng=rng
     )
     return [
         [fraction, jelly_value, fat_value]
@@ -71,7 +69,7 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
         experiment_id="fig08",
         title=(
             f"Throughput under random link failures: Jellyfish "
-            f"({_jellyfish_servers(config)} servers) vs fat-tree "
+            f"({_jellyfish_equipment(config)[2]} servers) vs fat-tree "
             f"({fattree_num_servers(config['k'])} servers), same equipment"
         ),
         columns=[

@@ -21,7 +21,7 @@ from typing import Any, List
 
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import fattree_equipment
 
 _SCALES = {
     "small": {
@@ -58,19 +58,13 @@ _TARGET = "repro.lifecycle.engine:lifecycle_point"
 _FAMILIES = ["jellyfish", "fattree"]
 
 
-def _equipment(config) -> tuple:
-    fattree = FatTreeTopology.build(config["k"])
-    num_servers = int(
-        round(fattree.num_servers * config["jellyfish_server_factor"])
-    )
-    return fattree.num_switches, config["k"], num_servers
-
-
 def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}")
     config = _SCALES[scale]
-    num_switches, ports, num_servers = _equipment(config)
+    num_switches, ports, num_servers = fattree_equipment(
+        config["k"], config["jellyfish_server_factor"]
+    )
     return [
         ScenarioSpec.grid(
             _TARGET,
@@ -92,7 +86,9 @@ def build_specs(scale: str = "small", seed: int = 0) -> List[ScenarioSpec]:
 
 def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
     config = _SCALES[scale]
-    num_switches, ports, num_servers = _equipment(config)
+    num_switches, ports, num_servers = fattree_equipment(
+        config["k"], config["jellyfish_server_factor"]
+    )
     by_family = {value["family"]: value for value in values}
     jelly, fat = by_family["jellyfish"], by_family["fattree"]
 

@@ -15,7 +15,7 @@ from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.routing.diversity import fraction_links_at_or_below, link_path_counts
 from repro.routing.paths import build_path_set
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import fattree_equipment
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
@@ -36,13 +36,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
     k = _SCALES[scale]
     rng = ensure_rng(seed)
 
-    fattree = FatTreeTopology.build(k)
-    jellyfish = JellyfishTopology.from_equipment(
-        num_switches=fattree.num_switches,
-        ports_per_switch=k,
-        num_servers=fattree.num_servers,
-        rng=rng,
-    )
+    jellyfish = JellyfishTopology.from_equipment(*fattree_equipment(k), rng=rng)
     traffic = random_permutation_traffic(jellyfish, rng=rng)
     pairs = list(traffic.switch_pairs())
     total_directed_links = 2 * jellyfish.num_links

@@ -46,7 +46,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
         for _ in range(config["trials"]):
             traffic = random_permutation_traffic(topology, rng=rng)
             optimal_values.append(
-                normalized_throughput(topology, traffic, engine="path", k=12).normalized
+                normalized_throughput(topology, traffic, k=12).normalized
             )
             sim_values.append(
                 simulate_fluid(topology, traffic, sim_config, rng=rng).average_throughput

@@ -1,7 +1,8 @@
 """Fig 11: servers supported at the fat-tree's throughput, with real routing + CC.
 
 The packet-level counterpart of Fig 2(c): for each equipment pool (a
-fat-tree of k-port switches) find, by binary search, the largest Jellyfish
+fat-tree of k-port switches) find, by the same binary search
+(:func:`repro.flow.throughput.largest_feasible`), the largest Jellyfish
 server count whose average per-server throughput under 8-shortest-path
 routing with MPTCP is at least the fat-tree's under ECMP with MPTCP.  The
 paper reports >25% more servers at its largest simulated size.
@@ -13,10 +14,10 @@ from typing import Any, List
 
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
+from repro.flow.throughput import largest_feasible
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
-from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import mean
 
@@ -29,11 +30,10 @@ _TARGET = "repro.experiments.fig11_servers_packet_level:compute_rows"
 
 
 def _average_throughput(topology, config, trials, rng) -> float:
-    values = []
-    for _ in range(trials):
-        traffic = random_permutation_traffic(topology, rng=rng)
-        values.append(simulate_fluid(topology, traffic, config, rng=rng).average_throughput)
-    return mean(values)
+    return mean(
+        simulate_fluid(topology, config=config, rng=rng).average_throughput
+        for _ in range(trials)
+    )
 
 
 def max_jellyfish_servers_matching(
@@ -45,7 +45,10 @@ def max_jellyfish_servers_matching(
     trials: int,
     rng,
 ) -> int:
-    """Binary-search the largest server count whose throughput >= target."""
+    """Binary-search the largest server count whose throughput >= target.
+
+    Returns ``lower`` when even ``lower`` misses the target.
+    """
     jellyfish_config = SimulationConfig(routing="ksp", k=8, congestion_control=MPTCP)
 
     def feasible(servers: int) -> bool:
@@ -59,16 +62,7 @@ def max_jellyfish_servers_matching(
 
     if not feasible(lower):
         return lower
-    if feasible(upper):
-        return upper
-    low, high = lower, upper
-    while high - low > 1:
-        middle = (low + high) // 2
-        if feasible(middle):
-            low = middle
-        else:
-            high = middle
-    return low
+    return largest_feasible(feasible, lower, upper)
 
 
 def compute_rows(scale: str, seed: int = 0) -> list:

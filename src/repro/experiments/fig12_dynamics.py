@@ -20,9 +20,8 @@ from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.simulation.aimd import AimdConfig, simulate_aimd
 from repro.simulation.fluid import MPTCP
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import FatTreeTopology, fattree_equipment
 from repro.topologies.jellyfish import JellyfishTopology
-from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import mean
 
@@ -57,21 +56,16 @@ def dynamics_topology_case(topology: str, ports: int, server_factor: float, rng)
 
     ``"fat-tree"`` pairs the k-port fat-tree with ECMP routing;
     ``"jellyfish"`` pairs the equipment-matched random graph (hosting
-    ``server_factor`` times the fat-tree's servers) with k-shortest-path
-    routing.  Returns ``(topology, routing)``; shared by fig12-dynamics and
-    fig13-dynamics so the equipment-matching convention cannot diverge.
+    ``server_factor`` times the fat-tree's servers, by
+    :func:`~repro.topologies.fattree.fattree_equipment`) with
+    k-shortest-path routing.  Returns ``(topology, routing)``; shared by
+    fig12-dynamics and fig13-dynamics.
     """
-    fattree = FatTreeTopology.build(ports)
     if topology == "fat-tree":
-        return fattree, "ecmp"
+        return FatTreeTopology.build(ports), "ecmp"
     if topology == "jellyfish":
-        built = JellyfishTopology.from_equipment(
-            num_switches=fattree.num_switches,
-            ports_per_switch=ports,
-            num_servers=int(round(fattree.num_servers * server_factor)),
-            rng=rng,
-        )
-        return built, "ksp"
+        equipment = fattree_equipment(ports, server_factor)
+        return JellyfishTopology.from_equipment(*equipment, rng=rng), "ksp"
     raise ValueError(f"unknown topology {topology!r}")
 
 
@@ -108,8 +102,7 @@ def aimd_dynamics_point(
         convergence_tolerance=convergence_tolerance,
         convergence_window=convergence_window,
     )
-    traffic = random_permutation_traffic(built, rng=rng)
-    outcome = simulate_aimd(built, traffic, config, rng=rng)
+    outcome = simulate_aimd(built, config=config, rng=rng)
     return {
         "num_servers": built.num_servers,
         "num_connections": len(outcome.flow_throughputs),

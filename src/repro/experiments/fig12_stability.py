@@ -13,9 +13,8 @@ from typing import Any, List
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import FatTreeTopology, fattree_equipment
 from repro.topologies.jellyfish import JellyfishTopology
-from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import summarize
 
@@ -38,13 +37,12 @@ def compute_rows(scale: str, seed: int = 0) -> list:
     rows = []
     for ports in config["port_counts"]:
         fattree = FatTreeTopology.build(ports)
-        fat_values = []
-        for _ in range(runs):
-            traffic = random_permutation_traffic(fattree, rng=rng)
-            fat_values.append(
-                simulate_fluid(fattree, traffic, fattree_config, rng=rng).average_throughput
-            )
-        fat_summary = summarize(fat_values)
+        fat_summary = summarize(
+            [
+                simulate_fluid(fattree, config=fattree_config, rng=rng).average_throughput
+                for _ in range(runs)
+            ]
+        )
         rows.append(
             [
                 "fat-tree", fattree.num_servers,
@@ -52,23 +50,17 @@ def compute_rows(scale: str, seed: int = 0) -> list:
             ]
         )
 
-        jellyfish_servers = int(round(fattree.num_servers * config["jellyfish_server_factor"]))
+        equipment = fattree_equipment(ports, config["jellyfish_server_factor"])
         jelly_values = []
         for _ in range(runs):
-            jellyfish = JellyfishTopology.from_equipment(
-                num_switches=fattree.num_switches,
-                ports_per_switch=ports,
-                num_servers=jellyfish_servers,
-                rng=rng,
-            )
-            traffic = random_permutation_traffic(jellyfish, rng=rng)
+            jellyfish = JellyfishTopology.from_equipment(*equipment, rng=rng)
             jelly_values.append(
-                simulate_fluid(jellyfish, traffic, jellyfish_config, rng=rng).average_throughput
+                simulate_fluid(jellyfish, config=jellyfish_config, rng=rng).average_throughput
             )
         jelly_summary = summarize(jelly_values)
         rows.append(
             [
-                "jellyfish", jellyfish_servers,
+                "jellyfish", equipment[2],
                 jelly_summary.minimum, jelly_summary.mean, jelly_summary.maximum,
             ]
         )

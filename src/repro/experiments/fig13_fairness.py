@@ -12,9 +12,8 @@ from typing import Any, List
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import FatTreeTopology, fattree_equipment
 from repro.topologies.jellyfish import JellyfishTopology
-from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import percentile
 
@@ -34,10 +33,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
 
     fattree = FatTreeTopology.build(k)
     jellyfish = JellyfishTopology.from_equipment(
-        num_switches=fattree.num_switches,
-        ports_per_switch=k,
-        num_servers=int(round(fattree.num_servers * config["jellyfish_server_factor"])),
-        rng=rng,
+        *fattree_equipment(k, config["jellyfish_server_factor"]), rng=rng
     )
     cases = [
         ("fat-tree", fattree, SimulationConfig(routing="ecmp", k=8, congestion_control=MPTCP)),
@@ -45,8 +41,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
     ]
     rows = []
     for name, topology, sim_config in cases:
-        traffic = random_permutation_traffic(topology, rng=rng)
-        outcome = simulate_fluid(topology, traffic, sim_config, rng=rng)
+        outcome = simulate_fluid(topology, config=sim_config, rng=rng)
         flows = outcome.sorted_throughputs()
         rows.append(
             [

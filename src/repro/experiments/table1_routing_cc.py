@@ -20,9 +20,12 @@ from repro.simulation.fluid import (
     SimulationConfig,
     simulate_fluid,
 )
-from repro.topologies.fattree import FatTreeTopology, fattree_num_servers
+from repro.topologies.fattree import (
+    FatTreeTopology,
+    fattree_equipment,
+    fattree_num_servers,
+)
 from repro.topologies.jellyfish import JellyfishTopology
-from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import mean
 
@@ -42,31 +45,24 @@ _TARGET = "repro.experiments.table1_routing_cc:compute_rows"
 
 def _average(topology, routing, control, trials, rng) -> float:
     config = SimulationConfig(routing=routing, k=8, congestion_control=control)
-    values = []
-    for _ in range(trials):
-        traffic = random_permutation_traffic(topology, rng=rng)
-        values.append(simulate_fluid(topology, traffic, config, rng=rng).average_throughput)
-    return mean(values)
+    return mean(
+        simulate_fluid(topology, config=config, rng=rng).average_throughput
+        for _ in range(trials)
+    )
 
 
-def _jellyfish_servers(config) -> int:
-    return int(round(fattree_num_servers(config["k"]) * config["jellyfish_server_factor"]))
+def _jellyfish_equipment(config) -> tuple:
+    return fattree_equipment(config["k"], config["jellyfish_server_factor"])
 
 
 def compute_rows(scale: str, seed: int = 0) -> list:
     """Scenario target: every row of the table, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
-    k = config["k"]
     trials = config["trials"]
 
-    fattree = FatTreeTopology.build(k)
-    jellyfish = JellyfishTopology.from_equipment(
-        num_switches=fattree.num_switches,
-        ports_per_switch=k,
-        num_servers=_jellyfish_servers(config),
-        rng=rng,
-    )
+    fattree = FatTreeTopology.build(config["k"])
+    jellyfish = JellyfishTopology.from_equipment(*_jellyfish_equipment(config), rng=rng)
     return [
         [
             label,
@@ -91,7 +87,7 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
         title=(
             f"Average per-server throughput (fraction of NIC rate): fat-tree "
             f"({fattree_num_servers(config['k'])} servers) vs Jellyfish "
-            f"({_jellyfish_servers(config)} servers)"
+            f"({_jellyfish_equipment(config)[2]} servers)"
         ),
         columns=[
             "congestion_control",

@@ -9,7 +9,6 @@ from repro.failures.injection import (
     fail_random_links,
     fail_random_switches,
     throughput_under_link_failures,
-    throughput_under_switch_failures,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "fail_random_switches",
     "split_reachable_demands",
     "throughput_under_link_failures",
-    "throughput_under_switch_failures",
 ]

@@ -27,7 +27,6 @@ from typing import Hashable, List, Tuple
 
 import numpy as np
 
-from repro.failures.degradation import DegradationReport
 from repro.flow.throughput import degraded_throughput
 from repro.topologies.base import Topology
 from repro.topologies.core import TopologyCore
@@ -187,7 +186,6 @@ def failed_switch_topology(
 def throughput_under_link_failures(
     topology: Topology,
     fractions,
-    engine: str = "path",
     k: int = 8,
     rng: RngLike = None,
 ) -> List[Tuple[float, float]]:
@@ -210,37 +208,6 @@ def throughput_under_link_failures(
     results = []
     for fraction in fractions:
         failed = failed_link_topology(topology, fraction, rng=rand)
-        outcome = degraded_throughput(
-            failed, engine=engine, k=k, rng=rand, baseline_servers=baseline
-        )
+        outcome = degraded_throughput(failed, k=k, rng=rand, baseline_servers=baseline)
         results.append((fraction, outcome.normalized))
-    return results
-
-
-def throughput_under_switch_failures(
-    topology: Topology,
-    fractions,
-    engine: str = "path",
-    k: int = 8,
-    rng: RngLike = None,
-) -> List[Tuple[float, float, DegradationReport]]:
-    """Normalized throughput after failing each fraction of switches.
-
-    Returns (fraction, normalized throughput, report) triples.  Unlike link
-    failures, failing switches removes their servers, so the degenerate
-    case of failing every server-hosting switch is well-formed here: the
-    empty traffic matrix reports **zero** throughput with a
-    :class:`~repro.failures.degradation.DegradationReport` accounting for
-    every stranded server (historically this fell through to an empty
-    demand set that max-min/LP scored as fully served).
-    """
-    rand = ensure_rng(rng)
-    baseline = topology.num_servers
-    results = []
-    for fraction in fractions:
-        failed = failed_switch_topology(topology, fraction, rng=rand)
-        outcome = degraded_throughput(
-            failed, engine=engine, k=k, rng=rand, baseline_servers=baseline
-        )
-        results.append((fraction, outcome.normalized, outcome.report))
     return results

@@ -2,20 +2,28 @@
 
 Implements the paper's evaluation methodology (Section 4):
 
-* :func:`normalized_throughput` -- solve the max-concurrent-flow problem for
-  a random-permutation traffic matrix and report the per-flow normalized
+* :func:`normalized_throughput` -- solve the path-restricted
+  max-concurrent-flow LP for a traffic matrix (a random permutation drawn
+  from ``rng`` when none is given) and report the per-flow normalized
   throughput in [0, 1] (the concurrent factor theta, capped at 1).
+  :func:`repro.simulation.fluid.simulate_fluid` and
+  :func:`repro.simulation.aimd.simulate_aimd` draw the same permutation the
+  same way, so a figure's trial loop passes its rng and no matrix.
 * :func:`supports_full_throughput` -- check that a topology carries several
   independently sampled permutation matrices at full line rate.
-* :func:`max_servers_at_full_throughput` -- the binary-search procedure used
-  for Fig 2(c) and Fig 11: find the largest server count a topology family
-  supports at full capacity, then verify with extra matrices.
+* :func:`largest_feasible` -- the bisection behind Fig 2(c) and Fig 11: the
+  largest count in a range that still meets a monotone target.
+* :func:`max_servers_at_full_throughput` -- Fig 2(c)'s search: the largest
+  server count a topology family supports at full capacity.
 
-Throughput state is shared across the harness: the path engine keeps a
-content-hashed table of per-pair routes
-(:func:`repro.routing.paths.shared_path_set`) and the demand-independent LP
-blocks (:func:`repro.flow.path_lp.shared_path_lp_structure`) per topology,
-so checking one topology against several permutation matrices — and every
+The edge LP (:func:`repro.flow.mcf.max_concurrent_flow_edge_lp`) is the
+exact oracle the path LP is tested against; the harness does not call it.
+
+Throughput state is shared across the harness: it keeps a content-hashed
+table of per-pair routes (:func:`repro.routing.paths.shared_path_set`) and
+the demand-independent LP blocks
+(:func:`repro.flow.path_lp.shared_path_lp_structure`) per topology, so
+checking one topology against several permutation matrices — and every
 probe of the binary search — only rebuilds the demand rows of the LP and
 routes each newly demanded switch pair once.
 """
@@ -30,7 +38,6 @@ if TYPE_CHECKING:  # runtime import is lazy to avoid a failures<->flow cycle
 
 import numpy as np
 
-from repro.flow.mcf import max_concurrent_flow_edge_lp
 from repro.flow.path_lp import (
     max_concurrent_flow_path_lp,
     shared_path_lp_structure,
@@ -86,36 +93,22 @@ class DegradedThroughputResult:
     report: "DegradationReport"
 
 
-def concurrent_flow(
-    topology: Topology,
-    traffic: TrafficMatrix,
-    engine: str = "path",
-    k: int = 8,
-) -> float:
-    """Concurrent-flow factor theta using the selected LP engine."""
-    if engine == "edge":
-        return max_concurrent_flow_edge_lp(topology, traffic)
-    if engine == "path":
-        return max_concurrent_flow_path_lp(topology, traffic, k=k)
-    raise ValueError(f"unknown engine {engine!r}; expected 'edge' or 'path'")
-
-
 def normalized_throughput(
     topology: Topology,
     traffic: Optional[TrafficMatrix] = None,
-    engine: str = "path",
     k: int = 8,
     rng: RngLike = None,
 ) -> ThroughputResult:
-    """Normalized per-flow throughput under optimal (LP) routing.
+    """Normalized per-flow throughput under optimal routing over k shortest paths.
 
-    If ``traffic`` is omitted, a random permutation matrix is sampled.
+    If ``traffic`` is omitted, a random permutation matrix is drawn from
+    ``rng``, which is left exactly where that draw leaves it.
     """
     if traffic is None:
         traffic = random_permutation_traffic(topology, rng=rng)
     if len(traffic) == 0:
         return ThroughputResult(theta=float("inf"), normalized=1.0, num_flows=0)
-    theta = concurrent_flow(topology, traffic, engine=engine, k=k)
+    theta = max_concurrent_flow_path_lp(topology, traffic, k=k)
     return ThroughputResult(
         theta=theta, normalized=min(theta, 1.0), num_flows=len(traffic)
     )
@@ -124,7 +117,6 @@ def normalized_throughput(
 def degraded_throughput(
     topology: Topology,
     traffic: Optional[TrafficMatrix] = None,
-    engine: str = "path",
     k: int = 8,
     rng: RngLike = None,
     baseline_servers: Optional[int] = None,
@@ -173,7 +165,7 @@ def degraded_throughput(
             report=report,
         )
     if report.num_components <= 1:
-        result = normalized_throughput(topology, traffic, engine=engine, k=k)
+        result = normalized_throughput(topology, traffic, k=k)
         return DegradedThroughputResult(
             normalized=result.normalized,
             theta=result.theta,
@@ -186,9 +178,7 @@ def degraded_throughput(
         return DegradedThroughputResult(
             normalized=0.0, theta=0.0, num_flows=total_flows, report=report
         )
-    result = normalized_throughput(
-        topology, TrafficMatrix(reachable), engine=engine, k=k
-    )
+    result = normalized_throughput(topology, TrafficMatrix(reachable), k=k)
     scaled = (result.normalized * len(reachable)) / total_flows
     return DegradedThroughputResult(
         normalized=scaled, theta=result.theta, num_flows=total_flows, report=report
@@ -261,15 +251,12 @@ def _throughput_upper_bound(topology: Topology, traffic: TrafficMatrix) -> float
     return bound
 
 
-def _supports_matrix(
-    topology: Topology, traffic: TrafficMatrix, engine: str, k: int
-) -> bool:
+def _supports_matrix(topology: Topology, traffic: TrafficMatrix, k: int) -> bool:
     """Full-line-rate decision for one traffic matrix.
 
     The analytic bound screens first: a probe they prove infeasible never
-    assembles paths or an LP at all.  Otherwise the path engine solves the
-    same LP, with the same size-chosen HiGHS method, that
-    ``normalized_throughput`` would
+    assembles paths or an LP at all.  Otherwise it solves the same LP, with
+    the same size-chosen HiGHS method, that ``normalized_throughput`` would
     (:meth:`~repro.flow.path_lp.PathLPStructure.solve_decision`), and
     compares theta against the same :data:`FULL_RATE_THETA`, so decisions
     are identical to evaluating ``normalized_throughput`` by construction.
@@ -281,10 +268,6 @@ def _supports_matrix(
     if screened:
         count("throughput.screen_rejects")
         return False
-    if engine != "path":
-        return normalized_throughput(
-            topology, traffic, engine=engine, k=k
-        ).supports_full_capacity()
     demands = traffic.switch_pairs()
     if not demands:
         return True
@@ -299,7 +282,6 @@ def _supports_matrix(
 def supports_full_throughput(
     topology: Topology,
     num_matrices: int = 3,
-    engine: str = "path",
     k: int = 8,
     rng: RngLike = None,
 ) -> bool:
@@ -314,9 +296,29 @@ def supports_full_throughput(
         return False
     for _ in range(num_matrices):
         traffic = random_permutation_traffic(topology, rng=rand)
-        if not _supports_matrix(topology, traffic, engine, k):
+        if not _supports_matrix(topology, traffic, k):
             return False
     return True
+
+
+def largest_feasible(feasible: Callable[[int], bool], low: int, high: int) -> int:
+    """Largest count in ``[low, high]`` for which ``feasible`` holds, by bisection.
+
+    Assumes ``feasible(low)`` holds -- each caller decides what an
+    infeasible ``low`` means -- and that feasibility is monotone (more is
+    harder).  Probes ``high`` first, then midpoints; a ``feasible`` that
+    draws from an rng therefore consumes it in that order.
+    """
+    if feasible(high):
+        return high
+    # Invariant: low feasible, high infeasible.
+    while high - low > 1:
+        middle = (low + high) // 2
+        if feasible(middle):
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 def max_servers_at_full_throughput(
@@ -324,8 +326,6 @@ def max_servers_at_full_throughput(
     lower: int,
     upper: int,
     num_matrices: int = 3,
-    verification_matrices: int = 0,
-    engine: str = "path",
     k: int = 8,
     rng: RngLike = None,
 ) -> int:
@@ -334,44 +334,17 @@ def max_servers_at_full_throughput(
     ``topology_factory(num_servers)`` must build a topology hosting that many
     servers from the fixed equipment pool under study.  The search assumes
     monotonicity (more servers -> harder to support), mirroring the paper's
-    procedure, and optionally verifies the result against additional
-    matrices.
+    procedure, and raises if even ``lower`` is infeasible.
     """
     if lower > upper:
         raise ValueError("lower bound exceeds upper bound")
     rand = ensure_rng(rng)
 
     def feasible(num_servers: int) -> bool:
-        topology = topology_factory(num_servers)
         return supports_full_throughput(
-            topology, num_matrices=num_matrices, engine=engine, k=k, rng=rand
+            topology_factory(num_servers), num_matrices=num_matrices, k=k, rng=rand
         )
 
     if not feasible(lower):
         raise ValueError(f"even the lower bound of {lower} servers is infeasible")
-
-    low, high = lower, upper
-    if feasible(upper):
-        best = upper
-    else:
-        # Invariant: low feasible, high infeasible.
-        while high - low > 1:
-            middle = (low + high) // 2
-            if feasible(middle):
-                low = middle
-            else:
-                high = middle
-        best = low
-
-    if verification_matrices > 0:
-        topology = topology_factory(best)
-        if not supports_full_throughput(
-            topology,
-            num_matrices=verification_matrices,
-            engine=engine,
-            k=k,
-            rng=rand,
-        ):
-            # Fall back conservatively if the verification fails.
-            best = max(lower, best - 1)
-    return best
+    return largest_feasible(feasible, lower, upper)

@@ -139,11 +139,7 @@ def evaluate_epoch(
         from repro.flow.throughput import degraded_throughput
 
         outcome = degraded_throughput(
-            topology,
-            traffic=traffic,
-            engine="path",
-            k=config.k,
-            baseline_servers=plant_servers,
+            topology, traffic=traffic, k=config.k, baseline_servers=plant_servers
         )
         return {
             "throughput": outcome.normalized,

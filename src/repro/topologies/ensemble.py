@@ -34,6 +34,7 @@ from repro.telemetry import trace
 from repro.topologies.core import TopologyCore
 from repro.topologies.jellyfish import JellyfishTopology, rrg_budget, rrg_core
 from repro.utils.rng import RngLike, ensure_rng, spawn_seeds
+from repro.utils.stats import mean_std
 
 
 @dataclass(frozen=True)
@@ -129,14 +130,6 @@ def build_ensemble(spec: EnsembleSpec) -> List[JellyfishTopology]:
     ]
 
 
-def _mean_std(values: List[float]) -> Tuple[float, float]:
-    if not values:
-        return float("nan"), float("nan")
-    mean = sum(values) / len(values)
-    variance = sum((value - mean) ** 2 for value in values) / len(values)
-    return mean, math.sqrt(variance)
-
-
 def _structural_metrics(topology: JellyfishTopology) -> dict:
     """Per-instance metric dict (shape shared with the scenario target)."""
     connected = topology.is_connected()
@@ -161,8 +154,8 @@ def summarize_instance_metrics(metrics: List[dict]) -> dict:
     connected = [m for m in metrics if m.get("connected")]
     path_lengths = [m["mean_path_length"] for m in connected if "mean_path_length" in m]
     diameters = [float(m["diameter"]) for m in connected if "diameter" in m]
-    mean_path, std_path = _mean_std(path_lengths)
-    mean_diameter, std_diameter = _mean_std(diameters)
+    mean_path, std_path = mean_std(path_lengths)
+    mean_diameter, std_diameter = mean_std(diameters)
     return {
         "num_instances": len(metrics),
         "connected_instances": len(connected),

@@ -32,6 +32,18 @@ def fattree_num_switches(k: int) -> int:
     return 5 * k**2 // 4
 
 
+def fattree_equipment(k: int, server_factor: float = 1.0) -> Tuple[int, int, int]:
+    """``(switches, ports, servers)`` for a Jellyfish on a k-ary fat-tree's equipment.
+
+    The switch pool is the fat-tree's: ``5 k^2 / 4`` switches of ``k`` ports.
+    The Jellyfish hosts ``server_factor`` times the fat-tree's ``k^3 / 4``
+    servers, rounded to the nearest integer.  The tuple is in the argument
+    order of :meth:`JellyfishTopology.from_equipment`.
+    """
+    servers = int(round(fattree_num_servers(k) * server_factor))
+    return fattree_num_switches(k), k, servers
+
+
 class FatTreeTopology(Topology):
     """k-ary fat-tree with node identifiers carrying their layer and position.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 
 def mean(values: Iterable[float]) -> float:
@@ -18,6 +18,15 @@ def mean(values: Iterable[float]) -> float:
     if not items:
         raise ValueError("mean() of empty sequence")
     return sum(items) / len(items)
+
+
+def mean_std(values: Sequence[float]) -> Tuple[float, float]:
+    """Mean and population standard deviation; both NaN for no values."""
+    if not values:
+        return float("nan"), float("nan")
+    average = sum(values) / len(values)
+    variance = sum((value - average) ** 2 for value in values) / len(values)
+    return average, math.sqrt(variance)
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -118,7 +118,7 @@ class TestFlowEnginesUnderPartition:
     def test_path_throughput_finite_and_degradation_scaled(self, problem):
         plant, damaged, traffic, _ = problem
         outcome = degraded_throughput(
-            damaged, traffic=traffic, engine="path", k=4,
+            damaged, traffic=traffic, k=4,
             baseline_servers=plant.num_servers,
         )
         assert math.isfinite(outcome.normalized)
@@ -174,7 +174,7 @@ class TestTotalLoss:
         assert report.stranded_servers == plant.num_servers
         assert report.server_pair_connectivity == 0.0
         outcome = degraded_throughput(
-            dead, traffic=traffic, engine="path", k=4,
+            dead, traffic=traffic, k=4,
             baseline_servers=plant.num_servers,
         )
         assert outcome.normalized == 0.0

@@ -1,8 +1,9 @@
 """Smoke, golden-row and shape tests for the experiment sweeps.
 
-``tests/golden/small_seed0.json`` pins the rows every experiment produces at
-small scale, seed 0.  Rewrite it with ``PYTHONPATH=src python
-tests/test_experiments.py`` only when a change is meant to alter results.
+``tests/golden/small_seed{0,1,3}.json`` pin the rows every experiment
+produces at small scale, seeds 0, 1 and 3.  Rewrite all three with
+``PYTHONPATH=src python tests/test_experiments.py`` only when a change is
+meant to alter results.
 """
 
 import json
@@ -19,7 +20,14 @@ from repro.resources import ExecutionProfile
 
 ALL_EXPERIMENTS = list_experiments()
 
-GOLDEN = Path(__file__).parent / "golden" / "small_seed0.json"
+GOLDEN_SEEDS = (0, 1, 3)
+
+
+def golden_path(seed: int) -> Path:
+    return Path(__file__).parent / "golden" / f"small_seed{seed}.json"
+
+
+GOLDEN = golden_path(0)
 
 
 def _plain(value):
@@ -48,14 +56,19 @@ def golden():
     return json.loads(GOLDEN.read_text())["rows"]
 
 
-def assert_golden_rows(result: ExperimentResult, golden) -> None:
+def golden_diff(result: ExperimentResult, golden) -> list:
+    """Rows of ``result`` that differ from ``golden`` by :func:`_matches`."""
     expected = golden[result.experiment_id]
     rows = _plain(result.rows)
-    diff = [
+    return [
         f"row {index}: expected {want!r}, got {got!r}"
         for index, (want, got) in enumerate(zip_longest(expected, rows))
         if not _matches(want, got)
     ]
+
+
+def assert_golden_rows(result: ExperimentResult, golden) -> None:
+    diff = golden_diff(result, golden)
     assert not diff, f"{result.experiment_id} differs from {GOLDEN.name}:\n" + "\n".join(diff)
 
 
@@ -113,6 +126,19 @@ def test_every_experiment_runs_at_small_scale(experiment_id, golden):
     assert_golden_rows(result, golden)
     # The formatted table must render without errors.
     assert format_table(result)
+
+
+def test_every_experiment_matches_golden_rows_at_seeds_1_and_3():
+    diffs = []
+    for seed in (1, 3):
+        golden_rows = json.loads(golden_path(seed).read_text())["rows"]
+        for experiment_id in ALL_EXPERIMENTS:
+            result = run_sweep(experiment_id, scale="small", seed=seed)
+            diffs += [
+                f"{experiment_id} seed {seed} {line}"
+                for line in golden_diff(result, golden_rows)
+            ]
+    assert not diffs, "\n".join(diffs)
 
 
 @pytest.mark.parametrize(
@@ -219,11 +245,13 @@ class TestHeadlineClaims:
 
 
 if __name__ == "__main__":
-    rows = {
-        experiment_id: _plain(run_sweep(experiment_id, scale="small", seed=0).rows)
-        for experiment_id in ALL_EXPERIMENTS
-    }
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps({"scale": "small", "seed": 0, "rows": rows}, indent=1, sort_keys=True) + "\n"
-    )
+    for seed in GOLDEN_SEEDS:
+        rows = {
+            experiment_id: _plain(run_sweep(experiment_id, scale="small", seed=seed).rows)
+            for experiment_id in ALL_EXPERIMENTS
+        }
+        golden_path(seed).write_text(
+            json.dumps({"scale": "small", "seed": seed, "rows": rows}, indent=1, sort_keys=True)
+            + "\n"
+        )

@@ -52,7 +52,7 @@ class TestFailRandomSwitches:
 class TestThroughputUnderFailures:
     def test_throughput_decreases_gracefully(self, small_jellyfish):
         series = throughput_under_link_failures(
-            small_jellyfish, [0.0, 0.2], engine="path", k=8, rng=1
+            small_jellyfish, [0.0, 0.2], k=8, rng=1
         )
         assert len(series) == 2
         baseline = series[0][1]
@@ -61,7 +61,7 @@ class TestThroughputUnderFailures:
 
     def test_all_points_in_unit_interval(self, small_jellyfish):
         series = throughput_under_link_failures(
-            small_jellyfish, [0.0, 0.1, 0.3], engine="path", k=4, rng=2
+            small_jellyfish, [0.0, 0.1, 0.3], k=4, rng=2
         )
         assert all(0.0 <= value <= 1.0 for _, value in series)
 
@@ -69,7 +69,7 @@ class TestThroughputUnderFailures:
         # Failing most links can disconnect the network; the harness must
         # still return a (low) throughput value rather than raising.
         series = throughput_under_link_failures(
-            small_jellyfish, [0.8], engine="path", k=4, rng=3
+            small_jellyfish, [0.8], k=4, rng=3
         )
         assert 0.0 <= series[0][1] <= 1.0
 

@@ -327,9 +327,9 @@ class TestDecisionPathParity:
                 continue
             traffic = random_permutation_traffic(topology, rng=seed + 100)
             expected = normalized_throughput(
-                topology, traffic, engine="path", k=8
+                topology, traffic, k=8
             ).supports_full_capacity()
-            assert _supports_matrix(topology, traffic, "path", 8) == expected
+            assert _supports_matrix(topology, traffic, 8) == expected
 
     def test_upper_bound_is_sound(self):
         from repro.flow.throughput import _throughput_upper_bound

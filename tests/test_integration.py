@@ -37,14 +37,14 @@ class TestJellyfishVersusFatTree:
             medium_fattree.num_switches, 6, medium_fattree.num_servers, rng=3
         )
         assert supports_full_throughput(
-            jellyfish, num_matrices=2, engine="path", k=8, rng=3
+            jellyfish, num_matrices=2, k=8, rng=3
         )
 
     def test_incremental_expansion_keeps_capacity(self):
         topology = JellyfishTopology.build(20, 12, 8, rng=4)
-        base = normalized_throughput(topology, engine="path", k=8, rng=4).normalized
+        base = normalized_throughput(topology, k=8, rng=4).normalized
         topology.expand(10, 12, 4, rng=5)
-        expanded = normalized_throughput(topology, engine="path", k=8, rng=5).normalized
+        expanded = normalized_throughput(topology, k=8, rng=5).normalized
         assert expanded >= base - 0.15
 
 
@@ -69,7 +69,7 @@ class TestRoutingAndCongestionControl:
     def test_ksp_mptcp_close_to_optimal(self):
         topology = JellyfishTopology.build(16, 8, 5, rng=8)
         traffic = random_permutation_traffic(topology, rng=8)
-        optimal = normalized_throughput(topology, traffic, engine="path", k=12).normalized
+        optimal = normalized_throughput(topology, traffic, k=12).normalized
         simulated = simulate_fluid(
             topology, traffic,
             SimulationConfig(routing="ksp", k=8, congestion_control=MPTCP),
@@ -113,7 +113,7 @@ class TestFailureResilience:
         from repro.failures.injection import throughput_under_link_failures
 
         series = throughput_under_link_failures(
-            topology, [0.0, 0.15], engine="path", k=8, rng=13
+            topology, [0.0, 0.15], k=8, rng=13
         )
         baseline, degraded = series[0][1], series[1][1]
         assert degraded >= baseline * 0.7

@@ -228,7 +228,7 @@ class TestPaperOrderings:
     def test_simulated_throughput_below_lp_optimum(self, equipment_jellyfish):
         traffic = random_permutation_traffic(equipment_jellyfish, rng=8)
         optimum = normalized_throughput(
-            equipment_jellyfish, traffic, engine="path", k=12
+            equipment_jellyfish, traffic, k=12
         ).normalized
         simulated = simulate_fluid(
             equipment_jellyfish, traffic,

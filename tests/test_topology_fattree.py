@@ -5,6 +5,7 @@ import pytest
 from repro.topologies.base import TopologyError
 from repro.topologies.fattree import (
     FatTreeTopology,
+    fattree_equipment,
     fattree_num_servers,
     fattree_num_switches,
 )
@@ -18,6 +19,15 @@ class TestFormulas:
     def test_switches(self):
         assert fattree_num_switches(4) == 20
         assert fattree_num_switches(24) == 720
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14])
+    def test_equipment_matches_built_fattree(self, k):
+        fattree = FatTreeTopology.build(k)
+        assert set(fattree.ports.values()) == {k}
+        assert fattree_equipment(k) == (fattree.num_switches, k, fattree.num_servers)
+        for factor in (1.0, 1.1, 1.13, 1.137, 1.15, 1.25, 1.26):
+            servers = int(round(fattree.num_servers * factor))
+            assert fattree_equipment(k, factor) == (fattree.num_switches, k, servers)
 
 
 class TestBuild:

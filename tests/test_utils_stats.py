@@ -1,8 +1,10 @@
 """Tests for repro.utils.stats."""
 
+import math
+
 import pytest
 
-from repro.utils.stats import jains_fairness_index, mean, percentile, summarize
+from repro.utils.stats import jains_fairness_index, mean, mean_std, percentile, summarize
 
 
 class TestMean:
@@ -15,6 +17,14 @@ class TestMean:
 
     def test_accepts_generator(self):
         assert mean(x for x in [2.0, 4.0]) == pytest.approx(3.0)
+
+
+class TestMeanStd:
+    def test_population_std(self):
+        assert mean_std([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == (5.0, 2.0)
+
+    def test_empty_is_nan(self):
+        assert all(math.isnan(value) for value in mean_std([]))
 
 
 class TestPercentile:
