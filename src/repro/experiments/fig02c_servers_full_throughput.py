@@ -15,7 +15,7 @@ from typing import Any, List
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import max_servers_at_full_throughput
-from repro.topologies.fattree import fattree_equipment
+from repro.topologies.fattree import fattree_equipment, server_search_range
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
 
@@ -44,13 +44,10 @@ def compute_rows(scale: str, seed: int = 0) -> list:
                 rng=rng,
             )
 
-        # Keep at least 3 network ports per switch so the random graph stays
-        # connected with high probability (an r-regular random graph needs
-        # r >= 3 to be connected almost surely).
-        upper = num_switches * max(1, ports - 3)
+        lower, upper = server_search_range(ports)
         best = max_servers_at_full_throughput(
             factory,
-            lower=max(2, fattree_servers // 2),
+            lower=lower,
             upper=upper,
             num_matrices=config["num_matrices"],
             k=config["k_paths"],

@@ -16,7 +16,7 @@ from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.flow.throughput import largest_feasible
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
-from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.fattree import FatTreeTopology, server_search_range
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import mean
@@ -76,12 +76,13 @@ def compute_rows(scale: str, seed: int = 0) -> list:
     for ports in config["port_counts"]:
         fattree = FatTreeTopology.build(ports)
         target = _average_throughput(fattree, fattree_config, trials, rng)
+        lower, upper = server_search_range(ports)
         best = max_jellyfish_servers_matching(
             num_switches=fattree.num_switches,
             ports=ports,
             target_throughput=target,
-            lower=max(2, fattree.num_servers // 2),
-            upper=fattree.num_switches * max(1, ports - 3),
+            lower=lower,
+            upper=upper,
             trials=trials,
             rng=rng,
         )

@@ -13,9 +13,11 @@ This module provides both as kernels over an immutable compressed-sparse-row
   frontier-synchronous multi-source BFS where the per-source frontier and
   visited sets are bit-packed into ``uint64`` words, so one numpy pass over
   the edge array advances BFS for 64 sources at once.
-* :func:`k_shortest_path_indices` is Yen's algorithm over the CSR arrays:
-  integer node ids, stamped visited/parent scratch arrays reused across spur
-  computations, and integer edge keys instead of per-spur tuple sets.
+* :func:`k_shortest_path_table` runs Yen's algorithm for every pair of a
+  path table in lockstep: each Yen round answers the spur queries of all
+  pairs with one bit-parallel BFS from their targets, and each spur path is
+  a greedy walk down that BFS's level bitplanes.
+  :func:`k_shortest_path_indices` is its one-pair entry.
 
 Neighbor order within each CSR row preserves the ``networkx`` adjacency
 (insertion) order, so BFS parent trees — and therefore every tie broken by
@@ -205,9 +207,7 @@ class CSRGraph:
         "_adj_lists",
         "_edge_src",
         "parent_trees",
-        "_seen",
-        "_parent",
-        "_stamp",
+        "_adj_padded",
         "__weakref__",
     )
 
@@ -244,10 +244,7 @@ class CSRGraph:
         # The memo lives and dies with this CSR view, so any graph mutation
         # — which forces a rebuild via the fingerprint — drops it wholesale.
         self.parent_trees = Memo("graphs.parent_trees", max_entries=_PARENT_TREE_CACHE_MAX)
-        # Yen/BFS scratch arrays (lazy): visited stamps and parent pointers.
-        self._seen: Optional[List[int]] = None
-        self._parent: Optional[List[int]] = None
-        self._stamp = 0
+        self._adj_padded: Optional[np.ndarray] = None
 
     @classmethod
     def from_arrays(
@@ -322,6 +319,23 @@ class CSRGraph:
                 indices[indptr[i] : indptr[i + 1]] for i in range(self.num_nodes)
             ]
         return self._adj_lists
+
+    def padded_adjacency(self) -> np.ndarray:
+        """Adjacency rows padded to the maximum degree (lazily built, cached).
+
+        An ``(num_nodes + 1, max_degree)`` array: row ``i`` lists node
+        ``i``'s neighbours in CSR order, then the sentinel ``num_nodes``.
+        The sentinel's own row is all sentinel, so gathers through the table
+        stay in bounds and a sentinel entry can stand for "no node".
+        """
+        if self._adj_padded is None:
+            n = self.num_nodes
+            degrees = np.diff(self.indptr)
+            table = np.full((n + 1, max(1, int(degrees.max(initial=0)))), n, dtype=np.intp)
+            rows = np.repeat(np.arange(n), degrees)
+            table[rows, np.arange(len(self.indices)) - self.indptr[rows]] = self.indices
+            self._adj_padded = table
+        return self._adj_padded
 
     def edge_sources(self) -> np.ndarray:
         """Source index of every directed CSR edge (``np.repeat`` of rows)."""
@@ -449,19 +463,6 @@ class CSRGraph:
             frontier = new
         return level
 
-    # ------------------------------------------------------------------
-    # Scalar BFS helpers shared by Yen's algorithm and path enumeration.
-    # ------------------------------------------------------------------
-
-    def _scratch(self) -> Tuple[List[int], List[int], int]:
-        """Visited-stamp and parent scratch lists, plus a fresh stamp value."""
-        if self._seen is None or len(self._seen) < self.num_nodes:
-            self._seen = [0] * self.num_nodes
-            self._parent = [0] * self.num_nodes
-            self._stamp = 0
-        self._stamp += 1
-        return self._seen, self._parent, self._stamp
-
     def distance_row(self, source: int) -> np.ndarray:
         """Hop distances from one source index, memoized globally.
 
@@ -494,15 +495,13 @@ class CSRGraph:
         if cached is not None:
             return cached
         adj = self.adj_lists()
-        seen, _, stamp = self._scratch()
         parents = [-1] * self.num_nodes
-        seen[source] = stamp
         parents[source] = source
+        # Iterating the list while appending to it gives FIFO order.
         queue = [source]
         for u in queue:
             for v in adj[u]:
-                if seen[v] != stamp:
-                    seen[v] = stamp
+                if parents[v] < 0:
                     parents[v] = u
                     queue.append(v)
         return self.parent_trees.put(source, parents)
@@ -520,55 +519,207 @@ def path_from_parent_tree(parents: Sequence[int], source: int, target: int) -> O
     return tuple(reversed(path))
 
 
-def _bfs_spur_path(
-    csr: CSRGraph,
-    source: int,
-    target: int,
-    banned_first_hops: Optional[set],
-    blocked_nodes: Sequence[int],
-) -> Optional[IndexPath]:
-    """Shortest path by BFS avoiding removed edges/nodes; None if absent.
+def _spur_paths(
+    adj: np.ndarray,
+    targets: np.ndarray,
+    first_hops: np.ndarray,
+    roots: np.ndarray,
+    spur_index: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Yen candidates of one chunk of spur queries (lanes) from one BFS.
 
-    In Yen's algorithm every removed edge is incident to the spur node — the
-    BFS source — so instead of filtering every traversed edge the kernel
-    only filters the source's own neighbor expansion (``banned_first_hops``).
-    Any other traversal of a removed edge would re-enter the source, which
-    the visited set forbids anyway.  Blocked nodes are pre-marked visited,
-    which excludes them exactly like the historical ``removed_nodes`` set.
+    ``adj`` is :meth:`CSRGraph.padded_adjacency` with sentinel ``n``.  Lane
+    ``j`` spurs from node ``roots[j, spur_index[j]]`` of the path
+    ``roots[j]`` (sentinel padded) towards ``targets[j]``: its spur path may
+    not enter the root ``roots[j, :spur_index[j] + 1]``, and
+    ``first_hops[j]`` lists the spur node's neighbours in adjacency order
+    with banned first hops replaced by the sentinel.
+
+    One bit-parallel BFS runs from every lane's target at once, 64 lanes per
+    ``uint64`` word, with each lane's root pre-set in its visited bits.
+    Level ``d`` is kept as one bitplane: the nodes at distance ``d`` from
+    the lane's target in the graph minus its root.  A lane is finished at
+    the first level holding one of its first hops; the BFS stops once every
+    lane is finished or its frontier dies out.  FIFO BFS returns the
+    shortest path whose sequence of adjacency positions is lexicographically
+    smallest, so each spur path is a greedy walk down the planes: the first
+    allowed first hop on the finishing level, then at every step the first
+    neighbour one level closer to the target.
+
+    Returns ``(paths, sizes)``: ``paths[j, :sizes[j]]`` is the root followed
+    by the spur path, and ``sizes[j]`` is ``0`` when the lane has none.
     """
-    if source == target:
-        return (source,)
-    adj = csr.adj_lists()
-    seen, parent, stamp = csr._scratch()
-    for node in blocked_nodes:
-        seen[node] = stamp
-    if seen[source] == stamp or seen[target] == stamp:
-        return None
-    seen[source] = stamp
-    parent[source] = source
-    queue = []
-    for v in adj[source]:
-        if seen[v] == stamp or (banned_first_hops and v in banned_first_hops):
-            continue
-        parent[v] = source
-        if v == target:
-            return (source, v)
-        seen[v] = stamp
-        queue.append(v)
-    # Plain stamped BFS from here on: iterating the list while appending to
-    # it gives FIFO order without deque overhead.
-    for u in queue:
-        for v in adj[u]:
-            if seen[v] != stamp:
-                parent[v] = u
-                if v == target:
-                    path = [v]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                seen[v] = stamp
-                queue.append(v)
-    return None
+    n = adj.shape[0] - 1
+    lanes, width = roots.shape
+    words = (lanes + 63) // 64
+    lane_ids = np.arange(lanes)
+    blocked = np.where(np.arange(width) <= spur_index[:, None], roots, n)
+    # Three bitplanes, (node, lane) bit ``b`` of word ``w`` being lane
+    # ``64 * w + b``: visited, allowed first hops, and the targets.
+    mask = np.zeros((3, n + 1, words * 64), dtype=bool)
+    mask[0, blocked, lane_ids[:, None]] = True
+    mask[0, n] = True  # the sentinel is never reached
+    # A finished lane gets every visited bit, so its BFS stops; lanes with
+    # no allowed first hop can never finish and stop at once.
+    mask[0, :, lane_ids[(first_hops == n).all(axis=1)]] = True
+    mask[1, first_hops, lane_ids[:, None]] = True
+    mask[2, targets, lane_ids] = True
+    visited, hop_plane, level = np.packbits(mask, axis=2, bitorder="little").view("<u8")
+    planes = []
+    finished = []  # per depth, the words of the lanes finishing there
+    while True:
+        visited |= level
+        planes.append(level)
+        hits = np.bitwise_or.reduce(level & hop_plane, axis=0)
+        finished.append(hits)
+        visited |= hits
+        level = np.bitwise_or.reduce(level[adj], axis=1) & ~visited
+        if not level.any():
+            break
+
+    packed = np.stack(finished).astype("<u8", copy=False).view(np.uint8)
+    found = np.unpackbits(packed, axis=1, bitorder="little")[:, :lanes].view(bool)
+    depth = np.where(found.any(axis=0), found.argmax(axis=0), -1)
+    sizes = np.where(depth < 0, 0, spur_index + 2 + depth)
+    if not sizes.any():
+        return roots, sizes
+    # Walk every finished lane down the planes, deepest first, so the lanes
+    # still walking at each step are a prefix.  ``stack`` is flat: entry
+    # (depth, node, word) sits at ``depth * stride + node * words + word``.
+    order = np.argsort(-depth, kind="stable")[: np.count_nonzero(sizes)]
+    deep = depth[order]
+    stride = (n + 1) * words
+    stack = np.concatenate(planes[: deep[0] + 1], axis=None)
+    bit = np.uint64(1) << (order & 63).astype(np.uint64)[:, None]
+    base = (deep * stride + (order >> 6))[:, None]
+    column = spur_index[order] + 1
+    paths = np.concatenate([roots, np.full((lanes, deep[0] + 1), n)], axis=1)
+    for step in range(deep[0] + 1):
+        live = np.count_nonzero(deep >= step)
+        picks = adj[node[:live]] if step else first_hops[order]
+        at = base[:live] - step * stride + picks * words
+        node = picks[np.arange(live), (stack[at] & bit[:live]).argmax(axis=1)]
+        paths[order[:live], column[:live] + step] = node
+    return paths, sizes
+
+
+def _padded(paths: Sequence[IndexPath], width: int, fill: int) -> np.ndarray:
+    return np.array([path + (fill,) * (width - len(path)) for path in paths], dtype=np.intp)
+
+
+def k_shortest_path_table(
+    csr: CSRGraph, first_paths: Sequence[Optional[IndexPath]], k: int
+) -> List[List[IndexPath]]:
+    """Yen's k-shortest loopless paths for a batch of pairs, in lockstep.
+
+    ``first_paths[q]`` is pair ``q``'s shortest path (``None`` when its
+    target is unreachable); entry ``q`` of the result is the pair's paths.
+    Every pair runs the same Yen round at the same time: each round gathers
+    the spur queries of all pairs still short of ``k`` paths and answers
+    them with one bit-parallel BFS (:func:`_spur_paths`), in chunks that fit
+    the BFS scratch budget (:func:`bfs_source_chunk`).  Removed nodes,
+    banned first hops (from prefix equality over the accepted paths) and
+    candidate rows are array operations; only the per-candidate dedupe, heap
+    push and per-pair pop run in Python.
+
+    Lawler's spur restriction applies: an accepted path only spurs from its
+    own deviation index onward, since every earlier branch point was already
+    spurred when the ancestor it copies that prefix from was processed.
+    Candidate ties are broken by ``(length, index tuple)``; because indices
+    are assigned in sorted node order this matches native node ordering.
+    Results match the pre-CSR implementation path-for-path.
+    """
+    tables = [[path] if path is not None else [] for path in first_paths]
+    ids = np.array(
+        [q for q, path in enumerate(first_paths) if path is not None and len(path) > 1],
+        dtype=np.intp,
+    )
+    if k <= 1 or not len(ids):
+        return tables
+    n = csr.num_nodes
+    adj = csr.padded_adjacency()
+    chunk = bfs_source_chunk(n, len(csr.indices))
+    # Per pair: the candidates ever pushed, and the heap of those not
+    # accepted yet as (length, path, deviation index).
+    seen = [set() for _ in first_paths]
+    heaps: List[List[Tuple[int, IndexPath, int]]] = [[] for _ in first_paths]
+    # Per live pair: its accepted paths (sentinel padded), the deviation
+    # index and length of the last one, and its target.
+    firsts = [first_paths[q] for q in ids.tolist()]
+    accepted = _padded(firsts, max(map(len, firsts)), n)[:, None, :]
+    deviation = np.zeros(len(ids), dtype=np.intp)
+    length = np.array([len(path) for path in firsts], dtype=np.intp)
+    targets = np.array([path[-1] for path in firsts], dtype=np.intp)
+    spur_queries = 0
+    push = heapq.heappush
+    while True:
+        width = accepted.shape[2]
+        previous = accepted[:, -1]
+        # One lane per spur index, deviation .. len - 2, of every live pair.
+        spurs = length - 1 - deviation
+        pair = np.repeat(np.arange(len(ids)), spurs)
+        spur_index = np.arange(len(pair)) - np.repeat(
+            np.cumsum(spurs) - spurs - deviation, spurs
+        )
+        rows = previous[pair]
+        spur_queries += len(pair)
+        # Banned first hops: the next hop of every accepted path that shares
+        # the lane's root previous[:spur_index + 1].  Accepted paths are distinct,
+        # so each but the last first differs from previous at ``shared``.
+        shared = (accepted != previous[:, None, :]).argmax(axis=2)
+        shared[:, -1] = width
+        banned = np.where(
+            shared[pair] > spur_index[:, None], accepted[pair, :, spur_index + 1], -1
+        )
+        hops = adj[rows[np.arange(len(pair)), spur_index]]
+        ban = hops == banned[:, :1]
+        for slot in range(1, banned.shape[1]):
+            ban |= hops == banned[:, slot : slot + 1]
+        hops[ban] = n
+        lane_targets = targets[pair]
+        owners = ids[pair]
+        for start in range(0, len(pair), chunk):
+            part = slice(start, start + chunk)
+            paths, sizes = _spur_paths(
+                adj, lane_targets[part], hops[part], rows[part], spur_index[part]
+            )
+            reach = np.flatnonzero(sizes)
+            for q, row, size, i in zip(
+                owners[part][reach].tolist(),
+                paths[reach].tolist(),
+                sizes[reach].tolist(),
+                spur_index[part][reach].tolist(),
+            ):
+                candidate = tuple(row[:size])
+                known = seen[q]
+                if candidate not in known:
+                    known.add(candidate)
+                    push(heaps[q], (size, candidate, i))
+
+        keep: List[int] = []
+        best: List[IndexPath] = []
+        for slot, q in enumerate(ids.tolist()):
+            heap = heaps[q]
+            if not heap:
+                continue
+            size, path, i = heapq.heappop(heap)
+            tables[q].append(path)
+            if len(tables[q]) < k:
+                keep.append(slot)
+                best.append(path)
+                deviation[slot] = i
+                length[slot] = size
+        if not keep:
+            break
+        width = max(width, max(map(len, best)))
+        grown = np.full((len(keep), accepted.shape[1] + 1, width), n, dtype=np.intp)
+        grown[:, :-1, : accepted.shape[2]] = accepted[keep]
+        grown[:, -1] = _padded(best, width, n)
+        accepted = grown
+        ids, deviation, length, targets = ids[keep], deviation[keep], length[keep], targets[keep]
+    if spur_queries:
+        count("yen.spur_candidates", spur_queries)
+    return tables
 
 
 def k_shortest_path_indices(
@@ -578,59 +729,15 @@ def k_shortest_path_indices(
     k: int,
     first_path: Optional[IndexPath] = None,
 ) -> List[IndexPath]:
-    """Yen's k-shortest loopless paths over CSR index space.
+    """Yen's k-shortest loopless paths for one pair over CSR index space.
 
-    Uses Lawler's spur restriction: an accepted path only spurs from its own
-    deviation index onward, since every earlier branch point was already
-    spurred when the ancestor it copies that prefix from was processed.  The
-    candidate stream per branch point is identical to classic Yen's, so
-    results match the pre-CSR implementation path-for-path.
-
-    Candidate ties are broken by ``(length, index tuple)``; because indices
-    are assigned in sorted node order this matches native node ordering.
-    ``first_path`` lets callers share one BFS tree across the targets of a
-    common source (see :func:`repro.routing.ksp.all_pairs_k_shortest_paths`).
+    A one-pair batch of :func:`k_shortest_path_table`.  ``first_path``, the
+    pair's shortest path, defaults to the one :meth:`CSRGraph.bfs_parent_tree`
+    gives.
     """
     if first_path is None:
-        first_path = _bfs_spur_path(csr, source, target, None, ())
-    if first_path is None:
-        return []
-    paths: List[IndexPath] = [first_path]
-    deviation_index = 0
-    # Candidate heap entries: (length, path, deviation index of the path).
-    candidates: List[Tuple[int, IndexPath, int]] = []
-    seen_candidates = set()
-    spur_attempts = 0
-
-    while len(paths) < k:
-        previous = paths[-1]
-        for i in range(deviation_index, len(previous) - 1):
-            spur_node = previous[i]
-            root = previous[: i + 1]
-
-            banned_first_hops = {
-                path[i + 1]
-                for path in paths
-                if len(path) > i and path[: i + 1] == root
-            }
-
-            spur_attempts += 1
-            spur = _bfs_spur_path(csr, spur_node, target, banned_first_hops, root[:-1])
-            if spur is None:
-                continue
-            candidate = root[:-1] + spur
-            if candidate in seen_candidates:
-                continue
-            seen_candidates.add(candidate)
-            heapq.heappush(candidates, (len(candidate), candidate, i))
-
-        if not candidates:
-            break
-        _, best, deviation_index = heapq.heappop(candidates)
-        paths.append(best)
-    if spur_attempts:
-        count("yen.spur_candidates", spur_attempts)
-    return paths
+        first_path = path_from_parent_tree(csr.bfs_parent_tree(source), source, target)
+    return k_shortest_path_table(csr, [first_path], k)[0]
 
 
 def all_shortest_path_indices(csr: CSRGraph, source: int, target: int) -> List[IndexPath]:

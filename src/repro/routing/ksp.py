@@ -2,12 +2,11 @@
 
 The paper routes Jellyfish with k-shortest-path routing (k = 8) because
 plain ECMP does not expose enough path diversity on a random graph.  The
-enumeration runs on the CSR kernel (:func:`repro.graphs.csr.k_shortest_path_indices`):
-integer node ids, reusable stamped visited/parent arrays per spur BFS, and
-integer edge keys instead of rebuilt tuple sets.  Spur BFS expands
-neighbors in the same adjacency order as the historical pure-Python
-implementation (kept in :mod:`repro.routing._reference`), so results match
-it path-for-path.
+enumeration runs on the CSR kernel
+(:func:`repro.graphs.csr.k_shortest_path_table`), which runs Yen for every
+pair of a path table in lockstep over integer node ids.  Each spur path is
+the one the historical FIFO spur BFS (kept in :mod:`repro.routing._reference`)
+returns, so results match it path-for-path.
 
 Ties between equal-length candidates are broken by the native node sequence
 (all topologies use int or tuple node ids), which is stable under graph
@@ -24,6 +23,7 @@ import networkx as nx
 from repro.graphs.csr import (
     csr_graph,
     k_shortest_path_indices,
+    k_shortest_path_table,
     path_from_parent_tree,
 )
 
@@ -48,16 +48,9 @@ def k_shortest_paths(
         raise nx.NodeNotFound(
             f"source {source!r} or target {target!r} not in graph"
         ) from None
-    first = path_from_parent_tree(
-        csr.bfs_parent_tree(source_index), source_index, target_index
-    )
-    if first is None:
-        return []
-    index_paths = k_shortest_path_indices(
-        csr, source_index, target_index, k, first_path=first
-    )
-    nodes = csr.nodes
-    return [tuple(nodes[i] for i in path) for path in index_paths]
+    return _node_paths(
+        csr.nodes, [k_shortest_path_indices(csr, source_index, target_index, k)]
+    )[0]
 
 
 def all_pairs_k_shortest_paths(
@@ -65,9 +58,9 @@ def all_pairs_k_shortest_paths(
 ) -> Dict[Tuple[Hashable, Hashable], List[Path]]:
     """Compute k-shortest paths for a collection of (source, target) pairs.
 
-    Pairs are grouped by source and each source's BFS shortest-path tree is
-    computed once and shared across its targets, so the per-pair Yen run
-    skips its initial full BFS.
+    Each source's BFS shortest-path tree is computed once and gives the
+    first path of every pair from that source; Yen then runs for all pairs
+    in lockstep (:func:`repro.graphs.csr.k_shortest_path_table`).
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -77,23 +70,27 @@ def all_pairs_k_shortest_paths(
                 f"source {source!r} or target {target!r} not in graph"
             )
     csr = csr_graph(graph)
-    nodes = csr.nodes
-    by_source: Dict[int, List[Tuple[Hashable, Hashable]]] = {}
-    for source, target in pairs:
-        by_source.setdefault(csr.index_of[source], []).append((source, target))
+    index_of = csr.index_of
+    unique = list(dict.fromkeys(pairs))
+    trees: Dict[int, List[int]] = {}
+    first_paths = []
+    for source, target in unique:
+        source_index = index_of[source]
+        parents = trees.get(source_index)
+        if parents is None:
+            parents = trees[source_index] = csr.bfs_parent_tree(source_index)
+        first_paths.append(
+            path_from_parent_tree(parents, source_index, index_of[target])
+        )
+    tables = _node_paths(csr.nodes, k_shortest_path_table(csr, first_paths, k))
+    return dict(zip(unique, tables))
 
-    table: Dict[Tuple[Hashable, Hashable], List[Path]] = {}
-    for source_index, group in by_source.items():
-        parents = csr.bfs_parent_tree(source_index)
-        for pair in group:
-            first = path_from_parent_tree(
-                parents, source_index, csr.index_of[pair[1]]
-            )
-            if first is None:
-                table[pair] = []
-                continue
-            index_paths = k_shortest_path_indices(
-                csr, source_index, csr.index_of[pair[1]], k, first_path=first
-            )
-            table[pair] = [tuple(nodes[i] for i in path) for path in index_paths]
-    return table
+
+def _node_paths(
+    nodes: Sequence[Hashable], tables: List[List[Tuple[int, ...]]]
+) -> List[List[Path]]:
+    """Index paths as node paths (as they are when nodes are ``0..n-1``)."""
+    if all(type(node) is int and node == i for i, node in enumerate(nodes)):
+        return tables
+    label = nodes.__getitem__
+    return [[tuple(map(label, path)) for path in paths] for paths in tables]

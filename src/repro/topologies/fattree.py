@@ -44,6 +44,19 @@ def fattree_equipment(k: int, server_factor: float = 1.0) -> Tuple[int, int, int
     return fattree_num_switches(k), k, servers
 
 
+def server_search_range(k: int) -> Tuple[int, int]:
+    """``(lower, upper)`` bounds of a search for the servers a Jellyfish on a
+    k-ary fat-tree's equipment can host (Figs 2(c) and 11).
+
+    The lower bound is half the fat-tree's servers, at least 2.  The upper
+    bound keeps at least 3 network ports per switch so the random graph
+    stays connected with high probability (an r-regular random graph needs
+    r >= 3 to be connected almost surely).
+    """
+    switches, ports, servers = fattree_equipment(k)
+    return max(2, servers // 2), switches * max(1, ports - 3)
+
+
 class FatTreeTopology(Topology):
     """k-ary fat-tree with node identifiers carrying their layer and position.
 

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 from repro.graphs.csr import (
     CSRGraph,
     batched_hop_distances,
+    bfs_source_chunk,
     clear_csr_cache,
     csr_graph,
 )
 from repro.graphs.regular import sequential_random_regular_graph
+from repro.resources import ExecutionProfile, activate_profile
 from repro.routing._reference import k_shortest_paths_reference
 from repro.routing.ecmp import all_shortest_paths
 from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
@@ -39,8 +41,9 @@ COMMON_SETTINGS = settings(
 def jellyfish_like_graphs(draw):
     """Random regular (Jellyfish-style) graphs, sometimes damaged.
 
-    Damage removes random edges and isolates some nodes, covering the
-    disconnected and degree-0 corners routing must survive.
+    Damage removes random edges, isolates some nodes and hangs pendant
+    (degree-1) nodes off others, covering the disconnected, degree-0 and
+    dead-end corners routing must survive.
     """
     num_nodes = draw(st.integers(min_value=4, max_value=30))
     degree = draw(st.integers(min_value=2, max_value=min(5, num_nodes - 1)))
@@ -59,6 +62,9 @@ def jellyfish_like_graphs(draw):
     if draw(st.booleans()):
         isolated = draw(st.integers(min_value=0, max_value=num_nodes - 1))
         graph.remove_edges_from(list(graph.edges(isolated)))
+    pendants = draw(st.lists(st.integers(min_value=0, max_value=num_nodes - 1), max_size=3))
+    for offset, anchor in enumerate(pendants):
+        graph.add_edge(anchor, num_nodes + offset)
     return graph
 
 
@@ -134,14 +140,40 @@ class TestYenParity:
         assert ours == reference
 
     @COMMON_SETTINGS
-    @given(jellyfish_like_graphs())
-    def test_all_pairs_shared_tree_matches_per_pair(self, graph):
+    @given(jellyfish_like_graphs(), st.integers(min_value=1, max_value=12), st.data())
+    def test_all_pairs_shared_tree_matches_per_pair(self, graph, k, data):
+        """Every entry of one lockstep batch equals per-pair reference Yen.
+
+        Batches of 1-150 pairs over many sources, adjacent pairs included;
+        the graphs may be disconnected, so some pairs are unreachable.
+        """
         clear_csr_cache()
         nodes = sorted(graph.nodes)
-        pairs = [(nodes[0], node) for node in nodes[1:4]]
-        table = all_pairs_k_shortest_paths(graph, pairs, 4)
+        node = st.sampled_from(nodes)
+        pair = st.one_of(st.tuples(node, node), st.sampled_from(sorted(graph.edges)))
+        size = data.draw(st.integers(min_value=1, max_value=150))
+        pairs = data.draw(st.lists(pair, min_size=size, max_size=size))
+        table = all_pairs_k_shortest_paths(graph, pairs, k)
+        assert set(table) == set(pairs)
+        for pair in set(pairs):
+            assert table[pair] == k_shortest_paths_reference(graph, *pair, k)
+
+    @pytest.mark.parametrize("memory_scale", [1.0, 1e-12])
+    def test_table_lanes_cross_words_and_chunks(self, memory_scale):
+        """A round of more than 64 spur queries, in one chunk or in several."""
+        graph = JellyfishTopology.build(30, 8, 5, rng=11).graph
+        nodes = sorted(graph.nodes)
+        pairs = [(source, target) for source in nodes[:4] for target in nodes if target != source]
+        # Round one has a spur query per hop of every pair's first path.
+        assert len(pairs) > 64
+        clear_csr_cache()
+        with activate_profile(ExecutionProfile(memory_scale=memory_scale)):
+            csr = csr_graph(graph)
+            chunk = bfs_source_chunk(csr.num_nodes, len(csr.indices))
+            assert chunk == (64 if memory_scale < 1 else 4096)
+            table = all_pairs_k_shortest_paths(graph, pairs, 8)
         for pair in pairs:
-            assert table[pair] == k_shortest_paths_reference(graph, *pair, 4)
+            assert table[pair] == k_shortest_paths_reference(graph, *pair, 8)
 
     def test_jellyfish_many_pairs(self):
         topology = JellyfishTopology.build(30, 8, 5, rng=11)

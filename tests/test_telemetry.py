@@ -370,6 +370,24 @@ class TestInstrumentedParity:
         batch = [e for e in tracer.events if e["name"] == "bfs.batch"]
         assert batch and all(e["counters"]["frontier_sweeps"] >= 1 for e in batch)
 
+    @pytest.mark.parametrize("sweep, spur_queries", [("table1", 7438), ("fig02c", 17545)])
+    def test_yen_runs_exactly_the_scalar_spur_queries(self, sweep, spur_queries):
+        """``yen.spur_candidates`` counts one per spur query of Yen's rounds.
+
+        The totals were recorded at small scale, seed 0, with the per-pair
+        scalar spur loop; the lockstep rounds must ask the same queries.
+        """
+        from repro.engine.registry import run_sweep
+        from repro.graphs.csr import clear_csr_cache
+        from repro.memo import clear_memos
+
+        clear_memos()
+        clear_csr_cache()
+        tracer = enable(ring_size=1_000_000)
+        run_sweep(sweep, "small", 0)
+        credited = [tracer.root_counters] + [event["counters"] for event in tracer.events]
+        assert sum(c.get("yen.spur_candidates", 0) for c in credited) == spur_queries
+
 
 class TestReport:
     def test_percentile_interpolates(self):
