@@ -565,6 +565,7 @@ def _spur_paths(
     mask[1, first_hops, lane_ids[:, None]] = True
     mask[2, targets, lane_ids] = True
     visited, hop_plane, level = np.packbits(mask, axis=2, bitorder="little").view("<u8")
+    del mask  # eight times the size of the packed planes
     planes = []
     finished = []  # per depth, the words of the lanes finishing there
     while True:
@@ -616,11 +617,15 @@ def k_shortest_path_table(
     target is unreachable); entry ``q`` of the result is the pair's paths.
     Every pair runs the same Yen round at the same time: each round gathers
     the spur queries of all pairs still short of ``k`` paths and answers
-    them with one bit-parallel BFS (:func:`_spur_paths`), in chunks that fit
-    the BFS scratch budget (:func:`bfs_source_chunk`).  Removed nodes,
-    banned first hops (from prefix equality over the accepted paths) and
-    candidate rows are array operations; only the per-candidate dedupe, heap
-    push and per-pair pop run in Python.
+    them with one bit-parallel BFS (:func:`_spur_paths`), in chunks of
+    :func:`bfs_source_chunk` lanes, so the BFS scratch budget of the active
+    profile caps them.  The cap is approximate: it prices a word of lanes
+    as :meth:`CSRGraph._bfs_chunk` uses it, while :func:`_spur_paths` keeps
+    two node planes per BFS level and a row per lane, so its scratch grows
+    with spur depth and degree skew; the round's own per-lane arrays are not
+    chunked.  Removed nodes, banned first hops (from prefix equality over
+    the accepted paths) and candidate rows are array operations; only the
+    per-candidate dedupe, heap push and per-pair pop run in Python.
 
     Lawler's spur restriction applies: an accepted path only spurs from its
     own deviation index onward, since every earlier branch point was already

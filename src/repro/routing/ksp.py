@@ -89,8 +89,6 @@ def all_pairs_k_shortest_paths(
 def _node_paths(
     nodes: Sequence[Hashable], tables: List[List[Tuple[int, ...]]]
 ) -> List[List[Path]]:
-    """Index paths as node paths (as they are when nodes are ``0..n-1``)."""
-    if all(type(node) is int and node == i for i, node in enumerate(nodes)):
-        return tables
+    """Map each pair's index paths to node paths."""
     label = nodes.__getitem__
     return [[tuple(map(label, path)) for path in paths] for paths in tables]
