@@ -1,7 +1,7 @@
 """Record the flow-engine perf trajectory: old implementations vs vectorized.
 
-Times the pre-vectorization flow implementations (kept in
-``repro.flow._reference``) against the vectorized engine on representative
+Times the pre-vectorization flow implementations (the oracles in
+``tests/oracles/flow.py``) against the vectorized engine on representative
 fig08/fig13-scale inputs and writes ``benchmarks/BENCH_flow.json``.  Run it
 after touching anything under ``repro.flow`` or the fluid simulator:
 
@@ -39,16 +39,12 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # oracles
+
 from repro.telemetry.manifest import peak_rss_kb
-from repro.telemetry.timing import best_of, timed_best_of
+from timing import best_of, timed_best_of
 from unittest import mock
 
-from repro.flow._reference import (
-    assemble_edge_lp_reference,
-    assemble_path_lp_reference,
-    max_concurrent_flow_path_lp_reference,
-    max_min_fair_allocation_reference,
-)
 from repro.flow.maxmin import max_min_fair_allocation
 from repro.flow.mcf import _assemble_edge_lp
 from repro.flow.path_lp import PathLPStructure
@@ -70,11 +66,18 @@ from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
 
+from oracles.flow import (
+    assemble_edge_lp_reference,
+    assemble_path_lp_reference,
+    max_concurrent_flow_path_lp_reference,
+    max_min_fair_allocation_reference,
+)
+
 OUTPUT = Path(__file__).resolve().parent / "BENCH_flow.json"
 
 
 def _best_of(callable_, repeats: int) -> float:
-    """Shared-clock best-of timing (see :func:`repro.telemetry.timing.best_of`)."""
+    """Shared-clock best-of timing (see :func:`timing.best_of`)."""
     return best_of(callable_, repeats)
 
 

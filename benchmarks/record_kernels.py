@@ -1,7 +1,7 @@
 """Record the kernel perf trajectory: old implementations vs CSR kernels.
 
 Times the pre-CSR pure-Python implementations (kept in
-``repro.routing._reference``) against the CSR kernels on representative
+``tests/oracles/routing.py``) against the CSR kernels on representative
 graph sizes and writes ``benchmarks/BENCH_kernels.json``.  Run it after
 touching anything under ``repro.graphs.csr`` or the routing hot paths:
 
@@ -26,22 +26,25 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # oracles
+
 from repro.telemetry.manifest import peak_rss_kb
-from repro.telemetry.timing import best_of
+from timing import best_of
 
 from repro.graphs.csr import batched_hop_distances, clear_csr_cache, csr_graph
-from repro.routing._reference import (
+from repro.routing.ksp import k_shortest_paths
+from repro.topologies.jellyfish import JellyfishTopology
+
+from oracles.routing import (
     all_pairs_hop_distances_reference,
     k_shortest_paths_reference,
 )
-from repro.routing.ksp import k_shortest_paths
-from repro.topologies.jellyfish import JellyfishTopology
 
 OUTPUT = Path(__file__).resolve().parent / "BENCH_kernels.json"
 
 
 def _best_of(callable_, repeats: int) -> float:
-    """Shared-clock best-of timing (see :func:`repro.telemetry.timing.best_of`)."""
+    """Shared-clock best-of timing (see :func:`timing.best_of`)."""
     return best_of(callable_, repeats)
 
 

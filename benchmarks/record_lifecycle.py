@@ -2,7 +2,7 @@
 
 Drives the same seeded 1000-event lifecycle through both metric backends
 (:class:`repro.lifecycle.metrics.IncrementalMetrics` and the cold-rebuild
-reference in :mod:`repro.lifecycle._reference`), asserts their metric
+oracle in ``tests/oracles/lifecycle.py``), asserts their metric
 trajectories are identical float-for-float, and writes
 ``benchmarks/BENCH_lifecycle.json``.  Run it after touching anything under
 ``repro.lifecycle``:
@@ -33,12 +33,16 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # oracles
+
 from repro.graphs.csr import clear_csr_cache
 from repro.lifecycle import LifecycleConfig, run_lifecycle
 from repro.memo import clear_memos
 from repro.telemetry.manifest import peak_rss_kb
-from repro.telemetry.timing import best_of
 from repro.topologies.jellyfish import JellyfishTopology
+from timing import best_of
+
+from oracles.lifecycle import ColdMetrics
 
 OUTPUT = Path(__file__).resolve().parent / "BENCH_lifecycle.json"
 
@@ -101,10 +105,10 @@ def _case(
     plant = JellyfishTopology.build(num_switches, ports, degree, rng=seed)
 
     def run_reference():
-        return run_lifecycle(plant, config, seed=seed, backend="reference")
+        return run_lifecycle(plant, config, seed=seed, metrics_class=ColdMetrics)
 
     def run_incremental():
-        return run_lifecycle(plant, config, seed=seed, backend="incremental")
+        return run_lifecycle(plant, config, seed=seed)
 
     _clear_shared_state()
     reference = run_reference()

@@ -1,7 +1,7 @@
 """Record the dynamics-engine perf trajectory: scalar reference vs vectorized.
 
 Times the retained scalar AIMD round loop
-(``repro.simulation._reference.simulate_aimd_reference``) against the
+(``simulate_aimd_reference`` in ``tests/oracles/simulation.py``) against the
 array-native round engine on representative sizes and writes
 ``benchmarks/BENCH_sim.json``.  Run it after touching anything under
 ``repro.simulation``:
@@ -36,17 +36,20 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # oracles
+
 from repro.telemetry.manifest import peak_rss_kb
-from repro.telemetry.timing import best_of, timed_best_of
+from timing import best_of, timed_best_of
 
 from repro.graphs.csr import clear_csr_cache
 from repro.memo import clear_memos
 from repro.routing.paths import build_path_set
-from repro.simulation._reference import simulate_aimd_reference
 from repro.simulation.aimd import AimdConfig, simulate_aimd
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
+
+from oracles.simulation import simulate_aimd_reference
 
 OUTPUT = Path(__file__).resolve().parent / "BENCH_sim.json"
 
@@ -56,7 +59,7 @@ CONFIG = AimdConfig(
 
 
 def _best_of(callable_, repeats: int) -> float:
-    """Shared-clock best-of timing (see :func:`repro.telemetry.timing.best_of`)."""
+    """Shared-clock best-of timing (see :func:`timing.best_of`)."""
     return best_of(callable_, repeats)
 
 

@@ -1,8 +1,8 @@
 """Record the topology-layer perf trajectory: reference vs array-native.
 
-Times the retained pre-refactor constructors (``repro.graphs._reference``,
-``JellyfishTopology._add_switch_reference``) against the array-native
-topology layer on fig05-scale inputs and writes
+Times the retained pre-refactor constructors (``tests/oracles/graphs.py``
+and ``add_switch_reference`` in ``tests/oracles/topologies.py``) against the
+array-native topology layer on fig05-scale inputs and writes
 ``benchmarks/BENCH_topology.json``.  Run it after touching anything under
 ``repro.graphs.regular``, ``repro.topologies.core`` or the ensemble
 subsystem:
@@ -41,14 +41,11 @@ import sys
 import time
 from pathlib import Path
 
-from repro.telemetry.manifest import peak_rss_kb
-from repro.telemetry.timing import best_of
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # oracles
 
-from repro.graphs._reference import (
-    random_graph_with_degree_budget_reference,
-    sequential_random_regular_graph_reference,
-    stub_matching_regular_graph_reference,
-)
+from repro.telemetry.manifest import peak_rss_kb
+from timing import best_of
+
 from repro.graphs.regular import (
     random_graph_with_degree_budget,
     random_graph_with_degree_budget_rows,
@@ -60,11 +57,18 @@ from repro.graphs.regular import (
 from repro.topologies.ensemble import EnsembleSpec, generate_cores
 from repro.topologies.jellyfish import JellyfishTopology
 
+from oracles.graphs import (
+    random_graph_with_degree_budget_reference,
+    sequential_random_regular_graph_reference,
+    stub_matching_regular_graph_reference,
+)
+from oracles.topologies import add_switch_reference
+
 OUTPUT = Path(__file__).resolve().parent / "BENCH_topology.json"
 
 
 def _best_of(callable_, repeats: int) -> float:
-    """Shared-clock best-of timing (see :func:`repro.telemetry.timing.best_of`)."""
+    """Shared-clock best-of timing (see :func:`timing.best_of`)."""
     return best_of(callable_, repeats)
 
 
@@ -174,7 +178,7 @@ def _expand_case(num_nodes: int, degree: int, new_switches: int, repeats: int, r
         topology = JellyfishTopology.build(num_nodes, ports, degree, rng=1)
         rng = random.Random(2)
         for offset in range(new_switches):
-            topology._add_switch_reference(("new", offset), ports, servers=1, rng=rng)
+            add_switch_reference(topology, ("new", offset), ports, servers=1, rng=rng)
         return topology
 
     fast, reference = run_new(), run_old()

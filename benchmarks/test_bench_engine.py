@@ -1,7 +1,8 @@
 """Benchmark the scenario engine: parallel sharding and cache-hit speedup.
 
 Two properties of the engine are measured on real workloads (Jellyfish
-construction + path-LP throughput, the per-point work behind Figs 2(c)/3/8):
+construction + path-LP throughput, the per-point work behind Fig 8's
+ensemble, whose target these points run):
 
 1. **Sharding** -- the same grid executed serially and with
    ``SweepRunner(workers=4)``.  The speedup is reported (it depends on the
@@ -19,13 +20,14 @@ import time
 from repro.engine import ResultCache, ScenarioSpec, SweepRunner, expand, run_sweep
 
 THROUGHPUT_GRID = ScenarioSpec.grid(
-    "repro.engine.benchtargets:jellyfish_throughput_point",
+    "repro.topologies.ensemble:ensemble_failure_point",
     seed=0,
     seed_strategy="derived",
     repetitions=2,
     num_switches=[32, 40, 48],
     ports=6,
-    network_degree=4,
+    num_servers=64,
+    fraction=0.0,
 )
 
 

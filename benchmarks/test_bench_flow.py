@@ -7,10 +7,6 @@ into the committed ``BENCH_flow.json`` trajectory snapshot.
 
 import pytest
 
-from repro.flow._reference import (
-    assemble_path_lp_reference,
-    max_min_fair_allocation_reference,
-)
 from repro.flow.maxmin import max_min_fair_allocation
 from repro.flow.path_lp import PathLPStructure
 from repro.routing.paths import build_path_set
@@ -24,6 +20,11 @@ from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.rng import ensure_rng
+
+from oracles.flow import (
+    assemble_path_lp_reference,
+    max_min_fair_allocation_reference,
+)
 
 
 @pytest.fixture(scope="module")

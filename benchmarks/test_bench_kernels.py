@@ -10,12 +10,13 @@ import pytest
 from repro.graphs.csr import batched_hop_distances, clear_csr_cache, csr_graph
 from repro.graphs.properties import average_path_length, diameter
 from repro.memo import clear_memos
-from repro.routing._reference import (
+from repro.routing.ksp import k_shortest_paths
+from repro.topologies.jellyfish import JellyfishTopology
+
+from oracles.routing import (
     all_pairs_hop_distances_reference,
     k_shortest_paths_reference,
 )
-from repro.routing.ksp import k_shortest_paths
-from repro.topologies.jellyfish import JellyfishTopology
 
 
 @pytest.fixture(scope="module")

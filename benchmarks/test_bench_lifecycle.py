@@ -18,6 +18,8 @@ from repro.lifecycle import LifecycleConfig, run_lifecycle
 from repro.memo import clear_memos
 from repro.topologies.jellyfish import JellyfishTopology
 
+from oracles.lifecycle import ColdMetrics
+
 SNAPSHOT = Path(__file__).resolve().parent / "BENCH_lifecycle.json"
 
 QUICK_CONFIG = LifecycleConfig(
@@ -43,8 +45,8 @@ def _clear_shared_state():
 @pytest.fixture(scope="module")
 def quick_plant():
     plant = JellyfishTopology.build(64, 12, 9, rng=5)
-    reference = run_lifecycle(plant, QUICK_CONFIG, seed=5, backend="reference")
-    incremental = run_lifecycle(plant, QUICK_CONFIG, seed=5, backend="incremental")
+    reference = run_lifecycle(plant, QUICK_CONFIG, seed=5, metrics_class=ColdMetrics)
+    incremental = run_lifecycle(plant, QUICK_CONFIG, seed=5)
     assert reference.event_log == incremental.event_log
     assert reference.epochs == incremental.epochs
     return plant
@@ -52,9 +54,7 @@ def quick_plant():
 
 def test_bench_lifecycle_incremental(benchmark, quick_plant):
     _clear_shared_state()
-    result = benchmark(
-        run_lifecycle, quick_plant, QUICK_CONFIG, seed=5, backend="incremental"
-    )
+    result = benchmark(run_lifecycle, quick_plant, QUICK_CONFIG, seed=5)
     assert result.events_applied == 200
 
 
@@ -63,7 +63,7 @@ def test_bench_lifecycle_reference(benchmark, quick_plant):
     result = benchmark.pedantic(
         run_lifecycle,
         args=(quick_plant, QUICK_CONFIG),
-        kwargs={"seed": 5, "backend": "reference"},
+        kwargs={"seed": 5, "metrics_class": ColdMetrics},
         iterations=1,
         rounds=2,
     )

@@ -8,11 +8,12 @@ the committed ``BENCH_sim.json`` trajectory snapshot.
 import pytest
 
 from repro.routing.paths import build_path_set
-from repro.simulation._reference import simulate_aimd_reference
 from repro.simulation.aimd import AimdConfig, simulate_aimd
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
+
+from oracles.simulation import simulate_aimd_reference
 
 
 @pytest.fixture(scope="module")

@@ -9,16 +9,18 @@ import random
 
 import pytest
 
-from repro.graphs._reference import (
-    sequential_random_regular_graph_reference,
-    stub_matching_regular_graph_reference,
-)
 from repro.graphs.regular import (
     sequential_random_regular_graph,
     stub_matching_regular_graph,
 )
 from repro.topologies.ensemble import EnsembleSpec, generate_cores
 from repro.topologies.jellyfish import JellyfishTopology
+
+from oracles.graphs import (
+    sequential_random_regular_graph_reference,
+    stub_matching_regular_graph_reference,
+)
+from oracles.topologies import add_switch_reference
 
 NUM_NODES = 300
 DEGREE = 11
@@ -78,8 +80,8 @@ def test_bench_add_switch_incremental(benchmark, expansion_base):
 def test_bench_add_switch_reference(benchmark, expansion_base):
     def run():
         topology = expansion_base.copy()
-        topology._add_switch_reference(
-            "new", DEGREE + 3, servers=1, rng=random.Random(2)
+        add_switch_reference(
+            topology, "new", DEGREE + 3, servers=1, rng=random.Random(2)
         )
         return topology
 

@@ -1,11 +1,9 @@
-"""Shared timing helpers: one clock path for benchmarks and traces.
+"""Best-of timing for the ``benchmarks/record_*.py`` scripts.
 
-The ``benchmarks/record_*.py`` scripts and the tracer historically read
-``time.perf_counter`` independently; these helpers route every measurement
-through :data:`repro.telemetry.tracer.clock` so the checked-in
-``BENCH_*.json`` numbers and the JSONL span logs come from a single clock
-path (and a future clock swap -- e.g. ``perf_counter_ns`` -- happens in one
-place).
+Every measurement reads :data:`repro.telemetry.tracer.clock`, the clock the
+tracer's spans use, so the checked-in ``BENCH_*.json`` numbers and the
+JSONL span logs come from a single clock path (and a future clock swap --
+e.g. ``perf_counter_ns`` -- happens in one place).
 
 :func:`best_of` additionally emits a ``bench.best_of`` span per measured
 callable when tracing is enabled, so a traced benchmark run shows its
@@ -14,37 +12,9 @@ repeat structure in ``repro stats`` without the scripts doing anything.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 from repro.telemetry.tracer import clock, trace
-
-
-class Stopwatch:
-    """Mutable elapsed-seconds holder filled in by :func:`stopwatch`."""
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-
-@contextmanager
-def stopwatch() -> Iterator[Stopwatch]:
-    """Time a block on the shared clock: ``with stopwatch() as w: ...``."""
-    watch = Stopwatch()
-    start = clock()
-    try:
-        yield watch
-    finally:
-        watch.seconds = clock() - start
-
-
-def time_call(callable_: Callable, *args, **kwargs):
-    """Run ``callable_`` once; returns ``(value, elapsed_seconds)``."""
-    start = clock()
-    value = callable_(*args, **kwargs)
-    return value, clock() - start
 
 
 def best_of(

@@ -698,7 +698,6 @@ def _topo_ensemble(args: argparse.Namespace) -> int:
     from repro.topologies.ensemble import (
         EnsembleSpec,
         ensemble_point_specs,
-        ensemble_summary,
         summarize_instance_metrics,
     )
 
@@ -711,12 +710,10 @@ def _topo_ensemble(args: argparse.Namespace) -> int:
         method=args.method,
         seed=args.seed,
     )
-    if args.workers:
-        runner = SweepRunner(workers=args.workers)
-        metrics = runner.run_values(expand(ensemble_point_specs(spec)))
-        summary = summarize_instance_metrics(metrics)
-    else:
-        summary = ensemble_summary(spec)
+    runner = SweepRunner(workers=args.workers)
+    summary = summarize_instance_metrics(
+        runner.run_values(expand(ensemble_point_specs(spec)))
+    )
     print(
         f"ensemble of {summary['num_instances']} x jellyfish "
         f"N={args.switches} k={args.ports} r={args.degree} "
@@ -800,11 +797,6 @@ def build_sim_parser() -> argparse.ArgumentParser:
         help="settling tolerance for the convergence measurement",
     )
     aimd_parser.add_argument(
-        "--reference",
-        action="store_true",
-        help="run the retained scalar reference engine instead (for comparison)",
-    )
-    aimd_parser.add_argument(
         "--seed",
         type=int,
         default=0,
@@ -837,15 +829,8 @@ def _sim_aimd(args: argparse.Namespace) -> int:
         warmup_rounds=args.warmup_rounds,
         convergence_tolerance=args.tolerance,
     )
-    if args.reference:
-        from repro.simulation._reference import simulate_aimd_reference as engine
-
-        engine_label = "reference (scalar)"
-    else:
-        engine = simulate_aimd
-        engine_label = "vectorized"
     start = time.perf_counter()
-    result = engine(topology, config=config, rng=args.seed)
+    result = simulate_aimd(topology, config=config, rng=args.seed)
     elapsed = time.perf_counter() - start
     converged = (
         f"round {result.convergence_round}"
@@ -856,7 +841,7 @@ def _sim_aimd(args: argparse.Namespace) -> int:
         f"aimd {label} routing={args.routing} cc={args.cc} "
         f"rounds={args.rounds} seed={args.seed}"
     )
-    print(f"  engine {engine_label}  wall time {elapsed:.3f}s")
+    print(f"  wall time {elapsed:.3f}s")
     print(
         f"  connections {len(result.flow_throughputs)}  "
         f"average throughput {result.average_throughput:.4f}  "
@@ -946,12 +931,6 @@ def build_lifecycle_parser() -> argparse.ArgumentParser:
     )
 
     execution = run_parser.add_argument_group("execution")
-    execution.add_argument(
-        "--backend",
-        choices=["incremental", "reference"],
-        default="incremental",
-        help="metric backend (reference = cold rebuild per event)",
-    )
     execution.add_argument("--seed", type=int, default=0, help="lifecycle event-stream seed")
     execution.add_argument(
         "--max-attempts",
@@ -965,8 +944,9 @@ def build_lifecycle_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RUN_ID",
         help="resume a previous run: journaled epochs are replayed, not "
-        "re-evaluated. Seed comes from the run's manifest; the lifecycle "
-        "flags must reproduce the same config (checked by hash)",
+        "re-evaluated. Seed comes from the run's manifest; the plant and "
+        "lifecycle flags must reproduce the same plant and config (checked "
+        "by hash)",
     )
     execution.add_argument(
         "--runs-dir",
@@ -1024,6 +1004,21 @@ def _lifecycle_run(args: argparse.Namespace) -> int:
     else:
         runs_root = Path(default_cache_root()) / "runs"
 
+    try:
+        plant = _build_plant(
+            args.family,
+            {
+                "ports": args.ports,
+                "num_switches": args.switches,
+                "num_servers": args.servers,
+                "build_seed": args.build_seed,
+            },
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+    spec_hashes = [config.config_hash(), plant.content_hash()]
     sweep_id = f"lifecycle-{args.family}"
     completed = None
     resumed_from = None
@@ -1044,10 +1039,18 @@ def _lifecycle_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if previous.spec_hashes and previous.spec_hashes[0] != config.config_hash():
+        if previous.spec_hashes[:1] != spec_hashes[:1]:
             print(
                 f"error: run {args.resume} used a different lifecycle config "
                 "(give the same flags to resume it)",
+                file=sys.stderr,
+            )
+            return 2
+        if previous.spec_hashes[1:] != spec_hashes[1:]:
+            print(
+                f"error: run {args.resume} was run on a different plant "
+                "(give the same --switches, --ports, --servers and "
+                "--build-seed to resume it)",
                 file=sys.stderr,
             )
             return 2
@@ -1058,26 +1061,12 @@ def _lifecycle_run(args: argparse.Namespace) -> int:
             "resuming run %s: %d journaled epoch(s)", args.resume, len(completed)
         )
 
-    try:
-        plant = _build_plant(
-            args.family,
-            {
-                "ports": args.ports,
-                "num_switches": args.switches,
-                "num_servers": args.servers,
-                "build_seed": args.build_seed,
-            },
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
     recorder = RunRecorder(
         sweep_id,
         scale="lifecycle",
         seed=seed,
         workers=0,
-        spec_hashes=[config.config_hash()],
+        spec_hashes=spec_hashes,
         runs_root=runs_root,
         resumed_from=resumed_from,
     )
@@ -1098,7 +1087,6 @@ def _lifecycle_run(args: argparse.Namespace) -> int:
         plant,
         config,
         seed=seed,
-        backend=args.backend,
         family=args.family,
         completed=completed,
         observer=observe,
@@ -1110,7 +1098,7 @@ def _lifecycle_run(args: argparse.Namespace) -> int:
     print(
         f"lifecycle {args.family} ({plant.num_switches} switches, "
         f"{sum(plant.servers.values())} servers): {result.events_applied} events, "
-        f"{len(result.epochs)} epoch(s), backend {result.backend}, seed {seed}"
+        f"{len(result.epochs)} epoch(s), seed {seed}"
     )
     header = ["epoch", "time_h", "throughput", "availability", "failed_links", "failed_switches"]
     print("  " + "  ".join(f"{name:>15s}" for name in header))

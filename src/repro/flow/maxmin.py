@@ -10,9 +10,9 @@ The filling rounds run as a vectorized kernel: subflow->link membership is
 encoded once as a sparse CSR incidence matrix, and each round's live-claimant
 counts, uniform increment, residual updates and saturation masks are numpy /
 scipy matvecs instead of per-link Python set scans.  Freezing semantics are
-bit-for-bit identical to the pre-vectorized implementation, which is retained
-as :func:`repro.flow._reference.max_min_fair_allocation_reference` and pinned
-by the hypothesis parity suite in ``tests/test_flow_parity.py``.
+bit-for-bit identical to the pre-vectorized implementation: the hypothesis
+parity suite in ``tests/test_flow_parity.py`` pins them against it
+(``tests/oracles/flow.py``).
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ Formulation (source-aggregated multi-commodity flow):
 
 Constraint matrices are assembled as vectorized COO triplets (one broadcast
 per block, no per-cell writes); the resulting canonical CSR is identical to
-the historical ``lil_matrix`` assembly retained in
-:mod:`repro.flow._reference`, so HiGHS sees the same problem bit-for-bit.
+the historical ``lil_matrix`` assembly (the oracle in
+``tests/oracles/flow.py``), so HiGHS sees the same problem bit-for-bit.
 """
 
 from __future__ import annotations

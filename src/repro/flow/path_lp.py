@@ -19,9 +19,9 @@ matrices from vectorized COO triplets (no ``lil_matrix``, no per-cell
 writes).  Structures are cached in a small LRU keyed by the graph's CSR
 ``content_hash`` (the same content-addressing as the engine's result
 cache), so a throughput sweep that probes one topology against several
-traffic matrices only rebuilds the theta column per matrix.  The historical
-cell-by-cell assembly is retained in :mod:`repro.flow._reference`; the
-canonical CSR matrices produced here are identical to it bit-for-bit.
+traffic matrices only rebuilds the theta column per matrix.  The canonical
+CSR matrices produced here are bit-for-bit identical to the historical
+cell-by-cell assembly (the oracle in ``tests/oracles/flow.py``).
 
 The LP's size, not its caller, picks the HiGHS method: dual simplex below
 :data:`IPM_MIN_NNZ` constraint nonzeros, the interior-point method with

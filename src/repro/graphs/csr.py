@@ -728,20 +728,14 @@ def k_shortest_path_table(
 
 
 def k_shortest_path_indices(
-    csr: CSRGraph,
-    source: int,
-    target: int,
-    k: int,
-    first_path: Optional[IndexPath] = None,
+    csr: CSRGraph, source: int, target: int, k: int
 ) -> List[IndexPath]:
     """Yen's k-shortest loopless paths for one pair over CSR index space.
 
-    A one-pair batch of :func:`k_shortest_path_table`.  ``first_path``, the
-    pair's shortest path, defaults to the one :meth:`CSRGraph.bfs_parent_tree`
-    gives.
+    A one-pair batch of :func:`k_shortest_path_table`; the first path is the
+    one :meth:`CSRGraph.bfs_parent_tree` gives.
     """
-    if first_path is None:
-        first_path = path_from_parent_tree(csr.bfs_parent_tree(source), source, target)
+    first_path = path_from_parent_tree(csr.bfs_parent_tree(source), source, target)
     return k_shortest_path_table(csr, [first_path], k)[0]
 
 

@@ -17,7 +17,7 @@ edge-count-preserving rewires such as failure injection followed by repair
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
@@ -37,24 +37,6 @@ def is_connected(graph: nx.Graph) -> bool:
     if graph.number_of_nodes() == 0:
         return True
     return nx.is_connected(graph)
-
-
-def bfs_distances(graph: nx.Graph, source) -> Dict:
-    """Hop distances from ``source`` to every reachable node (including itself).
-
-    Pure-Python reference implementation; the batched CSR kernel is used for
-    anything performance-sensitive, and the parity suite pins the two
-    against each other.
-    """
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                queue.append(neighbor)
-    return distances
 
 
 #: Per-source distance rows are memoized only for graphs at most this large;

@@ -14,9 +14,9 @@ re-filtered per added edge (the historical implementation spent >80% of a
 fig05-scale build in that ``prune_open_nodes`` list comprehension), and the
 rng stream is consumed identically -- every ``sample``/``shuffle``/``choice``
 draw the original made is reproduced draw-for-draw, so the produced graph is
-bit-identical for the same seed.  The historical implementations are
-retained in :mod:`repro.graphs._reference` and the parity is pinned by the
-hypothesis suite in ``tests/test_topology_core.py``.
+bit-identical for the same seed.  The hypothesis suite in
+``tests/test_topology_core.py`` pins the parity against the historical
+implementations (``tests/oracles/graphs.py``).
 
 The random step is one function, :func:`add_random_link`.
 :func:`_complete_by_splicing` drives it for the paper's procedure (random
@@ -451,7 +451,7 @@ def stub_matching_regular_rows(
     with the same splice-repair loop the sequential construction uses.  The
     numpy ``Generator`` is seeded with one 64-bit draw from ``rng``, so the
     whole construction is a pure function of the Python seed and is pinned
-    bit-identical to :func:`repro.graphs._reference.stub_matching_regular_graph_reference`.
+    bit-identical to the scalar reference in ``tests/oracles/graphs.py``.
     """
     _validate_regular_params(num_nodes, degree)
     rand = ensure_rng(rng)

@@ -7,14 +7,13 @@ Public surface:
   event streams (Poisson failures, exponential repairs, periodic expansion
   batches and traffic epochs);
 * :class:`~repro.lifecycle.state.LifecycleState` -- the plant + failed-set
-  state machine shared by every backend;
+  state machine the metrics read;
 * :func:`~repro.lifecycle.engine.run_lifecycle` /
   :func:`~repro.lifecycle.engine.lifecycle_point` -- the engine and its
   sweep-target wrapper;
 * :class:`~repro.lifecycle.metrics.IncrementalMetrics` -- scoped-BFS
-  component maintenance and cache-backed epoch evaluation (the default
-  backend; the cold-rebuild reference lives in
-  :mod:`repro.lifecycle._reference`).
+  component maintenance and cache-backed epoch evaluation (the cold-rebuild
+  oracle it is pinned against lives in ``tests/oracles/lifecycle.py``).
 """
 
 from repro.lifecycle.engine import (

@@ -2,14 +2,12 @@
 
 :func:`run_lifecycle` walks a deterministic event stream
 (:mod:`repro.lifecycle.events`) over a :class:`~repro.lifecycle.state.LifecycleState`,
-asking a metric backend for a degradation snapshot after every event and a
-full traffic evaluation at every epoch.  Two backends exist:
-
-* :class:`~repro.lifecycle.metrics.IncrementalMetrics` (default) maintains
-  components by scoped re-sweeps and routes epochs through the shared
-  content-hash caches;
-* :class:`~repro.lifecycle._reference.ColdMetrics` rebuilds everything per
-  event -- the parity pin and the benchmark baseline.
+asking :class:`~repro.lifecycle.metrics.IncrementalMetrics` for a
+degradation snapshot after every event and a full traffic evaluation at
+every epoch.  It maintains components by scoped re-sweeps and routes epochs
+through the shared content-hash caches.  The parity suite passes the
+cold-rebuild oracle (``tests/oracles/lifecycle.py``) as ``metrics_class``
+instead.
 
 Epoch evaluations are the expensive, externally-visible unit, so they get
 the sweep engine's operational treatment: each epoch has a stable scenario
@@ -36,6 +34,7 @@ from repro.lifecycle.events import (
     LifecycleEvent,
     generate_events,
 )
+from repro.lifecycle.metrics import IncrementalMetrics
 from repro.lifecycle.state import LifecycleState
 from repro.testing.chaos import ChaosError, active_plan
 from repro.topologies.base import Topology
@@ -91,7 +90,6 @@ class LifecycleResult:
     """Everything a lifecycle run produced."""
 
     family: str
-    backend: str
     seed: Optional[int]
     config_hash: str
     events_applied: int = 0
@@ -116,7 +114,7 @@ def run_lifecycle(
     plant: Topology,
     config: LifecycleConfig,
     seed: Optional[int] = 0,
-    backend: str = "incremental",
+    metrics_class: type = IncrementalMetrics,
     family: Optional[str] = None,
     completed: Optional[Dict[str, dict]] = None,
     observer: Optional[Observer] = None,
@@ -133,28 +131,21 @@ def run_lifecycle(
     derive from ``(seed, epoch_index)`` alone.  ``observer`` receives one
     :class:`EpochOutcome` per epoch, shaped for
     :meth:`repro.telemetry.manifest.RunRecorder.observe`.
+    ``metrics_class`` is built from the :class:`LifecycleState` and answers
+    ``on_event``, ``snapshot`` and ``epoch``; tests swap in a parity oracle.
     """
-    if backend == "incremental":
-        from repro.lifecycle.metrics import IncrementalMetrics as backend_cls
-    elif backend == "reference":
-        from repro.lifecycle._reference import ColdMetrics as backend_cls
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
 
     family = family if family is not None else plant.name
     started = time.perf_counter()
     state = LifecycleState(plant, config, seed)
-    metrics = backend_cls(state)
+    metrics = metrics_class(state)
     stream = events if events is not None else generate_events(config, seed)
     total_epochs = sum(1 for event in stream if event.kind == EPOCH)
 
     result = LifecycleResult(
-        family=family,
-        backend=backend,
-        seed=seed,
-        config_hash=config.config_hash(),
+        family=family, seed=seed, config_hash=config.config_hash()
     )
     epochs_done = 0
     for event in stream:
@@ -258,7 +249,6 @@ def lifecycle_point(
     num_servers: int = 0,
     build_seed: int = 0,
     seed: Optional[int] = 0,
-    backend: str = "incremental",
     **config_kwargs,
 ) -> dict:
     """Scenario target: run one family's lifecycle, return a JSON-able dict.
@@ -277,10 +267,9 @@ def lifecycle_point(
             "build_seed": build_seed,
         },
     )
-    result = run_lifecycle(plant, config, seed=seed, backend=backend, family=family)
+    result = run_lifecycle(plant, config, seed=seed, family=family)
     return {
         "family": family,
-        "backend": result.backend,
         "config_hash": result.config_hash,
         "events_applied": result.events_applied,
         "failed_epochs": result.failed_epochs,

@@ -4,8 +4,8 @@ A lifecycle applies hundreds to thousands of small topology mutations, and
 after every one the engine records a degradation snapshot (components,
 stranded servers, server-pair availability).  Recomputing that from scratch
 means rebuilding the current topology and relabeling every component per
-event -- the cold-rebuild reference in :mod:`repro.lifecycle._reference`
-does exactly that and exists to be compared against.  This module maintains
+event -- the cold-rebuild oracle in ``tests/oracles/lifecycle.py`` does
+exactly that and exists to be compared against.  This module maintains
 the component structure **incrementally**:
 
 * a link failure triggers one *scoped* BFS inside the touched component,
@@ -176,8 +176,6 @@ class IncrementalMetrics:
     ``adjacency`` mirrors the state's current (alive-only) adjacency.
     Component ids are arbitrary ints -- snapshots never expose them.
     """
-
-    name = "incremental"
 
     def __init__(self, state: LifecycleState):
         self.state = state

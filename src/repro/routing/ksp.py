@@ -5,8 +5,8 @@ plain ECMP does not expose enough path diversity on a random graph.  The
 enumeration runs on the CSR kernel
 (:func:`repro.graphs.csr.k_shortest_path_table`), which runs Yen for every
 pair of a path table in lockstep over integer node ids.  Each spur path is
-the one the historical FIFO spur BFS (kept in :mod:`repro.routing._reference`)
-returns, so results match it path-for-path.
+the one the historical FIFO spur BFS (the oracle in
+``tests/oracles/routing.py``) returns, so results match it path-for-path.
 
 Ties between equal-length candidates are broken by the native node sequence
 (all topologies use int or tuple node ids), which is stable under graph

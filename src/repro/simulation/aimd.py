@@ -35,9 +35,8 @@ the hop slices, and per-connection demand caps / coupled-increase totals
 via ``np.bincount`` over the subflow->connection map (a segmented sum that
 accumulates in subflow order, which is what keeps the results bit-identical
 to the scalar reference).  No Python-level per-subflow work happens inside
-the round loop.  The scalar implementation is retained as
-:func:`repro.simulation._reference.simulate_aimd_reference` and pinned by
-the hypothesis parity suite in ``tests/test_aimd_parity.py``.
+the round loop.  The hypothesis parity suite in ``tests/test_aimd_parity.py``
+pins it against the scalar implementation (``tests/oracles/simulation.py``).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Zero-dependency observability for the simulator, in four pieces:
 - :mod:`repro.telemetry.tracer` -- :func:`trace` spans with domain counters,
   an in-process ring buffer, and an optional JSONL event log.  Compiles to
   no-ops when disabled (the default), so instrumented kernels keep their
-  benchmarked speed and bit-identical parity with the ``_reference``
-  implementations.
+  benchmarked speed and bit-identical parity with the oracles in
+  ``tests/oracles``.
 - :mod:`repro.telemetry.manifest` -- :class:`RunRecord` manifests persisted
   beside the result cache: git rev, seed, spec hashes, per-point
   duration / cache status / peak RSS / worker id.
@@ -33,7 +33,6 @@ from repro.telemetry.manifest import (
     manifest_path,
     write_manifest,
 )
-from repro.telemetry.timing import best_of, stopwatch, time_call, timed_best_of
 from repro.telemetry.tracer import (
     NULL_SPAN,
     Span,
@@ -58,7 +57,6 @@ __all__ = [
     "Span",
     "TRACE_ENV",
     "Tracer",
-    "best_of",
     "clock",
     "configure_logging",
     "count",
@@ -74,10 +72,7 @@ __all__ = [
     "load_manifest",
     "load_manifests",
     "manifest_path",
-    "stopwatch",
     "summarize_events",
-    "time_call",
-    "timed_best_of",
     "trace",
     "write_manifest",
 ]

@@ -43,8 +43,8 @@ Span records are plain dicts (JSON-ready)::
      "depth": 1, "parent": 2, "self_s": 0.0039,
      "counters": {"rounds": 17, "subflows": 240}, "pid": 12345}
 
-``t`` is seconds since the tracer was created (one ``perf_counter`` clock
-path shared with :mod:`repro.telemetry.timing`); ``parent`` is the ``i`` of
+``t`` is seconds since the tracer was created (on :data:`clock`, which the
+benchmark scripts' timing also reads); ``parent`` is the ``i`` of
 the enclosing span in the same process or ``None`` for roots; ``self_s``
 is ``dur_s`` minus the cumulative duration of direct children, which is
 what ``repro stats`` aggregates as per-phase self time.

@@ -1,4 +1,4 @@
-"""Deterministic test harnesses for the scenario engine.
+"""Deterministic fault injection for the scenario engine.
 
 :mod:`repro.testing.chaos` is the fault-injection harness the robustness
 suite (``tests/test_runner_faults.py``) and the CI chaos-smoke job use to
@@ -7,9 +7,9 @@ exceptions and torn cache writes, injected on a deterministic schedule via
 the ``REPRO_FAULTS`` environment variable so ``multiprocessing`` pool
 workers inherit the plan with no extra plumbing.
 
-:mod:`repro.testing.targets` ships tiny scenario targets (importable by
-dotted path from worker processes) for exercising the engine without the
-cost of real experiments.
+It stays in the installed package because the runner and the lifecycle
+engine read ``REPRO_FAULTS`` in production.  The tiny scenario targets the
+engine tests run live outside it, in ``tests/oracles/targets.py``.
 
 See ``docs/robustness.md`` for the fault-plan spec format.
 """

@@ -8,7 +8,7 @@ from repro.topologies.degree_diameter import (
     optimized_low_diameter_graph,
     petersen_graph,
 )
-from repro.topologies.ensemble import EnsembleSpec, build_ensemble, ensemble_summary
+from repro.topologies.ensemble import EnsembleSpec
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.topologies.swdc import SmallWorldTopology
@@ -18,8 +18,6 @@ __all__ = [
     "TopologyCore",
     "TopologyError",
     "EnsembleSpec",
-    "build_ensemble",
-    "ensemble_summary",
     "LeafSpineTopology",
     "FatTreeTopology",
     "JellyfishTopology",

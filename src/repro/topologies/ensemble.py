@@ -12,16 +12,19 @@ This module generates those batches array-natively:
   spawned (:func:`repro.utils.rng.spawn_seeds`, so instance ``i`` is
   reproducible without building ``0..i-1``... the whole list derives from
   the base seed).
-* :func:`generate_cores` / :func:`build_ensemble` produce
+* :func:`generate_cores` produces
   :class:`~repro.topologies.core.TopologyCore` instances (no ``networkx``
   graph is ever materialized) through
   :func:`~repro.topologies.jellyfish.rrg_core`, the same build
-  :meth:`JellyfishTopology.build` runs, so a serial batch and its sharded
-  scenario points build identical instances.
-* :func:`ensemble_summary` aggregates per-instance structural metrics.
-* ``ensemble_*_point`` functions are picklable scenario targets, so
-  ensemble sweeps shard across worker processes through the existing
-  :class:`~repro.engine.runner.SweepRunner` like any other experiment.
+  :meth:`JellyfishTopology.build` runs, so a serial batch and its scenario
+  points build identical instances.
+* :func:`ensemble_point_specs` turns a batch into one scenario point per
+  instance, and :func:`summarize_instance_metrics` aggregates the points'
+  structural metrics.
+* ``ensemble_*_point`` / ``ensemble_instance_metrics`` are picklable
+  scenario targets, so ensemble sweeps run serially or shard across worker
+  processes through :class:`~repro.engine.runner.SweepRunner` like any
+  other experiment.
 """
 
 from __future__ import annotations
@@ -122,14 +125,6 @@ def generate_cores(spec: EnsembleSpec) -> Iterator[Tuple[int, TopologyCore]]:
         yield instance_seed, spec.build_core(instance_seed)
 
 
-def build_ensemble(spec: EnsembleSpec) -> List[JellyfishTopology]:
-    """Materialize the batch as (lazy, core-backed) Jellyfish topologies."""
-    return [
-        JellyfishTopology.from_core(core, name=f"jellyfish-ens-{index}")
-        for index, (_, core) in enumerate(generate_cores(spec))
-    ]
-
-
 def _structural_metrics(topology: JellyfishTopology) -> dict:
     """Per-instance metric dict (shape shared with the scenario target)."""
     connected = topology.is_connected()
@@ -167,24 +162,14 @@ def summarize_instance_metrics(metrics: List[dict]) -> dict:
     }
 
 
-def ensemble_summary(spec: EnsembleSpec) -> dict:
-    """Structural statistics over the whole batch (serial)."""
-    return summarize_instance_metrics(
-        [
-            _structural_metrics(JellyfishTopology.from_core(core))
-            for _, core in generate_cores(spec)
-        ]
-    )
-
-
 def ensemble_point_specs(spec: EnsembleSpec) -> list:
     """One :class:`~repro.engine.spec.ScenarioSpec` per instance.
 
     Each point carries its spawned instance seed explicitly (``shared``
-    strategy), so running the specs through a sharded
-    :class:`~repro.engine.runner.SweepRunner` computes exactly the
-    instances :func:`generate_cores` would build serially -- and caches
-    them content-addressed like any other scenario point.
+    strategy), so running the specs through a
+    :class:`~repro.engine.runner.SweepRunner`, serial or sharded, computes
+    exactly the instances :func:`generate_cores` builds -- and caches them
+    content-addressed like any other scenario point.
     """
     from repro.engine.spec import ScenarioSpec
 

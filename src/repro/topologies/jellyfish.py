@@ -15,9 +15,8 @@ lazily (bit-identical to the historical eager construction, including
 adjacency insertion order).
 Incremental expansion maintains the set of splice-eligible links in a
 rank-selectable structure instead of rebuilding an O(E) candidate list per
-splice; the historical quadratic loop is retained as
-:meth:`JellyfishTopology._add_switch_reference` and pinned by the parity
-suite in ``tests/test_topology_core.py``.
+splice; the parity suite in ``tests/test_topology_core.py`` pins it draw for
+draw against the historical quadratic loop (``tests/oracles/topologies.py``).
 """
 
 from __future__ import annotations
@@ -308,49 +307,6 @@ class JellyfishTopology(Topology):
                 candidates.remove_incident_to(w)
         if validate:
             self.validate()
-
-    def _add_switch_reference(
-        self,
-        switch: Hashable,
-        ports: int,
-        servers: int = 0,
-        rng: RngLike = None,
-    ) -> None:
-        """Historical quadratic splice loop (parity reference; do not modify).
-
-        Rebuilds the full eligible-link list from ``graph.edges`` on every
-        iteration.  Kept so the parity suite and the topology benchmarks can
-        pin :meth:`add_switch` against the original draw-for-draw.
-        """
-        require_integer(ports, "ports")
-        require_integer(servers, "servers")
-        if switch in self.graph:
-            raise TopologyError(f"switch {switch!r} already exists")
-        if servers < 0 or servers > ports:
-            raise TopologyError("servers must be between 0 and ports")
-        rand = ensure_rng(rng)
-
-        graph = self.graph
-        self._core = None
-        graph.add_node(switch)
-        self.ports[switch] = ports
-        self.servers[switch] = servers
-
-        while self.free_ports(switch) >= 2:
-            candidates = [
-                (v, w)
-                for v, w in graph.edges
-                if switch not in (v, w)
-                and not graph.has_edge(switch, v)
-                and not graph.has_edge(switch, w)
-            ]
-            if not candidates:
-                break
-            v, w = candidates[rand.randrange(len(candidates))]
-            graph.remove_edge(v, w)
-            graph.add_edge(switch, v)
-            graph.add_edge(switch, w)
-        self.validate()
 
     def add_rack(
         self,

@@ -1,8 +1,8 @@
 """Cold-rebuild reference backend for the lifecycle engine.
 
 The semantic pin for :class:`~repro.lifecycle.metrics.IncrementalMetrics`,
-in the same spirit as :mod:`repro.flow._reference` and
-:mod:`repro.simulation._reference`: after **every** event it materializes
+in the same spirit as :mod:`oracles.flow` and
+:mod:`oracles.simulation`: after **every** event it materializes
 the current topology from scratch and runs a full CSR component labeling,
 and before **every** epoch it clears the shared path / capacity / CSR
 caches so routing is recomputed cold.  Nothing is carried between events,
@@ -13,7 +13,8 @@ Snapshots and epoch evaluations go through the *same* arithmetic as the
 incremental backend (:func:`~repro.lifecycle.metrics.component_summary`,
 :func:`~repro.lifecycle.metrics.evaluate_epoch`), so the parity suite can
 require identical metric trajectories, float for float, not merely close
-ones.  Production code never imports this module.
+ones.  Tests pass it to :func:`~repro.lifecycle.engine.run_lifecycle` as
+``metrics_class``; production code never imports this module.
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ The only deliberate delta from the historical code is the candidate
 tiebreak: it compares native node tuples instead of stringified nodes (the
 old key ordered node ``10`` before node ``2``), matching the fix applied to
 the production implementation.
+
+:func:`bfs_distances`, the per-source dict BFS, used to live in
+:mod:`repro.graphs.properties`; only this module and its tests call it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,24 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 import networkx as nx
 
 Path = Tuple[Hashable, ...]
+
+
+def bfs_distances(graph: nx.Graph, source) -> Dict:
+    """Hop distances from ``source`` to every reachable node (including itself).
+
+    Pure-Python reference implementation; the batched CSR kernel is used for
+    anything performance-sensitive, and the parity suite pins the two
+    against each other.
+    """
+    distances = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neighbor in graph.neighbors(node):
+            if neighbor not in distances:
+                distances[neighbor] = distances[node] + 1
+                queue.append(neighbor)
+    return distances
 
 
 def bfs_shortest_path_reference(
@@ -101,7 +122,5 @@ def k_shortest_paths_reference(
 
 def all_pairs_hop_distances_reference(graph: nx.Graph, sources=None) -> Dict:
     """Per-source dict BFS sweep exactly as the pre-CSR implementation ran it."""
-    from repro.graphs.properties import bfs_distances
-
     wanted = list(graph.nodes) if sources is None else list(sources)
     return {source: bfs_distances(graph, source) for source in wanted}

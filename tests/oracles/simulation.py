@@ -1,8 +1,8 @@
 """Scalar reference for the round-based AIMD simulator.
 
 This is the dict-of-links round loop that :mod:`repro.simulation.aimd`
-vectorized, retained -- like :mod:`repro.flow._reference` and
-:mod:`repro.routing._reference` -- as the semantic pin for the parity suite
+vectorized, retained -- like :mod:`oracles.flow` and
+:mod:`oracles.routing` -- as the semantic pin for the parity suite
 (``tests/test_aimd_parity.py``) and the benchmark trajectory
 (``benchmarks/record_sim.py``).  It is never imported by production code
 paths.

@@ -1,9 +1,10 @@
 """Tiny scenario targets for engine tests (importable from worker processes).
 
 Real experiments cost seconds per point; the robustness suite needs dozens
-of points per test, so these targets do trivial, deterministic work.  They
-live inside the installed package (not under ``tests/``) so
-``resolve_target`` can import them by dotted path in spawned workers.
+of points per test, so these targets do trivial, deterministic work.
+``resolve_target`` imports them by dotted path (``oracles.targets:echo_point``);
+``SweepRunner`` workers inherit the parent's ``sys.path``, so they find them
+too.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Parity suite for the vectorized AIMD round engine (repro.simulation.aimd).
 
 Pins the array-native engine bit-for-bit against the retained scalar
-reference (:mod:`repro.simulation._reference`) across routing schemes
+reference (:mod:`oracles.simulation`) across routing schemes
 (ksp/ecmp), congestion controls (tcp1/tcp8/mptcp), same-rack demands and
 zero-demand corners: throughputs, per-round traces and the convergence
 measurement must match exactly (the kernel's ``np.bincount`` segmented sums
@@ -14,13 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.simulation._reference import simulate_aimd_reference
 from repro.simulation.aimd import AimdConfig, measure_convergence_round, simulate_aimd
 from repro.memo import clear_memos
 from repro.simulation.capacity import link_capacities
 from repro.topologies.clos import LeafSpineTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import Demand, TrafficMatrix, random_permutation_traffic
+
+from oracles.simulation import simulate_aimd_reference
 
 COMMON_SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]

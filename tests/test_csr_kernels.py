@@ -1,7 +1,7 @@
 """Parity suite for the CSR graph kernels (repro.graphs.csr).
 
 Pins the array-native kernels against networkx and the retained pre-CSR
-pure-Python implementations (:mod:`repro.routing._reference`):
+pure-Python implementations (:mod:`oracles.routing`):
 
 * batched bitset BFS vs ``nx.single_source_shortest_path_length``
 * CSR-native Yen vs the historical ``k_shortest_paths`` (path-for-path)
@@ -26,11 +26,12 @@ from repro.graphs.csr import (
 )
 from repro.graphs.regular import sequential_random_regular_graph
 from repro.resources import ExecutionProfile, activate_profile
-from repro.routing._reference import k_shortest_paths_reference
 from repro.routing.ecmp import all_shortest_paths
 from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
+
+from oracles.routing import k_shortest_paths_reference
 
 COMMON_SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]

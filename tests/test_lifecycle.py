@@ -14,6 +14,7 @@ from repro.lifecycle import (
     LINK_FAIL,
     LINK_REPAIR,
     SWITCH_FAIL,
+    IncrementalMetrics,
     LifecycleConfig,
     LifecycleEvent,
     epoch_hash,
@@ -22,6 +23,8 @@ from repro.lifecycle import (
     run_lifecycle,
 )
 from repro.topologies.jellyfish import JellyfishTopology
+
+from oracles.lifecycle import ColdMetrics
 
 FAST = dict(
     duration_hours=72.0,
@@ -147,7 +150,7 @@ class TestBackendParity:
         config = LifecycleConfig(**{**FAST, "traffic": traffic_mode})
         incremental = run_lifecycle(small_plant(), config, seed=11)
         reference = run_lifecycle(
-            small_plant(), config, seed=11, backend="reference"
+            small_plant(), config, seed=11, metrics_class=ColdMetrics
         )
         assert incremental.event_log == reference.event_log
         assert incremental.epochs == reference.epochs
@@ -164,15 +167,19 @@ class TestBackendParity:
         )
         incremental = run_lifecycle(small_plant(), config, seed=5)
         reference = run_lifecycle(
-            small_plant(), config, seed=5, backend="reference"
+            small_plant(), config, seed=5, metrics_class=ColdMetrics
         )
         assert incremental.epochs == reference.epochs
         # Expansion actually grew the plant over the run.
         switches = [record["switches"] for record in incremental.event_log]
         assert max(switches) > small_plant().num_switches
 
-    @pytest.mark.parametrize("backend", ["incremental", "reference"])
-    def test_losing_every_switch_degrades_to_zero(self, backend):
+    @pytest.mark.parametrize(
+        "metrics_class",
+        [IncrementalMetrics, ColdMetrics],
+        ids=["incremental", "reference"],
+    )
+    def test_losing_every_switch_degrades_to_zero(self, metrics_class):
         plant = small_plant()
         config = LifecycleConfig(**FAST)
         events = [
@@ -181,7 +188,7 @@ class TestBackendParity:
         ]
         events.append(LifecycleEvent(float(plant.num_switches), EPOCH, 0))
         result = run_lifecycle(
-            plant, config, seed=0, backend=backend, events=events
+            plant, config, seed=0, metrics_class=metrics_class, events=events
         )
         assert result.events_applied == plant.num_switches + 1
         final = result.epochs[-1]

@@ -14,6 +14,15 @@ from repro.graphs.bisection import bollobas_bisection_lower_bound, cut_size
 from repro.graphs.properties import average_path_length, diameter, path_length_distribution
 from repro.graphs.regular import is_regular, sequential_random_regular_graph
 from repro.routing.ksp import k_shortest_paths
+from repro.routing.paths import build_path_set
+from repro.simulation.capacity import link_capacities
+from repro.simulation.fluid import (
+    MPTCP,
+    TCP_EIGHT_FLOWS,
+    TCP_ONE_FLOW,
+    SimulationConfig,
+    simulate_fluid,
+)
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.stats import jains_fairness_index, percentile
@@ -173,6 +182,11 @@ def _jellyfish_with_permutation(params):
     return topology, random_permutation_traffic(topology, rng=seed + 1)
 
 
+def _ksp_path_set(topology, traffic, k):
+    pairs = [(demand.source_switch, demand.destination_switch) for demand in traffic]
+    return build_path_set(topology.graph, pairs, scheme="ksp", k=k)
+
+
 class TestLpInvariants:
     """Solver-independent invariants of the max-concurrent-flow LPs.
 
@@ -193,6 +207,51 @@ class TestLpInvariants:
         path_theta = max_concurrent_flow_path_lp(topology, traffic, k=k)
         edge_theta = max_concurrent_flow_edge_lp(topology, traffic)
         assert path_theta <= edge_theta + 1e-9
+
+    @COMMON_SETTINGS
+    @given(lp_instance_params(), st.sampled_from([1, 2, 4, 8]))
+    def test_max_min_never_exceeds_path_lp(self, params, k):
+        # Any allocation over a path set, summed per switch pair, is feasible
+        # for the path LP over the same paths, and the path LP maximizes the
+        # smallest rate / demand ratio.
+        topology, traffic = _jellyfish_with_permutation(params)
+        assume(topology.is_connected())
+        path_set = _ksp_path_set(topology, traffic, k)
+        flows = []
+        for index, demand in enumerate(traffic):
+            pair = (demand.source_switch, demand.destination_switch)
+            paths = path_set[pair] if pair[0] != pair[1] else [(pair[0],)]
+            flows.append(
+                FlowSpec(
+                    flow_id=index,
+                    paths=paths,
+                    demand=demand.rate,
+                    subflow_caps=[demand.rate] * len(paths),
+                )
+            )
+        allocation = max_min_fair_allocation(flows, link_capacities(topology))
+        smallest = min(allocation.flow_rates[f.flow_id] / f.demand for f in flows)
+        theta = max_concurrent_flow_path_lp(topology, traffic, path_set=path_set)
+        assert smallest <= theta + 1e-7
+
+    @COMMON_SETTINGS
+    @given(
+        lp_instance_params(),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([TCP_ONE_FLOW, TCP_EIGHT_FLOWS, MPTCP]),
+    )
+    def test_fluid_model_never_exceeds_path_lp(self, params, k, congestion_control):
+        # The fluid model routes every flow over the same path set, so its
+        # allocation is one more feasible point of the path LP.
+        topology, traffic = _jellyfish_with_permutation(params)
+        assume(topology.is_connected())
+        path_set = _ksp_path_set(topology, traffic, k)
+        config = SimulationConfig(k=k, congestion_control=congestion_control)
+        result = simulate_fluid(
+            topology, traffic, config, rng=params[3], path_set=path_set
+        )
+        theta = max_concurrent_flow_path_lp(topology, traffic, path_set=path_set)
+        assert min(result.flow_throughputs) <= theta + 1e-7
 
     @COMMON_SETTINGS
     @given(lp_instance_params(), st.integers(min_value=0, max_value=2**16))

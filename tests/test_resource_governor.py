@@ -31,9 +31,9 @@ from repro.resources import (
     profile_for_level,
 )
 
-ECHO = "repro.testing.targets:echo_point"
-PROFILE = "repro.testing.targets:profile_point"
-HUNGRY = "repro.testing.targets:hungry_point"
+ECHO = "oracles.targets:echo_point"
+PROFILE = "oracles.targets:profile_point"
+HUNGRY = "oracles.targets:hungry_point"
 
 #: Fast retry schedule so fault tests don't sleep their way to minutes.
 FAST = {"backoff_base_s": 0.01, "backoff_cap_s": 0.05}

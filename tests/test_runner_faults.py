@@ -25,7 +25,7 @@ from repro.engine.runner import (
 from repro.engine.spec import ScenarioSpec, expand
 from repro.testing.chaos import ChaosError, FaultPlan, FaultRule, active_plan
 
-ECHO = "repro.testing.targets:echo_point"
+ECHO = "oracles.targets:echo_point"
 
 #: Fast retry schedule so fault tests don't sleep their way to minutes.
 FAST = {"backoff_base_s": 0.01, "backoff_cap_s": 0.05}

@@ -7,7 +7,6 @@ import pytest
 from repro.flow.maxmin import FlowSpec
 from repro.flow.throughput import normalized_throughput
 from repro.routing.paths import PathSet, build_path_set
-from repro.simulation._reference import _build_subflows_reference
 from repro.simulation.aimd import AimdConfig
 from repro.simulation.fluid import (
     MPTCP,
@@ -20,6 +19,8 @@ from repro.simulation.fluid import (
     simulate_fluid,
 )
 from repro.traffic.matrices import Demand, TrafficMatrix, random_permutation_traffic
+
+from oracles.simulation import _build_subflows_reference
 
 
 class TestConfigValidation:

@@ -4,7 +4,7 @@ Covers the tracer's span nesting and disabled-mode no-op contract, the
 JSONL event sink, run-manifest round-trips through the ``repro stats``
 CLI, cache counters under the sharded multiprocessing runner, and -- the
 load-bearing guarantee -- that instrumented kernels stay bit-identical to
-their retained ``_reference`` implementations while tracing is active.
+their parity oracles (``tests/oracles``) while tracing is active.
 """
 
 import json
@@ -33,7 +33,6 @@ from repro.telemetry.report import (
     render_stats,
     span_coverage,
 )
-from repro.telemetry.timing import best_of, timed_best_of
 from repro.telemetry.tracer import (
     NULL_SPAN,
     count,
@@ -138,34 +137,6 @@ class TestSpans:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert proc.stdout.strip() == "True", proc.stderr
-
-
-class TestTiming:
-    def test_best_of_returns_minimum(self):
-        calls = []
-        assert best_of(lambda: calls.append(1), 3) >= 0.0
-        assert len(calls) == 3
-
-    def test_best_of_runs_setup_outside_timed_region(self):
-        order = []
-        best_of(lambda: order.append("run"), 2, setup=lambda: order.append("setup"))
-        assert order == ["setup", "run", "setup", "run"]
-
-    def test_best_of_emits_span_when_tracing(self):
-        tracer = enable()
-        best_of(lambda: None, 2, label="probe")
-        (event,) = [e for e in tracer.events if e["name"] == "bench.best_of"]
-        assert event["counters"]["label"] == "probe"
-        assert event["counters"]["repeats"] == 2
-
-    def test_timed_best_of_returns_last_value(self):
-        values = iter([10, 20])
-        best, value = timed_best_of(lambda: next(values), 2)
-        assert value == 20 and best >= 0.0
-
-    def test_repeats_must_be_positive(self):
-        with pytest.raises(ValueError):
-            best_of(lambda: None, 0)
 
 
 class TestLogging:
@@ -311,7 +282,7 @@ class TestInstrumentedParity:
     """Tracing ON must not perturb kernel results (bit-identical parity)."""
 
     def test_maxmin_matches_reference_with_tracing_enabled(self):
-        from repro.flow._reference import max_min_fair_allocation_reference
+        from oracles.flow import max_min_fair_allocation_reference
         from repro.flow.maxmin import FlowSpec, max_min_fair_allocation
 
         flows = [
@@ -330,7 +301,7 @@ class TestInstrumentedParity:
         assert event["counters"]["saturation_rounds"] >= 1
 
     def test_aimd_matches_reference_with_tracing_enabled(self, small_jellyfish):
-        from repro.simulation._reference import simulate_aimd_reference
+        from oracles.simulation import simulate_aimd_reference
         from repro.simulation.aimd import AimdConfig, simulate_aimd
 
         config = AimdConfig(rounds=60, warmup_rounds=10)
@@ -346,7 +317,7 @@ class TestInstrumentedParity:
 
     def test_bfs_and_yen_match_reference_with_tracing_enabled(self, small_jellyfish):
         from repro.graphs.csr import batched_hop_distances, clear_csr_cache
-        from repro.routing._reference import (
+        from oracles.routing import (
             all_pairs_hop_distances_reference,
             k_shortest_paths_reference,
         )
@@ -524,7 +495,7 @@ class TestRecorderRobustness:
         points = expand(
             [
                 ScenarioSpec.grid(
-                    "repro.testing.targets:echo_point",
+                    "oracles.targets:echo_point",
                     seed=0,
                     seed_strategy="derived",
                     x=[1, 2, 3],

@@ -5,7 +5,7 @@ expansion and the mask-based failure injection bit-identical (same seed ->
 same edge set, same adjacency insertion order, same rng end state) to the
 retained reference implementations:
 
-* fast sequential RRG vs :mod:`repro.graphs._reference` (hypothesis);
+* fast sequential RRG vs :mod:`oracles.graphs` (hypothesis);
 * fast degree-budget construction vs its reference, heterogeneous budgets
   and disconnection corners included;
 * vectorized stub matching vs its scalar reference;
@@ -34,11 +34,6 @@ from repro.failures.injection import (
     link_failure_mask,
     switch_failure_mask,
 )
-from repro.graphs._reference import (
-    random_graph_with_degree_budget_reference,
-    sequential_random_regular_graph_reference,
-    stub_matching_regular_graph_reference,
-)
 from repro.graphs.csr import CSRGraph, csr_graph
 from repro.graphs.regular import (
     graph_from_rows,
@@ -50,13 +45,19 @@ from repro.topologies.base import Topology, TopologyError
 from repro.topologies.core import TopologyCore
 from repro.topologies.ensemble import (
     EnsembleSpec,
-    build_ensemble,
+    _structural_metrics,
     ensemble_point_specs,
-    ensemble_summary,
     generate_cores,
     summarize_instance_metrics,
 )
 from repro.topologies.jellyfish import JellyfishTopology
+
+from oracles.graphs import (
+    random_graph_with_degree_budget_reference,
+    sequential_random_regular_graph_reference,
+    stub_matching_regular_graph_reference,
+)
+from oracles.topologies import add_switch_reference
 
 COMMON_SETTINGS = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -187,7 +188,7 @@ class TestAddSwitchParity:
         fast_rng = random.Random(splice_seed)
         reference_rng = random.Random(splice_seed)
         fast.add_switch("new", 7, servers=servers, rng=fast_rng)
-        reference._add_switch_reference("new", 7, servers=servers, rng=reference_rng)
+        add_switch_reference(reference, "new", 7, servers=servers, rng=reference_rng)
         assert_same_graph(fast.graph, reference.graph)
         assert fast_rng.random() == reference_rng.random()
 
@@ -434,6 +435,14 @@ class TestTrafficArrays:
             traffic.demands[0].rate = 99.0
 
 
+def _serial_metrics(spec: EnsembleSpec) -> list:
+    """Per-instance structural metrics of the cores :func:`generate_cores` builds."""
+    return [
+        _structural_metrics(JellyfishTopology.from_core(core))
+        for _, core in generate_cores(spec)
+    ]
+
+
 class TestEnsembles:
     def test_instances_are_distinct_and_reproducible(self):
         spec = EnsembleSpec(
@@ -459,16 +468,6 @@ class TestEnsembles:
             c.content_hash for _, c in generate_cores(stubs)
         ]
 
-    def test_build_ensemble_yields_lazy_topologies(self):
-        spec = EnsembleSpec(
-            num_instances=4, num_switches=16, ports_per_switch=6,
-            network_degree=3, method="stubs", seed=2,
-        )
-        topologies = build_ensemble(spec)
-        assert len(topologies) == 4
-        assert all(not t.has_materialized_graph for t in topologies)
-        assert all(t.num_servers == 16 * 3 for t in topologies)
-
     def test_sharded_points_match_serial_summary(self):
         from repro.engine.runner import SweepRunner
         from repro.engine.spec import expand
@@ -477,9 +476,9 @@ class TestEnsembles:
             num_instances=5, num_switches=14, ports_per_switch=6,
             network_degree=3, seed=4,
         )
-        serial = ensemble_summary(spec)
+        serial = _serial_metrics(spec)
         values = SweepRunner().run_values(expand(ensemble_point_specs(spec)))
-        assert summarize_instance_metrics(values) == serial
+        assert values == serial
 
     @pytest.mark.parametrize("method", ["stubs", "pairing", "networkx"])
     def test_sharded_points_match_serial_summary_for_every_method(self, method):
@@ -492,10 +491,10 @@ class TestEnsembles:
             num_instances=4, num_switches=16, ports_per_switch=6,
             network_degree=3, method=method, seed=8,
         )
-        serial = ensemble_summary(spec)
+        serial = _serial_metrics(spec)
         values = SweepRunner().run_values(expand(ensemble_point_specs(spec)))
-        assert summarize_instance_metrics(values) == serial
-        assert serial["distinct_hashes"] == 4
+        assert values == serial
+        assert summarize_instance_metrics(serial)["distinct_hashes"] == 4
 
     def test_ablation_methods_build_serially_too(self):
         # pairing/networkx have no rows-native path; the serial generator
@@ -504,7 +503,7 @@ class TestEnsembles:
             num_instances=2, num_switches=12, ports_per_switch=6,
             network_degree=4, method="pairing", seed=6,
         )
-        summary = ensemble_summary(spec)
+        summary = summarize_instance_metrics(_serial_metrics(spec))
         assert summary["num_instances"] == 2
         assert summary["distinct_hashes"] == 2
 
