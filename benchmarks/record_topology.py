@@ -27,8 +27,8 @@ Cases:
 * ``jellyfish_expand`` -- incremental expansion: quadratic per-splice
   candidate rebuild vs the rank-selectable candidate set.
 * ``ensemble_build_100`` -- a 100-instance ensemble build: per-instance
-  reference loops vs the array-native generator; a second row compares the
-  sequential and stub-matching methods inside the new path.
+  reference loops vs ``rrg_core`` over the spawned instance seeds; a second
+  row compares the sequential and stub-matching methods inside the new path.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from repro.graphs.regular import (
     stub_matching_regular_graph,
     stub_matching_regular_rows,
 )
-from repro.topologies.ensemble import EnsembleSpec, generate_cores
-from repro.topologies.jellyfish import JellyfishTopology
+from repro.topologies.jellyfish import JellyfishTopology, rrg_core
+from repro.utils.rng import spawn_seeds
 
 from oracles.graphs import (
     random_graph_with_degree_budget_reference,
@@ -198,35 +198,21 @@ def _expand_case(num_nodes: int, degree: int, new_switches: int, repeats: int, r
 
 
 def _ensemble_cases(num_instances: int, num_nodes: int, degree: int, ports: int, repeats: int) -> list:
-    spec_sequential = EnsembleSpec(
-        num_instances=num_instances,
-        num_switches=num_nodes,
-        ports_per_switch=ports,
-        network_degree=degree,
-        seed=0,
-    )
-    spec_stubs = EnsembleSpec(
-        num_instances=num_instances,
-        num_switches=num_nodes,
-        ports_per_switch=ports,
-        network_degree=degree,
-        method="stubs",
-        seed=0,
-    )
+    instance_seeds = spawn_seeds(0, num_instances)
 
     def build_reference():
-        for instance_seed in spec_sequential.instance_seeds():
+        for instance_seed in instance_seeds:
             sequential_random_regular_graph_reference(
                 num_nodes, degree, random.Random(instance_seed)
             )
 
     def build_sequential():
-        for _ in generate_cores(spec_sequential):
-            pass
+        for instance_seed in instance_seeds:
+            rrg_core(num_nodes, ports, degree, instance_seed)
 
     def build_stubs():
-        for _ in generate_cores(spec_stubs):
-            pass
+        for instance_seed in instance_seeds:
+            rrg_core(num_nodes, ports, degree, instance_seed, method="stubs")
 
     old_seconds = _best_of(build_reference, 1)
     sequential_seconds = _best_of(build_sequential, repeats)

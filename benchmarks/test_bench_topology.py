@@ -13,8 +13,8 @@ from repro.graphs.regular import (
     sequential_random_regular_graph,
     stub_matching_regular_graph,
 )
-from repro.topologies.ensemble import EnsembleSpec, generate_cores
-from repro.topologies.jellyfish import JellyfishTopology
+from repro.topologies.jellyfish import JellyfishTopology, rrg_core
+from repro.utils.rng import spawn_seeds
 
 from oracles.graphs import (
     sequential_random_regular_graph_reference,
@@ -90,17 +90,13 @@ def test_bench_add_switch_reference(benchmark, expansion_base):
 
 
 def test_bench_ensemble_build_stubs(benchmark):
-    spec = EnsembleSpec(
-        num_instances=20,
-        num_switches=120,
-        ports_per_switch=14,
-        network_degree=11,
-        method="stubs",
-        seed=0,
-    )
+    instance_seeds = spawn_seeds(0, 20)
 
     def build():
-        return [core for _, core in generate_cores(spec)]
+        return [
+            rrg_core(120, 14, 11, instance_seed, method="stubs")
+            for instance_seed in instance_seeds
+        ]
 
     cores = benchmark(build)
     assert len(cores) == 20

@@ -696,24 +696,21 @@ def _topo_ensemble(args: argparse.Namespace) -> int:
     from repro.engine.runner import SweepRunner
     from repro.engine.spec import expand
     from repro.topologies.ensemble import (
-        EnsembleSpec,
         ensemble_point_specs,
         summarize_instance_metrics,
     )
 
-    spec = EnsembleSpec(
-        num_instances=args.instances,
-        num_switches=args.switches,
-        ports_per_switch=args.ports,
-        network_degree=args.degree,
+    specs = ensemble_point_specs(
+        args.instances,
+        args.switches,
+        args.ports,
+        args.degree,
         servers_per_switch=args.servers_per_switch,
         method=args.method,
         seed=args.seed,
     )
     runner = SweepRunner(workers=args.workers)
-    summary = summarize_instance_metrics(
-        runner.run_values(expand(ensemble_point_specs(spec)))
-    )
+    summary = summarize_instance_metrics(runner.run_values(expand(specs)))
     print(
         f"ensemble of {summary['num_instances']} x jellyfish "
         f"N={args.switches} k={args.ports} r={args.degree} "

@@ -1,9 +1,9 @@
 """Fig 8 ensemble variant: failure resilience with per-fraction error bars.
 
 Fig 8 fails one sampled Jellyfish per fraction; this sweep samples
-``num_instances`` equipment-matched instances per failure fraction through
-the vectorized mask-based failure path
-(:func:`repro.failures.injection.fail_random_links_core`) and reports the
+``num_instances`` equipment-matched instances per failure fraction, fails
+each one's links in place
+(:func:`repro.topologies.ensemble.ensemble_failure_point`) and reports the
 mean/std/min of normalized throughput -- the "a failed random graph is just
 another random graph" claim as an ensemble statement.
 """
@@ -72,7 +72,7 @@ def assemble(values: List[Any], scale: str, seed: int) -> ExperimentResult:
             f"Throughput under random link failures over "
             f"{config['num_instances']}-instance ensembles "
             f"(jellyfish {num_servers} servers on {num_switches}x{ports}-port "
-            "switches, mask-based failures)"
+            "switches)"
         ),
         columns=[
             "fraction_links_failed",

@@ -28,11 +28,26 @@ lifecycle engine maintains *incrementally* between failure/repair events
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.properties import csr_component_labels
+
+
+def availability(component_servers: Iterable[int], total_servers: int) -> float:
+    """Fraction of ``total_servers``' pairs that can still exchange traffic.
+
+    ``sum(C(s_c, 2)) / C(total_servers, 2)`` over the components' server
+    counts ``s_c``.  With the healthy plant's server count as the total,
+    servers lost with their failed switches depress availability exactly
+    like stranded ones.  Fewer than two servers means no pairs were ever
+    promised: availability 1.0.
+    """
+    if total_servers < 2:
+        return 1.0
+    pairs = sum(count * (count - 1) // 2 for count in component_servers)
+    return pairs / (total_servers * (total_servers - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -73,23 +88,18 @@ class DegradationReport:
 
     @property
     def server_pair_connectivity(self) -> float:
-        """Fraction of server pairs still connected (the availability metric).
+        """Fraction of server pairs still connected (:func:`availability`).
 
         The denominator is the healthy plant's server-pair count when
         ``baseline_servers`` is set, so servers removed along with failed
         switches count as disconnected; otherwise the current population.
-        An empty denominator reports 1.0 (vacuously available).
         """
         total = (
             self.baseline_servers
             if self.baseline_servers is not None
             else self.num_servers
         )
-        total_pairs = total * (total - 1) // 2
-        if total_pairs == 0:
-            return 1.0
-        connected = sum(s * (s - 1) // 2 for s in self.component_servers)
-        return connected / total_pairs
+        return availability(self.component_servers, total)
 
     def as_dict(self) -> dict:
         return {

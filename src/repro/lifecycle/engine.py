@@ -11,10 +11,11 @@ instead.
 
 Epoch evaluations are the expensive, externally-visible unit, so they get
 the sweep engine's operational treatment: each epoch has a stable scenario
-hash (a pure function of config hash, family label, seed, and epoch
-index), runs under the chaos harness's ``on_execute`` hook with bounded
-retries, and is reported through an observer callback shaped exactly like
-a :class:`~repro.engine.runner.PointOutcome` -- which is what lets
+hash (a pure function of config hash, the plant's content hash, family
+label, seed, and epoch index), runs under the chaos harness's
+``on_execute`` hook with bounded retries, and is reported through an
+observer callback shaped exactly like a
+:class:`~repro.engine.runner.PointOutcome` -- which is what lets
 :class:`~repro.telemetry.manifest.RunRecorder` journal per-epoch records
 and ``repro lifecycle run --resume`` skip already-journaled epochs without
 re-evaluating them (safe because every epoch draws from its own derived
@@ -43,9 +44,17 @@ from repro.topologies.base import Topology
 EPOCH_TARGET = "repro.lifecycle.engine:evaluate_epoch"
 
 
-def epoch_hash(config: LifecycleConfig, family: str, seed, epoch_index: int) -> str:
-    """Stable identity of one epoch evaluation (journal / chaos key)."""
-    payload = f"{config.config_hash()}:{family}:{seed}:epoch:{epoch_index}"
+def epoch_hash(
+    config: LifecycleConfig, plant_hash: str, family: str, seed, epoch_index: int
+) -> str:
+    """Stable identity of one epoch evaluation (journal / chaos key).
+
+    ``plant_hash`` is the plant's ``content_hash()`` before its first event,
+    so a journal written on another plant replays none of its epochs.
+    """
+    payload = (
+        f"{config.config_hash()}:{plant_hash}:{family}:{seed}:epoch:{epoch_index}"
+    )
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
@@ -127,8 +136,9 @@ def run_lifecycle(
     instance.  ``completed`` maps epoch scenario hashes to previously
     journaled epoch records (see
     :func:`repro.telemetry.manifest.load_journal`); matching epochs are
-    **not** re-evaluated, which is safe because epoch traffic and metrics
-    derive from ``(seed, epoch_index)`` alone.  ``observer`` receives one
+    **not** re-evaluated, which is safe because an epoch's record derives
+    from what :func:`epoch_hash` covers: config, plant, seed and epoch
+    index.  ``observer`` receives one
     :class:`EpochOutcome` per epoch, shaped for
     :meth:`repro.telemetry.manifest.RunRecorder.observe`.
     ``metrics_class`` is built from the :class:`LifecycleState` and answers
@@ -138,6 +148,7 @@ def run_lifecycle(
         raise ValueError("max_attempts must be at least 1")
 
     family = family if family is not None else plant.name
+    plant_hash = plant.content_hash()  # expansion changes the plant in place
     started = time.perf_counter()
     state = LifecycleState(plant, config, seed)
     metrics = metrics_class(state)
@@ -159,7 +170,7 @@ def run_lifecycle(
         if event.kind != EPOCH:
             continue
 
-        scenario = epoch_hash(config, family, seed, event.key)
+        scenario = epoch_hash(config, plant_hash, family, seed, event.key)
         record: Optional[dict] = None
         cached = False
         status = "ok"

@@ -22,7 +22,8 @@ Epoch evaluations route through the content-hash-keyed shared path/capacity
 caches, so a lifecycle that revisits a state (fail + repair is a round
 trip) prices the revisit at a cache hit instead of a Yen recomputation.
 Both backends call the same snapshot arithmetic
-(:func:`component_summary` / :func:`availability`) and the same epoch
+(:func:`component_summary`, which takes availability from
+:func:`repro.failures.degradation.availability`) and the same epoch
 kernel (:func:`evaluate_epoch`), which is what the parity suite pins:
 identical trajectories, float for float.
 """
@@ -30,8 +31,9 @@ identical trajectories, float for float.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+from repro.failures.degradation import availability
 from repro.lifecycle.events import LifecycleConfig
 from repro.lifecycle.state import (
     LINK_DOWN,
@@ -48,22 +50,8 @@ from repro.topologies.base import Topology
 from repro.traffic.matrices import random_permutation_traffic
 
 # --------------------------------------------------------------------------- #
-# Shared snapshot arithmetic (both backends call these; parity depends on it)
+# Shared snapshot arithmetic (both backends call it; parity depends on it)
 # --------------------------------------------------------------------------- #
-
-
-def availability(component_servers: Iterable[int], baseline_servers: int) -> float:
-    """Fraction of baseline server pairs that can still exchange traffic.
-
-    ``sum(C(s_c, 2)) / C(baseline, 2)`` over the current components; the
-    baseline is the *plant's* server count, so servers on failed switches
-    depress availability exactly like stranded ones.  Fewer than two
-    baseline servers means no pairs were ever promised: availability 1.0.
-    """
-    if baseline_servers < 2:
-        return 1.0
-    pairs = sum(count * (count - 1) // 2 for count in component_servers)
-    return pairs / (baseline_servers * (baseline_servers - 1) // 2)
 
 
 def component_summary(

@@ -27,13 +27,13 @@ command works on artifacts downloaded from CI just as well as on a local
 from __future__ import annotations
 
 import json
-import math
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.manifest import RunRecord
 from repro.telemetry.tracer import summarize_events
+from repro.utils.stats import percentile
 
 #: Width of the bar column in the flame rendering.
 FLAME_BAR_WIDTH = 30
@@ -57,22 +57,6 @@ def load_events(path: Path) -> List[dict]:
     except OSError:
         return []
     return events
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (``q`` in [0, 100]); NaN when empty."""
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 # --------------------------------------------------------------------------- #
@@ -111,8 +95,8 @@ def experiment_rows(records: Sequence[RunRecord]) -> List[dict]:
                 "failed": failed,
                 "retries": retries,
                 "degraded": degraded,
-                "p50_s": percentile(executed, 50.0),
-                "p95_s": percentile(executed, 95.0),
+                "p50_s": percentile(executed, 50.0) if executed else float("nan"),
+                "p95_s": percentile(executed, 95.0) if executed else float("nan"),
                 "peak_rss_kb": peak_rss,
             }
         )

@@ -8,7 +8,6 @@ from repro.topologies.degree_diameter import (
     optimized_low_diameter_graph,
     petersen_graph,
 )
-from repro.topologies.ensemble import EnsembleSpec
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.topologies.swdc import SmallWorldTopology
@@ -17,7 +16,6 @@ __all__ = [
     "Topology",
     "TopologyCore",
     "TopologyError",
-    "EnsembleSpec",
     "LeafSpineTopology",
     "FatTreeTopology",
     "JellyfishTopology",

@@ -9,7 +9,7 @@ small-world data centers and Clos networks are interchangeable everywhere.
 Internally a topology is backed by either a live ``nx.Graph`` (the
 historical representation, still the construction path for the structured
 baselines) or an array-native :class:`~repro.topologies.core.TopologyCore`
-(the path the random-graph constructors and the ensemble generator use).
+(the path the random-graph constructors use).
 ``Topology.graph`` stays the public API: core-backed topologies materialize
 the graph lazily on first access -- with adjacency insertion order
 bit-identical to the historical construction, and the core's CSR view
@@ -304,13 +304,30 @@ class Topology:
         clone.servers = dict(self.servers)
         return clone
 
+    def edit_graph(self) -> nx.Graph:
+        """The graph, for an in-place change: drops the core it invalidates.
+
+        Every change to a topology goes through here, so :meth:`core`
+        rebuilds from the changed graph, ports and servers.
+        """
+        graph = self.graph
+        self._core = None
+        return graph
+
     def remove_links(self, links: Iterable[Tuple[Hashable, Hashable]]) -> None:
         """Remove the given switch-to-switch links (used by failure injection)."""
-        graph = self.graph
-        self._core = None  # in-place mutation invalidates any derived core
+        graph = self.edit_graph()
         for u, v in links:
             if graph.has_edge(u, v):
                 graph.remove_edge(u, v)
+
+    def remove_switches(self, switches: Iterable[Hashable]) -> None:
+        """Remove switches with their links and attached servers."""
+        graph = self.edit_graph()
+        for switch in switches:
+            graph.remove_node(switch)
+            self.ports.pop(switch, None)
+            self.servers.pop(switch, None)
 
     def attach_servers(self, switch: Hashable, count: int) -> None:
         """Attach ``count`` additional servers to ``switch`` (port budget permitting)."""
@@ -321,11 +338,8 @@ class Topology:
                 f"switch {switch!r} has only {self.free_ports(switch)} free ports, "
                 f"cannot attach {count} servers"
             )
+        self.edit_graph()
         self.servers[switch] = self.servers.get(switch, 0) + count
-        if self._core is not None:
-            self._core.set_servers(
-                self._core.index_of[switch], self.servers[switch]
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

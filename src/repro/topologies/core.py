@@ -3,10 +3,9 @@
 A :class:`TopologyCore` is the columnar representation of a switch-level
 topology: a node-label list, insertion-ordered adjacency rows in index
 space, and aligned ``int32`` port/server vectors.  It is what the
-constructors in :mod:`repro.graphs.regular` produce natively, what the
-ensemble generator batches over, and what bridges straight into the CSR
-kernels (:meth:`TopologyCore.csr`) without ever materializing a
-``networkx`` graph.
+constructors in :mod:`repro.graphs.regular` produce natively and what
+bridges straight into the CSR kernels (:meth:`TopologyCore.csr`) without
+ever materializing a ``networkx`` graph.
 
 Invariants (also documented in ``docs/engine.md``):
 
@@ -23,9 +22,10 @@ Invariants (also documented in ``docs/engine.md``):
   structure (which nodes, which edges, which port/server counts), not on
   construction history or adjacency order, so two cores describing the
   same topology hash identically even when their tie-break orders differ.
-* Mutation happens by replacement (:meth:`without_edges`,
-  :meth:`without_nodes` return new cores); the only sanctioned in-place
-  mutation is :meth:`set_servers`, which drops the memoized hash.
+* A core is built once and then only read.  Every change to a topology is
+  a :class:`~repro.topologies.base.Topology` method that edits the
+  ``networkx`` graph and drops the core; :meth:`Topology.core` derives a
+  fresh one from the changed graph.
 """
 
 from __future__ import annotations
@@ -181,13 +181,6 @@ class TopologyCore:
             index = int(np.flatnonzero(self.servers < 0)[0])
             raise TopologyError(f"negative server count on {self.labels[index]!r}")
 
-    def set_servers(self, index: int, count: int) -> None:
-        """In-place server-count update (invalidates the content hash)."""
-        if count < 0:
-            raise TopologyError(f"negative server count on {self.labels[index]!r}")
-        self.servers[index] = count
-        self._content_hash = None
-
     # ------------------------------------------------------------------ #
     # Edge arrays and derived structures
     # ------------------------------------------------------------------ #
@@ -196,9 +189,7 @@ class TopologyCore:
 
         Edge order and orientation follow ``nx.Graph.edges`` iteration of
         the equivalent graph: ordered by the lower endpoint's index, within
-        a row by adjacency insertion order.  This is the order the
-        mask-based failure injection samples over, matching the historical
-        ``list(graph.edges)`` draw order exactly.
+        a row by adjacency insertion order.
         """
         pairs = [
             (u, v) for u, row in enumerate(self.rows) for v in row if v > u
@@ -206,11 +197,6 @@ class TopologyCore:
         if not pairs:
             return np.empty((0, 2), dtype=np.int32)
         return np.asarray(pairs, dtype=np.int32)
-
-    def directed_arrays(self):
-        """``(sources, targets)`` of every directed adjacency entry."""
-        csr = self.csr()
-        return csr.edge_sources(), csr.indices
 
     def csr(self, build: bool = True) -> Optional[CSRGraph]:
         """The :class:`CSRGraph` view of this core (built once, cached).
@@ -307,85 +293,6 @@ class TopologyCore:
                 digest.update(keys.astype("<i8").tobytes())
             self._content_hash = digest.hexdigest()
         return self._content_hash
-
-    # ------------------------------------------------------------------ #
-    # Mask-based structural edits (used by failure injection / ensembles)
-    # ------------------------------------------------------------------ #
-    def without_edges(self, mask: np.ndarray) -> "TopologyCore":
-        """New core with the masked edges removed (vectorized).
-
-        ``mask`` is boolean over :meth:`edge_array` order.  Surviving
-        adjacency rows keep their original insertion order -- exactly what
-        removing the same edges from the materialized graph would leave --
-        so downstream tie-breaking matches the remove-edge path
-        bit-for-bit.
-        """
-        edges = self.edge_array()
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(edges),):
-            raise ValueError(
-                f"mask length {mask.shape} does not match edge count {len(edges)}"
-            )
-        if not mask.any():
-            return self.copy()
-        n = np.int64(self.num_nodes)
-        csr = self.csr()
-        # Everything below works in CSR index space (the directed arrays'
-        # domain); remap the removed edges there first in case label order
-        # and sorted CSR order differ.
-        to_csr = np.asarray(
-            [csr.index_of[label] for label in self.labels], dtype=np.int64
-        )
-        removed = to_csr[edges[mask].astype(np.int64)]
-        removed_keys = np.minimum(removed[:, 0], removed[:, 1]) * n + np.maximum(
-            removed[:, 0], removed[:, 1]
-        )
-        sources, targets = self.directed_arrays()
-        src = sources.astype(np.int64)
-        dst = targets.astype(np.int64)
-        keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-        keep = ~np.isin(keys, removed_keys)
-        kept_targets = targets[keep]
-        counts = np.bincount(
-            sources[keep], minlength=self.num_nodes
-        ).astype(np.int64)
-        offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        flat = kept_targets.tolist()
-        # CSR node order may differ from label order; map rows back.
-        rows: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        for csr_index in range(self.num_nodes):
-            label = csr.nodes[csr_index]
-            original = self.index_of[label]
-            segment = flat[offsets[csr_index] : offsets[csr_index + 1]]
-            rows[original] = [self.index_of[csr.nodes[j]] for j in segment]
-        return TopologyCore(
-            self.labels, rows, self.ports.copy(), self.servers.copy()
-        )
-
-    def without_nodes(self, node_mask: np.ndarray) -> "TopologyCore":
-        """New core with masked nodes (and their incident edges) removed.
-
-        ``node_mask`` is boolean over label order; surviving labels keep
-        their relative order and surviving rows their adjacency order,
-        matching ``graph.remove_node`` semantics.
-        """
-        node_mask = np.asarray(node_mask, dtype=bool)
-        if node_mask.shape != (self.num_nodes,):
-            raise ValueError("node mask must align with labels")
-        keep = ~node_mask
-        new_index = np.full(self.num_nodes, -1, dtype=np.int64)
-        new_index[keep] = np.arange(int(keep.sum()), dtype=np.int64)
-        labels = [label for label, k in zip(self.labels, keep) if k]
-        remap = new_index.tolist()
-        rows = [
-            [remap[j] for j in self.rows[i] if remap[j] >= 0]
-            for i in range(self.num_nodes)
-            if keep[i]
-        ]
-        return TopologyCore(
-            labels, rows, self.ports[keep].copy(), self.servers[keep].copy()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

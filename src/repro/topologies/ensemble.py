@@ -5,22 +5,17 @@ and Fig 8's failure gracefulness hold for *almost every* random regular
 graph, not one lucky sample -- and the related systems literature (Jyothi et
 al., *High Throughput Data Center Topology Design*; Yu et al., *Space
 Shuffle*) evaluates designs over hundreds of sampled instances per point.
-This module generates those batches array-natively:
+This module generates those batches:
 
-* :class:`EnsembleSpec` declares a batch: instance count, RRG parameters,
-  construction method and a base seed from which per-instance seeds are
-  spawned (:func:`repro.utils.rng.spawn_seeds`, so instance ``i`` is
-  reproducible without building ``0..i-1``... the whole list derives from
-  the base seed).
-* :func:`generate_cores` produces
-  :class:`~repro.topologies.core.TopologyCore` instances (no ``networkx``
-  graph is ever materialized) through
-  :func:`~repro.topologies.jellyfish.rrg_core`, the same build
-  :meth:`JellyfishTopology.build` runs, so a serial batch and its scenario
-  points build identical instances.
-* :func:`ensemble_point_specs` turns a batch into one scenario point per
-  instance, and :func:`summarize_instance_metrics` aggregates the points'
-  structural metrics.
+* :func:`ensemble_point_specs` turns a batch -- instance count, RRG
+  parameters, construction method and a base seed -- into one scenario
+  point per instance.  Per-instance seeds are spawned from the base seed
+  (:func:`repro.utils.rng.spawn_seeds`), and every instance is built by
+  :func:`~repro.topologies.jellyfish.rrg_core`, the one RRG build.
+  :func:`summarize_instance_metrics` aggregates the points' structural
+  metrics.
+* :func:`single_rrg_core` builds one array-native instance for the
+  hyperscale experiments.
 * ``ensemble_*_point`` / ``ensemble_instance_metrics`` are picklable
   scenario targets, so ensemble sweeps run serially or shard across worker
   processes through :class:`~repro.engine.runner.SweepRunner` like any
@@ -30,67 +25,13 @@ This module generates those batches array-natively:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.telemetry import trace
 from repro.topologies.core import TopologyCore
 from repro.topologies.jellyfish import JellyfishTopology, rrg_budget, rrg_core
 from repro.utils.rng import RngLike, ensure_rng, spawn_seeds
 from repro.utils.stats import mean_std
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """A batch of seeded ``RRG(N, k, r)`` instances.
-
-    ``servers_per_switch`` defaults to ``ports_per_switch - network_degree``
-    (every non-network port hosts a server, as in
-    :meth:`JellyfishTopology.build`).
-    """
-
-    num_instances: int
-    num_switches: int
-    ports_per_switch: int
-    network_degree: int
-    servers_per_switch: Optional[int] = None
-    method: str = "sequential"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_instances < 0:
-            raise ValueError("num_instances must be non-negative")
-        self.effective_degree  # rrg_budget raises on a bad port budget
-
-    @property
-    def effective_degree(self) -> int:
-        """Construction degree (one lower when ``N * r`` is odd, as in the paper)."""
-        return rrg_budget(
-            self.num_switches,
-            self.ports_per_switch,
-            self.network_degree,
-            self.servers_per_switch,
-        )[1]
-
-    def instance_seeds(self) -> List[int]:
-        """Per-instance construction seeds spawned from the base seed."""
-        return spawn_seeds(self.seed, self.num_instances)
-
-    def build_core(self, rng: RngLike) -> TopologyCore:
-        """One instance of the batch, traced as ``ensemble.build_core``."""
-        with trace(
-            "ensemble.build_core",
-            switches=self.num_switches,
-            degree=self.effective_degree,
-        ):
-            return rrg_core(
-                self.num_switches,
-                self.ports_per_switch,
-                self.network_degree,
-                rng,
-                servers_per_switch=self.servers_per_switch,
-                method=self.method,
-            )
 
 
 def single_rrg_core(
@@ -106,23 +47,20 @@ def single_rrg_core(
     The single-instance entry point the hyperscale experiments use:
     defaults to the vectorized stub-matching constructor (the only one that
     is practical at 10k-100k switches) and never materializes a
-    ``networkx`` graph.
+    ``networkx`` graph.  Traced as ``ensemble.build_core``.
     """
-    spec = EnsembleSpec(
-        num_instances=1,
-        num_switches=num_switches,
-        ports_per_switch=ports_per_switch,
-        network_degree=network_degree,
-        servers_per_switch=servers_per_switch,
-        method=method,
+    _, degree = rrg_budget(
+        num_switches, ports_per_switch, network_degree, servers_per_switch
     )
-    return spec.build_core(seed)
-
-
-def generate_cores(spec: EnsembleSpec) -> Iterator[Tuple[int, TopologyCore]]:
-    """Yield ``(instance_seed, core)`` pairs for every instance in the batch."""
-    for instance_seed in spec.instance_seeds():
-        yield instance_seed, spec.build_core(instance_seed)
+    with trace("ensemble.build_core", switches=num_switches, degree=degree):
+        return rrg_core(
+            num_switches,
+            ports_per_switch,
+            network_degree,
+            seed,
+            servers_per_switch=servers_per_switch,
+            method=method,
+        )
 
 
 def _structural_metrics(topology: JellyfishTopology) -> dict:
@@ -162,31 +100,43 @@ def summarize_instance_metrics(metrics: List[dict]) -> dict:
     }
 
 
-def ensemble_point_specs(spec: EnsembleSpec) -> list:
-    """One :class:`~repro.engine.spec.ScenarioSpec` per instance.
+def ensemble_point_specs(
+    num_instances: int,
+    num_switches: int,
+    ports_per_switch: int,
+    network_degree: int,
+    servers_per_switch: Optional[int] = None,
+    method: str = "sequential",
+    seed: int = 0,
+) -> list:
+    """One :class:`~repro.engine.spec.ScenarioSpec` per instance of a batch.
 
-    Each point carries its spawned instance seed explicitly (``shared``
-    strategy), so running the specs through a
-    :class:`~repro.engine.runner.SweepRunner`, serial or sharded, computes
-    exactly the instances :func:`generate_cores` builds -- and caches them
-    content-addressed like any other scenario point.
+    The port budget is checked up front (:func:`rrg_budget` raises).  Each
+    point carries its instance seed (``spawn_seeds(seed, num_instances)``)
+    explicitly (``shared`` strategy), so running the specs through a
+    :class:`~repro.engine.runner.SweepRunner`, serial or sharded, builds
+    ``rrg_core(..., instance_seed, ...)`` for every instance -- and caches
+    the points content-addressed like any other scenario point.
     """
     from repro.engine.spec import ScenarioSpec
 
+    if num_instances < 0:
+        raise ValueError("num_instances must be non-negative")
+    rrg_budget(num_switches, ports_per_switch, network_degree, servers_per_switch)
     return [
         ScenarioSpec.grid(
             "repro.topologies.ensemble:ensemble_instance_metrics",
-            name=f"ensemble-{spec.method}-{spec.num_switches}-{index}",
+            name=f"ensemble-{method}-{num_switches}-{index}",
             seed=instance_seed,
             seed_strategy="shared",
-            num_switches=spec.num_switches,
-            ports=spec.ports_per_switch,
-            network_degree=spec.network_degree,
-            servers_per_switch=spec.servers_per_switch,
-            method=spec.method,
+            num_switches=num_switches,
+            ports=ports_per_switch,
+            network_degree=network_degree,
+            servers_per_switch=servers_per_switch,
+            method=method,
             instance=index,
         )
-        for index, instance_seed in enumerate(spec.instance_seeds())
+        for index, instance_seed in enumerate(spawn_seeds(seed, num_instances))
     ]
 
 
@@ -228,29 +178,29 @@ def ensemble_failure_point(
     k: int = 8,
     seed: Optional[int] = None,
 ) -> dict:
-    """Mask-based link failure throughput of one instance (scenario target).
+    """Link failure throughput of one instance (scenario target).
 
-    Builds an equipment-constrained Jellyfish, fails ``fraction`` of its
-    links through the vectorized mask path (no graph copy, no edge-by-edge
-    removal) and evaluates normalized permutation throughput, counting
-    disconnected demand pairs as zero like Fig 8 does.
+    Builds an equipment-constrained Jellyfish, removes ``fraction`` of its
+    links -- the draw :func:`~repro.failures.injection.fail_random_links`
+    makes -- and evaluates normalized permutation throughput, counting
+    disconnected demand pairs as zero like Fig 8 does.  The instance is this
+    point's own, so it is failed in place: a copy would reorder adjacency
+    (as ``nx.Graph.copy`` does) and move routing tie-breaks.
     """
     del instance
-    from repro.failures.injection import fail_random_links_core
+    from repro.failures.injection import sample_failures
     from repro.flow.throughput import degraded_throughput
 
     rng = ensure_rng(seed)
     topology = JellyfishTopology.from_equipment(
         num_switches, ports, num_servers, rng=rng
     )
-    failed_core = fail_random_links_core(topology.core(), fraction, rng)
-    failed = JellyfishTopology.from_core(
-        failed_core, name=f"{topology.name}+{fraction:.0%}-link-failures"
-    )
+    failed_links = sample_failures(topology.graph.edges, fraction, rng)
+    topology.remove_links(failed_links)
     return {
-        "throughput": degraded_throughput(failed, k=k, rng=rng).normalized,
-        "connected": bool(failed.is_connected()),
-        "failed_links": int(topology.core().num_edges - failed_core.num_edges),
+        "throughput": degraded_throughput(topology, k=k, rng=rng).normalized,
+        "connected": bool(topology.is_connected()),
+        "failed_links": len(failed_links),
     }
 
 

@@ -290,8 +290,7 @@ class JellyfishTopology(Topology):
             raise TopologyError("servers must be between 0 and ports")
         rand = ensure_rng(rng)
 
-        graph = self.graph
-        self._core = None  # in-place mutation invalidates derived arrays
+        graph = self.edit_graph()
         graph.add_node(switch)
         self.ports[switch] = ports
         self.servers[switch] = servers

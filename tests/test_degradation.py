@@ -1,7 +1,7 @@
 """Property-based degradation contract: every kernel survives partition.
 
 Hypothesis draws damaged topologies -- a Jellyfish with a random fraction
-of links and switches mask-failed, often partitioned into several
+of links and switches failed, often partitioned into several
 components or stripped of servers -- and asserts the documented contract
 of every layer: structured :class:`DegradationReport` invariants, skip-mode
 routing tables that hold routes for exactly the reachable pairs, and flow /
@@ -20,7 +20,7 @@ from repro.failures.degradation import (
     degradation_report,
     split_reachable_demands,
 )
-from repro.failures.injection import failed_link_topology, failed_switch_topology
+from repro.failures.injection import fail_random_links, fail_random_switches
 from repro.flow.throughput import degraded_throughput
 from repro.routing.paths import build_path_set
 from repro.simulation.aimd import AimdConfig, simulate_aimd
@@ -47,8 +47,8 @@ def damaged_problem(draw):
     switch_fraction = draw(st.floats(min_value=0.0, max_value=0.4))
 
     plant = JellyfishTopology.build(num_switches, ports, degree, rng=seed)
-    damaged = failed_switch_topology(
-        failed_link_topology(plant, link_fraction, rng=seed + 1),
+    damaged = fail_random_switches(
+        fail_random_links(plant, link_fraction, rng=seed + 1),
         switch_fraction,
         rng=seed + 2,
     )
@@ -163,7 +163,7 @@ class TestFlowEnginesUnderPartition:
 class TestTotalLoss:
     def test_every_engine_survives_losing_every_switch(self):
         plant = JellyfishTopology.build(12, 5, 3, rng=0)
-        dead = failed_switch_topology(plant, 1.0, rng=1)
+        dead = fail_random_switches(plant, 1.0, rng=1)
         assert dead.num_switches == 0
         traffic = random_permutation_traffic(dead, rng=2)
         assert not list(traffic)

@@ -4,13 +4,34 @@ import pytest
 
 from repro.failures.injection import (
     fail_random_links,
-    fail_random_links_core,
     fail_random_switches,
-    fail_random_switches_core,
-    link_failure_mask,
-    switch_failure_mask,
     throughput_under_link_failures,
 )
+from repro.topologies.clos import LeafSpineTopology
+from repro.topologies.degree_diameter import DegreeDiameterTopology
+from repro.topologies.fattree import FatTreeTopology
+from repro.topologies.jellyfish import JellyfishTopology
+from repro.topologies.swdc import RING, SmallWorldTopology
+
+
+def trunked_leaf_spine():
+    """4 leaves x 8 servers, 2 spines, each leaf-spine pair a 2-cable trunk."""
+    return LeafSpineTopology.build(4, 2, 8, 12, 8, links_per_pair=2)
+
+
+FAMILIES = {
+    "fattree": lambda: FatTreeTopology.build(4),
+    "jellyfish": lambda: JellyfishTopology.build(16, 6, 4, rng=0),  # core-backed
+    "leaf-spine": trunked_leaf_spine,
+    "swdc": lambda: SmallWorldTopology.build(30, RING, degree=6, rng=7),
+    "degree-diameter": lambda: DegreeDiameterTopology.build(
+        20, 6, 4, rng=0, iterations=10
+    ),
+}
+
+
+def edge_data(topology) -> dict:
+    return {frozenset((u, v)): data for u, v, data in topology.graph.edges(data=True)}
 
 
 class TestFailRandomLinks:
@@ -74,61 +95,26 @@ class TestThroughputUnderFailures:
         assert 0.0 <= series[0][1] <= 1.0
 
 
-class TestMaskInjection:
-    """Edge cases of the mask-based (TopologyCore) failure injection."""
+class TestOneFailurePath:
+    """Failures copy the topology and remove from the copy, for every family."""
 
-    def test_double_injection_is_idempotent(self, small_jellyfish):
-        import numpy as np
+    @pytest.mark.parametrize("fail", [fail_random_links, fail_random_switches])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_zero_fraction_keeps_class_and_edge_data(self, family, fail):
+        topology = FAMILIES[family]()
+        failed = fail(topology, 0.0, rng=1)
+        assert type(failed) is type(topology)
+        assert edge_data(failed) == edge_data(topology)
 
-        core = small_jellyfish.core()
-        mask = link_failure_mask(core.num_edges, 0.25, rng=7)
-        failed = core.without_edges(mask)
-        # Re-applying the *same* failure: none of the masked edges remain,
-        # so the equivalent mask on the failed core is all-False and the
-        # result is content-identical.
-        again = failed.without_edges(np.zeros(failed.num_edges, dtype=bool))
-        assert again.content_hash == failed.content_hash
-        assert again.num_edges == failed.num_edges
+    def test_leaf_spine_trunks_keep_their_capacity(self):
+        topology = trunked_leaf_spine()
+        failed = fail_random_links(topology, 0.25, rng=5)
+        assert isinstance(failed, LeafSpineTopology)
+        assert failed.num_links == topology.num_links - 2
+        assert all(data == {"capacity": 2.0} for data in edge_data(failed).values())
 
-    def test_failing_all_links_of_a_switch_matches_failing_the_switch(
-        self, small_jellyfish
-    ):
-        import numpy as np
-
-        core = small_jellyfish.core()
-        victim = 3
-        node_mask = np.zeros(core.num_nodes, dtype=bool)
-        node_mask[victim] = True
-        switch_failed = core.without_nodes(node_mask)
-
-        edges = core.edge_array()
-        edge_mask = (edges[:, 0] == victim) | (edges[:, 1] == victim)
-        assert edge_mask.any()  # the victim actually had links
-        # Removing every incident link first, then the (now isolated)
-        # switch, must land on the same topology as failing the switch.
-        links_then_switch = core.without_edges(edge_mask).without_nodes(node_mask)
-        assert links_then_switch.content_hash == switch_failed.content_hash
-
-    def test_empty_mask_injection_is_a_noop(self, small_jellyfish):
-        import numpy as np
-
-        core = small_jellyfish.core()
-        no_links = core.without_edges(np.zeros(core.num_edges, dtype=bool))
-        no_nodes = core.without_nodes(np.zeros(core.num_nodes, dtype=bool))
-        assert no_links.content_hash == core.content_hash
-        assert no_nodes.content_hash == core.content_hash
-        assert no_links.num_edges == core.num_edges
-        assert no_nodes.num_nodes == core.num_nodes
-
-    def test_zero_fraction_masks_are_empty_and_identity(self, small_jellyfish):
-        core = small_jellyfish.core()
-        assert not link_failure_mask(core.num_edges, 0.0, rng=1).any()
-        assert not switch_failure_mask(core.num_nodes, 0.0, rng=1).any()
-        assert (
-            fail_random_links_core(core, 0.0, rng=1).content_hash
-            == core.content_hash
+    def test_leaf_spine_throughput_counts_trunk_capacity(self):
+        series = throughput_under_link_failures(
+            trunked_leaf_spine(), [0.0, 0.25], rng=5
         )
-        assert (
-            fail_random_switches_core(core, 0.0, rng=1).content_hash
-            == core.content_hash
-        )
+        assert [value for _, value in series] == pytest.approx([2 / 3, 0.25])

@@ -201,8 +201,9 @@ class TestResumeAndChaos:
     def test_journaled_epochs_are_not_reevaluated(self):
         config = LifecycleConfig(**FAST)
         baseline = run_lifecycle(small_plant(), config, seed=2)
+        plant_hash = small_plant().content_hash()
         completed = {
-            epoch_hash(config, "jellyfish", 2, record["epoch"]): record
+            epoch_hash(config, plant_hash, "jellyfish", 2, record["epoch"]): record
             for record in baseline.epochs[:2]
         }
         outcomes = []
@@ -221,6 +222,36 @@ class TestResumeAndChaos:
         ]
         assert all(outcome.cached for outcome in outcomes[:2])
         assert all(outcome.status == "ok" for outcome in outcomes[2:])
+
+    def test_journal_of_another_plant_replays_no_epoch(self):
+        # Same config, family and seed on a 20- and a 40-switch plant: the
+        # 20-switch journal must not stand in for the 40-switch epochs.
+        config = LifecycleConfig(
+            duration_hours=72.0,
+            epoch_interval_hours=24.0,
+            link_failure_rate=0.3,
+            link_mttr_hours=4.0,
+            routing="ecmp",
+            k=4,
+            congestion_control="tcp1",
+        )
+
+        def run(switches, **kwargs):
+            plant = JellyfishTopology.from_equipment(switches, 6, 30, rng=0)
+            return run_lifecycle(plant, config, seed=3, family="jellyfish", **kwargs)
+
+        journal = {}
+        run(20, observer=lambda done, total, outcome: journal.update(
+            {outcome.point.scenario_hash: outcome.value}
+        ))
+        statuses = []
+        replayed = run(
+            40,
+            completed=journal,
+            observer=lambda done, total, outcome: statuses.append(outcome.status),
+        )
+        assert statuses == ["ok", "ok", "ok"]
+        assert replayed.epochs == run(40).epochs
 
     def test_transient_chaos_error_is_retried(self, monkeypatch):
         config = LifecycleConfig(**FAST)

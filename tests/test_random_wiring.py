@@ -17,9 +17,10 @@ from pathlib import Path
 
 from repro.cabling.containers import build_localized_jellyfish
 from repro.topologies.degree_diameter import DegreeDiameterTopology
-from repro.topologies.ensemble import EnsembleSpec, generate_cores, single_rrg_core
-from repro.topologies.jellyfish import JellyfishTopology
+from repro.topologies.ensemble import single_rrg_core
+from repro.topologies.jellyfish import JellyfishTopology, rrg_core
 from repro.topologies.swdc import HEX_TORUS_3D, RING, TORUS_2D, SmallWorldTopology
+from repro.utils.rng import spawn_seeds
 
 FIXTURE = Path(__file__).parent / "golden" / "random_wiring.json"
 SEEDS = range(10)
@@ -65,8 +66,11 @@ def _jellyfish(num_switches, ports, degree, method):
 
 def _ensemble(num_switches, ports, degree, method):
     def case(seed):
-        spec = EnsembleSpec(3, num_switches, ports, degree, method=method, seed=seed)
-        return [adjacency_digest(core.to_networkx()) for _, core in generate_cores(spec)]
+        cores = [
+            rrg_core(num_switches, ports, degree, instance_seed, method=method)
+            for instance_seed in spawn_seeds(seed, 3)
+        ]
+        return [adjacency_digest(core.to_networkx()) for core in cores]
 
     return case
 

@@ -8,6 +8,7 @@ their parity oracles (``tests/oracles``) while tracing is active.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,8 +28,8 @@ from repro.telemetry.manifest import (
     write_manifest,
 )
 from repro.telemetry.report import (
+    experiment_rows,
     load_events,
-    percentile,
     render_flame,
     render_stats,
     span_coverage,
@@ -42,6 +43,7 @@ from repro.telemetry.tracer import (
     is_enabled,
     trace,
 )
+from repro.utils.stats import percentile
 
 
 @pytest.fixture(autouse=True)
@@ -366,7 +368,11 @@ class TestReport:
         assert percentile(values, 0) == 1.0
         assert percentile(values, 100) == 4.0
         assert percentile(values, 50) == 2.5
-        assert percentile([], 50) != percentile([], 50)  # NaN
+        # A sweep served wholly from cache executed no point: no latency.
+        record = RunRecord(run_id="1-x-a", sweep_id="fig02c")
+        record.points = [PointRecord("c" * 64, "t", cached=True, duration_s=0.1)]
+        (row,) = experiment_rows([record])
+        assert math.isnan(row["p50_s"]) and math.isnan(row["p95_s"])
 
     def test_span_coverage_and_flame(self):
         tracer = enable()

@@ -1,9 +1,9 @@
 """Parity suite for the array-native topology layer.
 
-Pins the production constructors, the splice repair, the incremental
-expansion and the mask-based failure injection bit-identical (same seed ->
-same edge set, same adjacency insertion order, same rng end state) to the
-retained reference implementations:
+Pins the production constructors, the splice repair and the incremental
+expansion bit-identical (same seed -> same edge set, same adjacency
+insertion order, same rng end state) to the retained reference
+implementations:
 
 * fast sequential RRG vs :mod:`oracles.graphs` (hypothesis);
 * fast degree-budget construction vs its reference, heterogeneous budgets
@@ -11,7 +11,7 @@ retained reference implementations:
 * vectorized stub matching vs its scalar reference;
 * ``add_switch``'s incremental candidate set vs the historical quadratic
   rebuild;
-* mask-based link/switch failures vs the copy-and-remove path;
+* fig08-ens's in-place link failure vs the copy-and-remove path;
 
 plus direct tests of :class:`~repro.topologies.core.TopologyCore`
 invariants: the graph materialization order contract, the zero-copy CSR
@@ -19,6 +19,8 @@ bridge, canonical content hashing, and the lazy ``Topology`` wrapper.
 """
 
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -26,14 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.failures.injection import (
-    fail_random_links,
-    fail_random_links_core,
-    fail_random_switches,
-    fail_random_switches_core,
-    link_failure_mask,
-    switch_failure_mask,
-)
+from repro.failures.injection import fail_random_links
 from repro.graphs.csr import CSRGraph, csr_graph
 from repro.graphs.regular import (
     graph_from_rows,
@@ -44,13 +39,13 @@ from repro.graphs.regular import (
 from repro.topologies.base import Topology, TopologyError
 from repro.topologies.core import TopologyCore
 from repro.topologies.ensemble import (
-    EnsembleSpec,
     _structural_metrics,
+    ensemble_failure_point,
     ensemble_point_specs,
-    generate_cores,
     summarize_instance_metrics,
 )
-from repro.topologies.jellyfish import JellyfishTopology
+from repro.topologies.jellyfish import JellyfishTopology, rrg_budget, rrg_core
+from repro.utils.rng import spawn_seeds
 
 from oracles.graphs import (
     random_graph_with_degree_budget_reference,
@@ -210,50 +205,24 @@ class TestFailureMaskParity:
     @COMMON_SETTINGS
     @given(
         st.integers(min_value=0, max_value=2**16),
-        st.integers(min_value=0, max_value=2**16),
         st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
     )
-    def test_link_mask_matches_copy_and_remove(self, build_seed, fail_seed, fraction):
-        topology = JellyfishTopology.build(16, 6, 4, rng=build_seed)
-        reference = fail_random_links(topology, fraction, rng=fail_seed)
-        failed_core = fail_random_links_core(topology.core(), fraction, rng=fail_seed)
-        expected = {frozenset(edge) for edge in reference.graph.edges}
-        labels = failed_core.labels
-        actual = {
-            frozenset((labels[u], labels[v]))
-            for u, v in failed_core.edge_array().tolist()
-        }
-        assert actual == expected
+    def test_link_mask_matches_copy_and_remove(self, seed, fraction):
+        # fig08-ens fails its own instance in place; it must keep exactly
+        # the links fail_random_links keeps for the same draws.
+        evaluated = []
 
-    @COMMON_SETTINGS
-    @given(
-        st.integers(min_value=0, max_value=2**16),
-        st.integers(min_value=0, max_value=2**16),
-        st.sampled_from([0.0, 0.2, 0.5]),
-    )
-    def test_switch_mask_matches_copy_and_remove(self, build_seed, fail_seed, fraction):
-        topology = JellyfishTopology.build(14, 6, 4, rng=build_seed)
-        reference = fail_random_switches(topology, fraction, rng=fail_seed)
-        failed_core = fail_random_switches_core(
-            topology.core(), fraction, rng=fail_seed
-        )
-        assert set(failed_core.labels) == set(reference.graph.nodes)
-        expected = {frozenset(edge) for edge in reference.graph.edges}
-        labels = failed_core.labels
-        actual = {
-            frozenset((labels[u], labels[v]))
-            for u, v in failed_core.edge_array().tolist()
-        }
-        assert actual == expected
-        assert dict(zip(failed_core.labels, failed_core.servers.tolist())) == (
-            reference.servers
-        )
+        def spy(topology, **kwargs):
+            evaluated.append({frozenset(edge) for edge in topology.graph.edges})
+            return SimpleNamespace(normalized=0.0)
 
-    def test_masks_draw_like_the_sample_calls(self):
-        mask = link_failure_mask(40, 0.25, rng=3)
-        expected = random.Random(3).sample(range(40), 10)
-        assert sorted(np.flatnonzero(mask).tolist()) == sorted(expected)
-        assert not switch_failure_mask(10, 0.0, rng=3).any()
+        with mock.patch("repro.flow.throughput.degraded_throughput", spy):
+            point = ensemble_failure_point(20, 4, 18, fraction, seed=seed)
+        rng = random.Random(seed)
+        plant = JellyfishTopology.from_equipment(20, 4, 18, rng=rng)
+        reference = fail_random_links(plant, fraction, rng=rng)
+        assert evaluated == [{frozenset(edge) for edge in reference.graph.edges}]
+        assert point["failed_links"] == plant.num_links - reference.num_links
 
 
 class TestTopologyCore:
@@ -311,12 +280,16 @@ class TestTopologyCore:
 
     def test_content_hash_sees_structure_ports_and_servers(self):
         base = JellyfishTopology.build(12, 6, 4, rng=5).core()
-        rewired = base.without_edges(
-            np.arange(base.num_edges) == 0
-        )
+        u, v = 0, next(iter(base.rows[0]))
+        one_edge_fewer = [
+            [j for j in row if {i, j} != {u, v}] for i, row in enumerate(base.rows)
+        ]
+        rewired = TopologyCore(base.labels, one_edge_fewer, base.ports, base.servers)
+        assert rewired.num_edges == base.num_edges - 1
         assert rewired.content_hash != base.content_hash
-        more_servers = base.copy()
-        more_servers.set_servers(0, 1 + int(base.servers[0]))
+        servers = base.servers.copy()
+        servers[0] += 1
+        more_servers = TopologyCore(base.labels, base.rows, base.ports, servers)
         assert more_servers.content_hash != base.content_hash
 
     def test_copy_as_graph_copy_matches_networkx_copy_order(self):
@@ -325,15 +298,6 @@ class TestTopologyCore:
         core_copy = topology.core().copy_as_graph_copy()
         materialized = core_copy.to_networkx()
         assert_same_graph(materialized, nx_copy)
-
-    def test_without_nodes_reindexes(self):
-        core = JellyfishTopology.build(10, 6, 3, rng=7).core()
-        mask = np.zeros(10, dtype=bool)
-        mask[[2, 5]] = True
-        survivor = core.without_nodes(mask)
-        assert survivor.labels == [0, 1, 3, 4, 6, 7, 8, 9]
-        assert survivor.num_nodes == 8
-        survivor.validate()
 
     def test_validate_reports_overdrawn_switch(self):
         with pytest.raises(TopologyError, match="uses"):
@@ -435,49 +399,44 @@ class TestTrafficArrays:
             traffic.demands[0].rate = 99.0
 
 
-def _serial_metrics(spec: EnsembleSpec) -> list:
-    """Per-instance structural metrics of the cores :func:`generate_cores` builds."""
+def _cores(instances, switches, ports, degree, method="sequential", seed=0) -> list:
+    """A batch's instances: ``rrg_core`` over the seeds spawned from ``seed``."""
+    return [
+        rrg_core(switches, ports, degree, instance_seed, method=method)
+        for instance_seed in spawn_seeds(seed, instances)
+    ]
+
+
+def _serial_metrics(*batch, **options) -> list:
+    """Per-instance structural metrics of the batch's cores, built serially."""
     return [
         _structural_metrics(JellyfishTopology.from_core(core))
-        for _, core in generate_cores(spec)
+        for core in _cores(*batch, **options)
     ]
 
 
 class TestEnsembles:
     def test_instances_are_distinct_and_reproducible(self):
-        spec = EnsembleSpec(
-            num_instances=6, num_switches=20, ports_per_switch=6,
-            network_degree=4, seed=3,
-        )
-        first = [core.content_hash for _, core in generate_cores(spec)]
-        second = [core.content_hash for _, core in generate_cores(spec)]
+        first = [core.content_hash for core in _cores(6, 20, 6, 4, seed=3)]
+        second = [core.content_hash for core in _cores(6, 20, 6, 4, seed=3)]
         assert first == second
         assert len(set(first)) == 6
 
     def test_methods_share_seeding_but_differ_structurally(self):
-        sequential = EnsembleSpec(
-            num_instances=3, num_switches=20, ports_per_switch=6,
-            network_degree=4, seed=1,
-        )
-        stubs = EnsembleSpec(
-            num_instances=3, num_switches=20, ports_per_switch=6,
-            network_degree=4, method="stubs", seed=1,
-        )
-        assert sequential.instance_seeds() == stubs.instance_seeds()
-        assert [c.content_hash for _, c in generate_cores(sequential)] != [
-            c.content_hash for _, c in generate_cores(stubs)
+        sequential = ensemble_point_specs(3, 20, 6, 4, seed=1)
+        stubs = ensemble_point_specs(3, 20, 6, 4, method="stubs", seed=1)
+        assert [spec.seed for spec in sequential] == [spec.seed for spec in stubs]
+        assert [c.content_hash for c in _cores(3, 20, 6, 4, seed=1)] != [
+            c.content_hash for c in _cores(3, 20, 6, 4, method="stubs", seed=1)
         ]
 
     def test_sharded_points_match_serial_summary(self):
         from repro.engine.runner import SweepRunner
         from repro.engine.spec import expand
 
-        spec = EnsembleSpec(
-            num_instances=5, num_switches=14, ports_per_switch=6,
-            network_degree=3, seed=4,
-        )
-        serial = _serial_metrics(spec)
-        values = SweepRunner().run_values(expand(ensemble_point_specs(spec)))
+        serial = _serial_metrics(5, 14, 6, 3, seed=4)
+        specs = ensemble_point_specs(5, 14, 6, 3, seed=4)
+        values = SweepRunner().run_values(expand(specs))
         assert values == serial
 
     @pytest.mark.parametrize("method", ["stubs", "pairing", "networkx"])
@@ -487,31 +446,22 @@ class TestEnsembles:
         from repro.engine.runner import SweepRunner
         from repro.engine.spec import expand
 
-        spec = EnsembleSpec(
-            num_instances=4, num_switches=16, ports_per_switch=6,
-            network_degree=3, method=method, seed=8,
-        )
-        serial = _serial_metrics(spec)
-        values = SweepRunner().run_values(expand(ensemble_point_specs(spec)))
+        serial = _serial_metrics(4, 16, 6, 3, method=method, seed=8)
+        specs = ensemble_point_specs(4, 16, 6, 3, method=method, seed=8)
+        values = SweepRunner().run_values(expand(specs))
         assert values == serial
         assert summarize_instance_metrics(serial)["distinct_hashes"] == 4
 
     def test_ablation_methods_build_serially_too(self):
-        # pairing/networkx have no rows-native path; the serial generator
-        # must still produce cores for them (matching the sharded points).
-        spec = EnsembleSpec(
-            num_instances=2, num_switches=12, ports_per_switch=6,
-            network_degree=4, method="pairing", seed=6,
+        # pairing/networkx have no rows-native path; rrg_core must still
+        # produce cores for them (matching the sharded points).
+        summary = summarize_instance_metrics(
+            _serial_metrics(2, 12, 6, 4, method="pairing", seed=6)
         )
-        summary = summarize_instance_metrics(_serial_metrics(spec))
         assert summary["num_instances"] == 2
         assert summary["distinct_hashes"] == 2
 
     def test_odd_total_degree_drops_one_port(self):
-        spec = EnsembleSpec(
-            num_instances=2, num_switches=5, ports_per_switch=6,
-            network_degree=3, seed=5,
-        )
-        assert spec.effective_degree == 2
-        for _, core in generate_cores(spec):
+        assert rrg_budget(5, 6, 3) == (3, 2)
+        for core in _cores(2, 5, 6, 3, seed=5):
             assert int(core.degrees().max()) <= 2

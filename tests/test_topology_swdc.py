@@ -3,6 +3,7 @@
 import pytest
 
 from repro.topologies.base import TopologyError
+from repro.topologies.core import TopologyCore
 from repro.topologies.swdc import HEX_TORUS_3D, RING, TORUS_2D, SmallWorldTopology
 
 
@@ -66,9 +67,15 @@ class TestValidationAndHelpers:
 
     def test_set_servers_per_switch(self):
         topo = SmallWorldTopology.build(30, RING, degree=6, rng=7)
+        before = topo.content_hash()
         topo.set_servers_per_switch(2)
         assert topo.num_servers == 60
         topo.validate()
+        # The cached core must not outlive the re-provisioning.
+        fresh = TopologyCore.from_graph(topo.graph, topo.ports, topo.servers)
+        assert topo.content_hash() != before
+        assert topo.content_hash() == fresh.content_hash
+        assert topo.core().servers.tolist() == [2] * 30
 
     def test_set_servers_negative_rejected(self):
         topo = SmallWorldTopology.build(30, RING, degree=6, rng=8)
