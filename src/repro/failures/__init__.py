@@ -1,10 +1,9 @@
-"""Failure injection (paper Section 4.3, Fig 8) and degradation semantics."""
+"""Failure injection (paper Section 4.3, Fig 8).
 
-from repro.failures.degradation import (
-    DegradationReport,
-    degradation_report,
-    split_reachable_demands,
-)
+:func:`repro.flow.throughput.degraded_throughput` evaluates the failed
+topologies: a demand cut off by a partition carries zero throughput.
+"""
+
 from repro.failures.injection import (
     fail_random_links,
     fail_random_switches,
@@ -12,10 +11,7 @@ from repro.failures.injection import (
 )
 
 __all__ = [
-    "DegradationReport",
-    "degradation_report",
     "fail_random_links",
     "fail_random_switches",
-    "split_reachable_demands",
     "throughput_under_link_failures",
 ]

@@ -37,12 +37,12 @@ class FlowSpec:
     applications that stripe data evenly over parallel TCP connections, as
     opposed to MPTCP which rebalances freely within the aggregate cap).
 
-    An *empty* ``paths`` list is an **unrouted** flow -- the degradation
-    semantics for a demand whose endpoints are unreachable on a partitioned
-    topology (see :mod:`repro.failures.degradation`).  Unrouted flows place
-    no subflows, claim no capacity, and are allocated exactly 0.0 by both
-    max-min implementations, so they show up as zero throughput rather than
-    an exception.
+    An *empty* ``paths`` list is an **unrouted** flow -- a demand whose
+    endpoints are unreachable on a partitioned topology (the degradation
+    contract in ``docs/robustness.md``).  Unrouted flows place no subflows,
+    claim no capacity, and are allocated exactly 0.0 by both max-min
+    implementations, so they show up as zero throughput rather than an
+    exception.
     """
 
     flow_id: Hashable

@@ -9,6 +9,8 @@ Implements the paper's evaluation methodology (Section 4):
   :func:`repro.simulation.fluid.simulate_fluid` and
   :func:`repro.simulation.aimd.simulate_aimd` draw the same permutation the
   same way, so a figure's trial loop passes its rng and no matrix.
+* :func:`degraded_throughput` -- the same on a failed, possibly partitioned
+  topology (Fig 8): demands cut off by a partition carry zero throughput.
 * :func:`supports_full_throughput` -- check that a topology carries several
   independently sampled permutation matrices at full line rate.
 * :func:`largest_feasible` -- the bisection behind Fig 2(c) and Fig 11: the
@@ -31,10 +33,7 @@ routes each newly demanded switch pair once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
-
-if TYPE_CHECKING:  # runtime import is lazy to avoid a failures<->flow cycle
-    from repro.failures.degradation import DegradationReport
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from repro.flow.path_lp import (
     shared_path_lp_structure,
 )
 from repro.graphs.csr import csr_graph
+from repro.graphs.properties import csr_component_labels
 from repro.routing.paths import shared_path_set
 from repro.telemetry import count, trace
 from repro.topologies.base import Topology
@@ -74,25 +74,6 @@ class ThroughputResult:
         return self.theta >= FULL_RATE_THETA
 
 
-@dataclass(frozen=True)
-class DegradedThroughputResult:
-    """A throughput evaluation carrying its structural damage report.
-
-    ``normalized`` is the degradation-scaled per-flow throughput in [0, 1]:
-    unreachable demands contribute exactly zero, reachable demands are
-    evaluated by the LP within their components, and the two are combined
-    as ``lp_normalized * reachable / total`` -- the single semantics every
-    kernel follows on partitioned topologies (see
-    :mod:`repro.failures.degradation`).  ``report`` is the structured
-    :class:`~repro.failures.degradation.DegradationReport`.
-    """
-
-    normalized: float
-    theta: float
-    num_flows: int
-    report: "DegradationReport"
-
-
 def normalized_throughput(
     topology: Topology,
     traffic: Optional[TrafficMatrix] = None,
@@ -120,68 +101,53 @@ def degraded_throughput(
     k: int = 8,
     rng: RngLike = None,
     baseline_servers: Optional[int] = None,
-) -> DegradedThroughputResult:
-    """Normalized throughput with explicit degradation semantics.
+) -> ThroughputResult:
+    """Normalized throughput on a topology that failures may have partitioned.
 
-    The degradation-safe counterpart of :func:`normalized_throughput` for
-    topologies that may be partitioned or stripped of servers by failures:
+    The counterpart of :func:`normalized_throughput` for failed topologies
+    (Fig 8).  :func:`~repro.graphs.properties.csr_component_labels` decides
+    reachability:
 
-    * demands whose endpoints sit in different connected components count
-      as zero throughput (they are filtered out before the LP ever sees
-      them, so nothing raises);
-    * reachable demands are evaluated normally and scaled by the reachable
-      fraction, matching the historical fig08 disconnection handling
-      bit-for-bit on the same inputs;
-    * an *empty* traffic matrix is only "fully served" when nothing was
-      lost -- if ``baseline_servers`` (the healthy plant's server count)
-      shows that demand used to exist but can no longer be expressed
-      (every server-hosting switch failed), the result is 0.0, not the
-      vacuous 1.0 the raw LP harness reports.
-
-    Returns a :class:`DegradedThroughputResult` whose ``report`` field
-    carries the component structure behind the number.
+    * on one component, the result is :func:`normalized_throughput` of the
+      whole matrix;
+    * on several, a demand whose endpoints sit in different components
+      carries zero throughput.  The reachable demands, in traffic order,
+      are solved as usual, and ``normalized`` is their LP value times
+      reachable / total (0.0 when no demand is reachable), so nothing
+      raises;
+    * an *empty* traffic matrix is fully served (1.0) unless
+      ``baseline_servers`` (the healthy plant's server count) shows that
+      demand used to exist and fewer than two servers remain, in which
+      case the result is 0.0.
     """
-    from repro.failures.degradation import (  # lazy: failures imports flow
-        degradation_report,
-        split_reachable_demands,
-    )
-
     if traffic is None:
         traffic = random_permutation_traffic(topology, rng=rng)
-    report = degradation_report(
-        topology, traffic=traffic, baseline_servers=baseline_servers
-    )
     if len(traffic) == 0:
         lost_all_demand = (
             baseline_servers is not None
             and baseline_servers >= 2
             and topology.num_servers < 2
         )
-        value = 0.0 if lost_all_demand else 1.0
-        return DegradedThroughputResult(
-            normalized=value,
-            theta=0.0 if lost_all_demand else float("inf"),
-            num_flows=0,
-            report=report,
-        )
-    if report.num_components <= 1:
-        result = normalized_throughput(topology, traffic, k=k)
-        return DegradedThroughputResult(
-            normalized=result.normalized,
-            theta=result.theta,
-            num_flows=result.num_flows,
-            report=report,
-        )
-    reachable, _ = split_reachable_demands(topology, traffic)
+        if lost_all_demand:
+            return ThroughputResult(theta=0.0, normalized=0.0, num_flows=0)
+        return ThroughputResult(theta=float("inf"), normalized=1.0, num_flows=0)
+    csr = topology.csr()
+    labels = csr_component_labels(csr)
+    if not labels.any():  # one component: every label is 0
+        return normalized_throughput(topology, traffic, k=k)
+    label_of = dict(zip(csr.nodes, labels.tolist()))
+    reachable = [
+        demand
+        for demand in traffic
+        if label_of[demand.source_switch] == label_of[demand.destination_switch]
+    ]
     total_flows = len(traffic)
     if not reachable:
-        return DegradedThroughputResult(
-            normalized=0.0, theta=0.0, num_flows=total_flows, report=report
-        )
+        return ThroughputResult(theta=0.0, normalized=0.0, num_flows=total_flows)
     result = normalized_throughput(topology, TrafficMatrix(reachable), k=k)
     scaled = (result.normalized * len(reachable)) / total_flows
-    return DegradedThroughputResult(
-        normalized=scaled, theta=result.theta, num_flows=total_flows, report=report
+    return ThroughputResult(
+        theta=result.theta, normalized=scaled, num_flows=total_flows
     )
 
 

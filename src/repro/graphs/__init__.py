@@ -17,7 +17,6 @@ from repro.graphs.properties import (
     average_path_length,
     degree_histogram,
     diameter,
-    is_connected,
     path_length_distribution,
 )
 from repro.graphs.regular import (
@@ -45,7 +44,6 @@ __all__ = [
     "average_path_length",
     "degree_histogram",
     "diameter",
-    "is_connected",
     "path_length_distribution",
     "random_regular_graph",
     "sequential_random_regular_graph",

@@ -103,9 +103,8 @@ def index_dtype(num_nodes: int, num_directed_edges: int) -> np.dtype:
     return np.dtype(np.int32)
 
 #: Entry cap of the per-view parent-tree memo, mirroring the intent of
-#: ``ALL_PAIRS_MEMO_NODE_LIMIT`` in :mod:`repro.graphs.properties`: a sweep
-#: over every source of a fig05-scale graph must not retain every tree for
-#: the graph's lifetime.
+#: ``DIST_ROW_MEMO_NODE_LIMIT``: a sweep over every source of a fig05-scale
+#: graph must not retain every tree for the graph's lifetime.
 _PARENT_TREE_CACHE_MAX = 256
 
 #: Stand-in hash for node ``-1`` (CPython hashes -1 and -2 identically).
@@ -113,8 +112,7 @@ _MINUS_ONE_SURROGATE = 0x2545F4914F6CDD1D
 
 #: Per-source distance rows are memoized only for graphs at most this
 #: large; beyond it the all-pairs table would dominate memory (paper-scale
-#: fig05 builds 3200-switch graphs).  Re-exported by
-#: :mod:`repro.graphs.properties` as ``ALL_PAIRS_MEMO_NODE_LIMIT``.
+#: fig05 builds 3200-switch graphs).
 DIST_ROW_MEMO_NODE_LIMIT = 1500
 
 #: Byte budget of the distance-row memo.

@@ -18,7 +18,7 @@ edge-count-preserving rewires such as failure injection followed by repair
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 import networkx as nx
 import numpy as np
@@ -30,20 +30,6 @@ from repro.graphs.csr import (
     csr_graph,
 )
 from repro.resources import PROFILE_SAMPLE_SEED, active_profile
-
-
-def is_connected(graph: nx.Graph) -> bool:
-    """True if ``graph`` is connected (an empty graph counts as connected)."""
-    if graph.number_of_nodes() == 0:
-        return True
-    return nx.is_connected(graph)
-
-
-#: Per-source distance rows are memoized only for graphs at most this large;
-#: beyond it the all-pairs table would dominate memory (paper-scale fig05
-#: builds 3200-switch graphs) and distances are recomputed transiently.
-#: (Single source of truth lives in :mod:`repro.graphs.csr`.)
-ALL_PAIRS_MEMO_NODE_LIMIT = DIST_ROW_MEMO_NODE_LIMIT
 
 
 def _indices_of(csr: CSRGraph, nodes: Iterable) -> List[int]:
@@ -62,32 +48,18 @@ def _bfs_matrix(csr: CSRGraph, source_indices: List[int]) -> np.ndarray:
     return csr.hop_distance_matrix(source_indices)
 
 
-def _distance_rows(
-    graph: nx.Graph,
-    sources: Optional[Iterable] = None,
-    memo_limit: int = ALL_PAIRS_MEMO_NODE_LIMIT,
-) -> Tuple[CSRGraph, List[int], List[np.ndarray]]:
-    """CSR view plus one distance row per requested source (memoized)."""
-    csr = csr_graph(graph)
-    if sources is None:
-        wanted = list(range(csr.num_nodes))
-    else:
-        wanted = _indices_of(csr, sources)
-    return csr, wanted, _rows_for_indices(csr, wanted, memo_limit)
-
-
-def _rows_for_indices(
-    csr: CSRGraph, wanted: List[int], memo_limit: int = ALL_PAIRS_MEMO_NODE_LIMIT
-) -> List[np.ndarray]:
+def _rows_for_indices(csr: CSRGraph, wanted: List[int]) -> List[np.ndarray]:
     """Distance rows for ``wanted``, via the bounded content-hash LRU memo.
 
     Rows live in the global memo in :mod:`repro.graphs.csr` — keyed by the
     CSR ``content_hash``, byte-bounded, LRU-evicting — rather than on the
     view, so structurally equal graphs share sweeps and a long sweep over
     many topologies cannot grow the memo without limit.  Graphs beyond
-    ``memo_limit`` nodes bypass the memo entirely (recomputed per call).
+    ``DIST_ROW_MEMO_NODE_LIMIT`` nodes (where the all-pairs table would
+    dominate memory; paper-scale fig05 builds 3200-switch graphs) bypass
+    the memo entirely and are recomputed per call.
     """
-    if csr.num_nodes <= memo_limit:
+    if csr.num_nodes <= DIST_ROW_MEMO_NODE_LIMIT:
         content = csr.content_hash
         rows: Dict[int, np.ndarray] = {}
         missing = []
@@ -106,22 +78,22 @@ def _rows_for_indices(
     return list(_bfs_matrix(csr, wanted))
 
 
-def all_pairs_hop_distances(
-    graph: nx.Graph,
-    sources: Optional[Iterable] = None,
-    memo_limit: int = ALL_PAIRS_MEMO_NODE_LIMIT,
-) -> Dict:
+def all_pairs_hop_distances(graph: nx.Graph, sources: Optional[Iterable] = None) -> Dict:
     """Hop distances from each of ``sources`` (default: all nodes) to every
     reachable node, as ``{source: {node: hops}}``.
 
-    The underlying BFS rows are memoized per graph (weakly referenced, see
-    :func:`_distance_rows`); the dict-of-dicts view is rebuilt per call for
-    API compatibility, so hot paths should use the array kernels directly.
+    The underlying BFS rows are memoized (see :func:`_rows_for_indices`);
+    the dict-of-dicts view is rebuilt per call for API compatibility, so
+    hot paths should use the array kernels directly.
     """
-    csr, wanted, rows = _distance_rows(graph, sources, memo_limit)
+    csr = csr_graph(graph)
+    if sources is None:
+        wanted = list(range(csr.num_nodes))
+    else:
+        wanted = _indices_of(csr, sources)
     nodes = csr.nodes
     table: Dict = {}
-    for index, row in zip(wanted, rows):
+    for index, row in zip(wanted, _rows_for_indices(csr, wanted)):
         reachable = np.nonzero(row >= 0)[0]
         table[nodes[index]] = {
             nodes[target]: int(row[target]) for target in reachable.tolist()
@@ -177,31 +149,52 @@ def csr_is_connected(csr: CSRGraph) -> bool:
 
 
 def csr_component_labels(csr: CSRGraph) -> np.ndarray:
-    """Connected-component label per node, in discovery order.
+    """Connected-component label per node: one BFS per component.
 
-    Labels are dense ints starting at 0; component 0 contains node 0 (when
-    the graph is non-empty).  Every degradation-safe kernel shares this
-    labeling -- the :class:`~repro.failures.degradation.DegradationReport`
-    of a partitioned topology is derived from it -- so "same component"
-    means the same thing everywhere.
+    Labels are dense ints starting at 0, numbered by each component's
+    lowest node index, so component 0 contains node 0 (when the graph is
+    non-empty).  This is the one labeling that decides reachability on a
+    partitioned topology (:func:`repro.flow.throughput.degraded_throughput`).
+    Each BFS is a memoized :meth:`CSRGraph.distance_row`, so the row from
+    node 0 also answers :func:`csr_is_connected`.
     """
     labels = np.full(csr.num_nodes, -1, dtype=np.int64)
-    indptr = csr.indptr
-    indices = csr.indices
-    next_label = 0
+    label = 0
     for start in range(csr.num_nodes):
-        if labels[start] >= 0:
-            continue
-        labels[start] = next_label
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for neighbor in indices[indptr[node] : indptr[node + 1]].tolist():
-                if labels[neighbor] < 0:
-                    labels[neighbor] = next_label
-                    stack.append(neighbor)
-        next_label += 1
+        if labels[start] < 0:
+            labels[csr.distance_row(start) >= 0] = label
+            label += 1
     return labels
+
+
+_NO_CONNECTED_PAIR = "graph has no connected pair of the requested nodes"
+
+
+def histogram_mean(histogram: Mapping[int, int]) -> float:
+    """Mean hop count of a ``{hops: pairs}`` histogram that counts some pair."""
+    total = sum(histogram.values())
+    if total == 0:
+        raise ValueError(_NO_CONNECTED_PAIR)
+    return sum(hops * count for hops, count in histogram.items()) / total
+
+
+def histogram_cdf(
+    histogram: Mapping[int, int], empty_error: str = _NO_CONNECTED_PAIR
+) -> Dict[int, float]:
+    """Cumulative fraction of a ``{hops: pairs}`` histogram's pairs within
+    each hop count.
+
+    Raises ``ValueError(empty_error)`` when the histogram counts no pair.
+    """
+    total = sum(histogram.values())
+    if total == 0:
+        raise ValueError(empty_error)
+    cdf: Dict[int, float] = {}
+    running = 0
+    for hops in sorted(histogram):
+        running += histogram[hops]
+        cdf[hops] = running / total
+    return cdf
 
 
 def average_path_length_csr(csr: CSRGraph) -> float:
@@ -224,18 +217,14 @@ def average_path_length_csr(csr: CSRGraph) -> float:
         )
         if not stats.exact:
             return stats.mean
-    histogram = path_length_distribution_csr(csr)
-    total_pairs = sum(histogram.values())
-    if total_pairs == 0:
-        raise ValueError("graph has no connected pair of the requested nodes")
-    return sum(hops * count for hops, count in histogram.items()) / total_pairs
+    return histogram_mean(path_length_distribution_csr(csr))
 
 
 def diameter_csr(csr: CSRGraph) -> int:
     """Longest shortest path over a CSR view (must connect some pair)."""
     histogram = path_length_distribution_csr(csr)
     if not histogram:
-        raise ValueError("graph has no connected pair of the requested nodes")
+        raise ValueError(_NO_CONNECTED_PAIR)
     return max(histogram)
 
 
@@ -274,31 +263,19 @@ def server_path_length_cdf_csr(csr: CSRGraph, server_counts) -> Dict[int, float]
             for hops, weight in enumerate(binned.tolist()):
                 if weight:
                     histogram[hops] += int(weight)
-    total = sum(histogram.values())
-    if total == 0:
-        raise ValueError("graph has no connected pair of the requested nodes")
-    cdf: Dict[int, float] = {}
-    running = 0
-    for hops in sorted(histogram):
-        running += histogram[hops]
-        cdf[hops] = running / total
-    return cdf
+    return histogram_cdf(histogram)
 
 
 def average_path_length(graph: nx.Graph, nodes: Optional[Iterable] = None) -> float:
     """Mean shortest-path length over distinct reachable node pairs."""
-    histogram = path_length_distribution(graph, nodes)
-    total_pairs = sum(histogram.values())
-    if total_pairs == 0:
-        raise ValueError("graph has no connected pair of the requested nodes")
-    return sum(hops * count for hops, count in histogram.items()) / total_pairs
+    return histogram_mean(path_length_distribution(graph, nodes))
 
 
 def diameter(graph: nx.Graph, nodes: Optional[Iterable] = None) -> int:
     """Longest shortest path among the requested nodes (graph must connect them)."""
     histogram = path_length_distribution(graph, nodes)
     if not histogram:
-        raise ValueError("graph has no connected pair of the requested nodes")
+        raise ValueError(_NO_CONNECTED_PAIR)
     return max(histogram)
 
 
@@ -308,16 +285,7 @@ def path_length_cdf(graph: nx.Graph, nodes: Optional[Iterable] = None) -> Dict[i
     This is the quantity plotted in Fig 1(c): fraction of server pairs with
     path length <= h, for each h.
     """
-    histogram = path_length_distribution(graph, nodes)
-    total = sum(histogram.values())
-    if total == 0:
-        raise ValueError("graph has no connected pair of the requested nodes")
-    cdf: Dict[int, float] = {}
-    running = 0
-    for hops in sorted(histogram):
-        running += histogram[hops]
-        cdf[hops] = running / total
-    return cdf
+    return histogram_cdf(path_length_distribution(graph, nodes))
 
 
 def degree_histogram(graph: nx.Graph) -> Counter:

@@ -44,6 +44,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.graphs.properties import histogram_cdf
 from repro.resources import active_profile
 from repro.telemetry import trace
 
@@ -87,15 +88,7 @@ class SampledPathStats:
 
     def cdf(self) -> Dict[int, float]:
         """Cumulative fraction of sampled pairs within each hop count."""
-        total = sum(self.histogram.values())
-        if total == 0:
-            raise ValueError("no reachable sampled pairs")
-        cdf: Dict[int, float] = {}
-        running = 0
-        for hops in sorted(self.histogram):
-            running += self.histogram[hops]
-            cdf[hops] = running / total
-        return cdf
+        return histogram_cdf(self.histogram, "no reachable sampled pairs")
 
 
 def sampled_path_length_stats(

@@ -21,19 +21,17 @@ the component structure **incrementally**:
 Epoch evaluations route through the content-hash-keyed shared path/capacity
 caches, so a lifecycle that revisits a state (fail + repair is a round
 trip) prices the revisit at a cache hit instead of a Yen recomputation.
-Both backends call the same snapshot arithmetic
-(:func:`component_summary`, which takes availability from
-:func:`repro.failures.degradation.availability`) and the same epoch
-kernel (:func:`evaluate_epoch`), which is what the parity suite pins:
-identical trajectories, float for float.
+Both backends call the same snapshot arithmetic (:func:`component_summary`,
+with :func:`availability`) and the same epoch kernel
+(:func:`evaluate_epoch`), which is what the parity suite pins: identical
+trajectories, float for float.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.failures.degradation import availability
 from repro.lifecycle.events import LifecycleConfig
 from repro.lifecycle.state import (
     LINK_DOWN,
@@ -54,14 +52,28 @@ from repro.traffic.matrices import random_permutation_traffic
 # --------------------------------------------------------------------------- #
 
 
+def availability(component_servers: Iterable[int], total_servers: int) -> float:
+    """Fraction of ``total_servers``' pairs that can still exchange traffic.
+
+    ``sum(C(s_c, 2)) / C(total_servers, 2)`` over the components' server
+    counts ``s_c``.  With the healthy plant's server count as the total,
+    servers lost with their failed switches depress availability exactly
+    like stranded ones.  Fewer than two servers means no pairs were ever
+    promised: availability 1.0.
+    """
+    if total_servers < 2:
+        return 1.0
+    pairs = sum(count * (count - 1) // 2 for count in component_servers)
+    return pairs / (total_servers * (total_servers - 1) // 2)
+
+
 def component_summary(
     components: List[Tuple[int, int, str]], plant_servers: int
 ) -> Dict[str, object]:
     """Snapshot fields from per-component ``(servers, switches, key)`` rows.
 
     The principal component is the one hosting the most servers (ties: most
-    switches, then smallest member ``repr``) -- the same ordering
-    :mod:`repro.failures.degradation` uses, computable identically from a
+    switches, then smallest member ``repr``), computable identically from a
     CSR labeling or an incremental membership table.
     """
     current_servers = sum(servers for servers, _, _ in components)

@@ -99,8 +99,8 @@ def build_path_set(
     ``on_unreachable`` selects the degradation semantics for pairs with no
     path (a partitioned graph): ``"raise"`` (historical default) raises
     ``ValueError``; ``"skip"`` leaves the pair out of the table, which the
-    flow and simulation engines report as zero throughput (see
-    :mod:`repro.failures.degradation`).
+    flow and simulation engines report as zero throughput (the degradation
+    contract in ``docs/robustness.md``).
     """
     if scheme not in ("ksp", "ecmp"):
         raise ValueError(f"unknown routing scheme {scheme!r}")

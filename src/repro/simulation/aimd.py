@@ -206,7 +206,7 @@ class _CompiledSubflows:
     and ``link_capacity`` the per-link-id packet budget.  ``unreachable``
     marks connections whose pair has no route on a partitioned topology --
     they produce no subflows and are reported at exactly 0.0 (the
-    degradation semantics of :mod:`repro.failures.degradation`), distinct
+    degradation contract in ``docs/robustness.md``), distinct
     from same-rack connections which also lack subflows but count as fully
     served.
     """

@@ -32,7 +32,6 @@ from repro.graphs.properties import (
     average_path_length_csr,
     csr_is_connected,
     diameter_csr,
-    is_connected,
     server_path_length_cdf_csr,
 )
 from repro.topologies.core import TopologyCore, TopologyError
@@ -263,9 +262,7 @@ class Topology:
         return [("server", switch, index) for switch, index in self.server_list()]
 
     def is_connected(self) -> bool:
-        if self._graph is None and self._core is not None:
-            return csr_is_connected(self.csr())
-        return is_connected(self.graph)
+        return csr_is_connected(self.csr())
 
     def switch_average_path_length(self) -> float:
         return average_path_length_csr(self.csr())

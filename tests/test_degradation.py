@@ -1,32 +1,36 @@
-"""Property-based degradation contract: every kernel survives partition.
+"""Degradation contract: every kernel survives partition.
 
 Hypothesis draws damaged topologies -- a Jellyfish with a random fraction
 of links and switches failed, often partitioned into several
 components or stripped of servers -- and asserts the documented contract
-of every layer: structured :class:`DegradationReport` invariants, skip-mode
-routing tables that hold routes for exactly the reachable pairs, and flow /
-simulation engines that return finite values in [0, 1] (zero for lost
-demand) instead of raising or emitting NaN.
+of every layer: skip-mode routing tables that hold routes for exactly the
+pairs one component labeling (``csr_component_labels``) calls reachable,
+and flow / simulation engines that return finite values in [0, 1] (zero
+for lost demand) instead of raising or emitting NaN.  Example tests pin
+the labeling's numbering and ``degraded_throughput``'s arithmetic on a
+partitioned instance.
 """
 
-import json
 import math
 
+import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.failures.degradation import (
-    component_labels_by_node,
-    degradation_report,
-    split_reachable_demands,
-)
 from repro.failures.injection import fail_random_links, fail_random_switches
-from repro.flow.throughput import degraded_throughput
+from repro.flow.throughput import (
+    ThroughputResult,
+    degraded_throughput,
+    normalized_throughput,
+)
+from repro.graphs.csr import csr_graph
+from repro.graphs.properties import csr_component_labels
 from repro.routing.paths import build_path_set
 from repro.simulation.aimd import AimdConfig, simulate_aimd
 from repro.simulation.fluid import SimulationConfig, simulate_fluid
+from repro.topologies.base import Topology
 from repro.topologies.jellyfish import JellyfishTopology
-from repro.traffic.matrices import random_permutation_traffic
+from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
 
 # Each example builds a topology and may solve an LP: keep counts modest.
 COMMON_SETTINGS = settings(
@@ -56,40 +60,35 @@ def damaged_problem(draw):
     return plant, damaged, traffic, seed
 
 
-class TestDegradationReportInvariants:
-    @COMMON_SETTINGS
-    @given(damaged_problem())
-    def test_report_is_consistent_and_serializable(self, problem):
-        plant, damaged, traffic, _ = problem
-        report = degradation_report(
-            damaged, traffic=traffic, baseline_servers=plant.num_servers
-        )
-        assert sum(report.component_sizes) == report.num_switches
-        assert sum(report.component_servers) == report.num_servers
-        assert len(report.component_sizes) == len(report.component_servers)
-        # Sorted by servers desc: index 0 is the principal component.
-        assert list(report.component_servers) == sorted(
-            report.component_servers, reverse=True
-        )
-        assert report.stranded_servers >= 0
-        assert 0 <= report.unreachable_pairs <= report.demand_pairs
-        assert 0.0 <= report.server_pair_connectivity <= 1.0
-        assert math.isfinite(report.server_pair_connectivity)
-        json.dumps(report.as_dict())  # must round-trip to JSON
+def component_labels(topology):
+    """``{switch: component label}`` from ``csr_component_labels``."""
+    csr = topology.csr()
+    return dict(zip(csr.nodes, csr_component_labels(csr).tolist()))
+
+
+class TestComponentLabels:
+    def test_components_numbered_by_lowest_node(self):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(7))  # 2 and 6 stay isolated
+        graph.add_edges_from([(3, 5), (1, 4), (0, 5)])
+        labels = csr_component_labels(csr_graph(graph))
+        assert labels.tolist() == [0, 1, 2, 0, 1, 0, 3]
+        assert csr_component_labels(csr_graph(nx.Graph())).tolist() == []
 
     @COMMON_SETTINGS
     @given(damaged_problem())
-    def test_split_matches_component_labels(self, problem):
-        _, damaged, traffic, _ = problem
-        reachable, unreachable = split_reachable_demands(damaged, traffic)
-        assert len(reachable) + len(unreachable) == sum(1 for _ in traffic)
-        labels = component_labels_by_node(damaged)
-        for demand in reachable:
-            src, dst = demand.source_switch, demand.destination_switch
-            assert src == dst or labels[src] == labels[dst]
-        for demand in unreachable:
-            src, dst = demand.source_switch, demand.destination_switch
-            assert labels[src] != labels[dst]
+    def test_labels_match_networkx_components(self, problem):
+        _, damaged, _, _ = problem
+        csr = damaged.csr()
+        components = sorted(
+            sorted(csr.index_of[node] for node in component)
+            for component in nx.connected_components(damaged.graph)
+        )
+        expected = [0] * csr.num_nodes
+        for label, members in enumerate(components):
+            for index in members:
+                expected[index] = label
+        assert csr_component_labels(csr).tolist() == expected
 
 
 class TestRoutingUnderPartition:
@@ -104,7 +103,7 @@ class TestRoutingUnderPartition:
             damaged.graph, pairs, scheme=scheme, k=4, on_unreachable="skip"
         )
         path_set.validate_against(damaged.graph)
-        labels = component_labels_by_node(damaged)
+        labels = component_labels(damaged)
         for source, target in pairs:
             if labels[source] == labels[target]:
                 assert path_set.paths[(source, target)]
@@ -123,12 +122,36 @@ class TestFlowEnginesUnderPartition:
         )
         assert math.isfinite(outcome.normalized)
         assert 0.0 <= outcome.normalized <= 1.0
-        assert outcome.report.num_components >= 1
-        if (
-            outcome.report.demand_pairs
-            and outcome.report.unreachable_pairs == outcome.report.demand_pairs
-        ):
+        labels = component_labels(damaged)
+        crossing = [
+            labels[demand.source_switch] != labels[demand.destination_switch]
+            for demand in traffic
+        ]
+        if crossing and all(crossing):
             assert outcome.normalized == 0.0
+
+    def test_path_throughput_scales_the_reachable_demands(self):
+        # Two disjoint 4-switch rings, three servers per switch: a permutation
+        # sends some demands across the cut and keeps others inside a ring.
+        graph = nx.cycle_graph(4)
+        graph.add_edges_from(nx.cycle_graph(range(4, 8)).edges)
+        topology = Topology(
+            graph, ports={node: 5 for node in graph}, servers={node: 3 for node in graph}
+        )
+        traffic = random_permutation_traffic(topology, rng=0)
+        reachable = [
+            demand
+            for demand in traffic
+            if nx.has_path(graph, demand.source_switch, demand.destination_switch)
+        ]
+        assert 0 < len(reachable) < len(traffic)
+        outcome = degraded_throughput(topology, traffic=traffic, k=4)
+        within = normalized_throughput(topology, TrafficMatrix(reachable), k=4)
+        assert 0.0 < within.normalized < 1.0  # the rings are oversubscribed
+        assert isinstance(outcome, ThroughputResult)
+        assert outcome.normalized == within.normalized * len(reachable) / len(traffic)
+        assert outcome.theta == within.theta
+        assert outcome.num_flows == len(traffic)
 
     @COMMON_SETTINGS
     @given(
@@ -167,12 +190,6 @@ class TestTotalLoss:
         assert dead.num_switches == 0
         traffic = random_permutation_traffic(dead, rng=2)
         assert not list(traffic)
-        report = degradation_report(
-            dead, traffic=traffic, baseline_servers=plant.num_servers
-        )
-        assert report.num_components == 0
-        assert report.stranded_servers == plant.num_servers
-        assert report.server_pair_connectivity == 0.0
         outcome = degraded_throughput(
             dead, traffic=traffic, k=4,
             baseline_servers=plant.num_servers,

@@ -4,13 +4,13 @@ import networkx as nx
 import pytest
 
 import repro.graphs.properties as properties
-from repro.graphs.csr import clear_csr_cache
+from repro.graphs.csr import clear_csr_cache, csr_graph
 from repro.graphs.properties import (
     all_pairs_hop_distances,
     average_path_length,
+    csr_is_connected,
     degree_histogram,
     diameter,
-    is_connected,
     node_connectivity_at_least,
     path_length_cdf,
     path_length_distribution,
@@ -148,16 +148,17 @@ class TestAllPairsMemoization:
         assert len(bfs_counter) == 16  # the stale entry was not reused
         assert mutated == diameter(graph.copy())
 
-    def test_large_graphs_skip_the_memo(self, bfs_counter):
+    def test_large_graphs_skip_the_memo(self, bfs_counter, monkeypatch):
+        monkeypatch.setattr(properties, "DIST_ROW_MEMO_NODE_LIMIT", 10)
         graph = nx.cycle_graph(12)
-        all_pairs_hop_distances(graph, memo_limit=10)
-        all_pairs_hop_distances(graph, memo_limit=10)
+        all_pairs_hop_distances(graph)
+        all_pairs_hop_distances(graph)
         assert len(bfs_counter) == 24  # recomputed both times, nothing stored
 
 
 class TestOtherMetrics:
     def test_is_connected_empty(self):
-        assert is_connected(nx.Graph())
+        assert csr_is_connected(csr_graph(nx.Graph()))
 
     def test_degree_histogram(self):
         graph = nx.star_graph(3)  # one hub of degree 3, three leaves of degree 1
