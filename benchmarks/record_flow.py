@@ -21,13 +21,13 @@ Cases:
   tiered allocator, old vs new max-min kernel underneath;
 * ``path_lp_assembly`` / ``edge_lp_assembly`` -- constraint-matrix
   construction only (``lil_matrix`` cell writes vs vectorized COO
-  triplets); the path row also reports a warm rep that reuses the cached
-  demand-independent pair blocks;
+  triplets); the path row builds its :class:`PathLPStructure` inside each
+  rep;
 * ``fig02c_binary_search`` -- the servers-at-full-throughput binary search
   end-to-end: the pre-refactor driver (reference LP per matrix, no shared
   state) vs the production harness, cold (empty caches) and warm (shared
-  path tables and LP structures hot).  Both drivers are asserted to find
-  the same server count.
+  path tables hot).  Both searches are asserted to find the same server
+  count.
 """
 
 from __future__ import annotations
@@ -147,41 +147,24 @@ def _fluid_case(fattree_k: int, repeats: int, repeats_old=None) -> dict:
     }
 
 
-def _path_assembly_case(fattree_k: int, repeats: int) -> list:
+def _path_assembly_case(fattree_k: int, repeats: int) -> dict:
     topology, traffic = _fig13_instance(fattree_k)
     demands = traffic.switch_pairs()
     path_set = build_path_set(topology.graph, list(demands), scheme="ksp", k=8)
     old_seconds = _best_of(
         lambda: assemble_path_lp_reference(topology, demands, path_set), repeats
     )
-    cold_seconds = _best_of(
-        lambda: PathLPStructure(topology, scheme="ksp", k=8).assemble(
-            demands, path_set
-        ),
-        repeats,
+    new_seconds = _best_of(
+        lambda: PathLPStructure(topology).assemble(demands, path_set), repeats
     )
-    structure = PathLPStructure(topology, scheme="ksp", k=8)
-    structure.assemble(demands, path_set)  # build the per-pair blocks once
-    warm_seconds = _best_of(lambda: structure.assemble(demands, path_set), repeats)
-    label = f"jellyfish equip k={fattree_k} ({len(demands)} pairs)"
-    return [
-        {
-            "kernel": "path_lp_assembly_cold",
-            "graph": label,
-            "num_nodes": topology.num_switches,
-            "old_seconds": old_seconds,
-            "new_seconds": cold_seconds,
-            "speedup": old_seconds / cold_seconds,
-        },
-        {
-            "kernel": "path_lp_assembly_warm",
-            "graph": label,
-            "num_nodes": topology.num_switches,
-            "old_seconds": old_seconds,
-            "new_seconds": warm_seconds,
-            "speedup": old_seconds / warm_seconds,
-        },
-    ]
+    return {
+        "kernel": "path_lp_assembly",
+        "graph": f"jellyfish equip k={fattree_k} ({len(demands)} pairs)",
+        "num_nodes": topology.num_switches,
+        "old_seconds": old_seconds,
+        "new_seconds": new_seconds,
+        "speedup": old_seconds / new_seconds,
+    }
 
 
 def _edge_assembly_case(num_switches: int, ports: int, degree: int, repeats: int) -> dict:
@@ -282,7 +265,7 @@ def _search_case(ports: int, repeats: int) -> list:
 
     old_seconds, old_result = timed(lambda: _search_reference(ports, 0))
     cold_seconds, cold_result = timed(lambda: _search_production(ports, 0))
-    # Warm: leave the shared path tables / LP structures from a priming run.
+    # Warm: leave the shared path tables from a priming run.
     _clear_flow_state()
     _search_production(ports, 0)
     warm_seconds = _best_of(lambda: _search_production(ports, 0), repeats)
@@ -324,13 +307,13 @@ def main(argv=None) -> int:
 
     cases = []
     cases.append(_maxmin_case(10, repeats=3))
-    cases.extend(_path_assembly_case(10, repeats=5))
+    cases.append(_path_assembly_case(10, repeats=5))
     cases.append(_edge_assembly_case(20, 8, 5, repeats=5))
     cases.append(_fluid_case(10, repeats=3, repeats_old=2))
     cases.extend(_search_case(6, repeats=2))
     if not args.quick:
         cases.append(_maxmin_case(12, repeats=3, repeats_old=2))
-        cases.extend(_path_assembly_case(12, repeats=5))
+        cases.append(_path_assembly_case(12, repeats=5))
         cases.extend(_search_case(8, repeats=2))
 
 

@@ -20,9 +20,9 @@ Cases:
   fig11-scale (k=10/k=12 equipment, MPTCP x 8 subflows x 200 rounds); this
   is the >=10x acceptance row;
 * ``aimd_end_to_end_cold`` / ``aimd_end_to_end_warm`` -- ``simulate_aimd``
-  including routing, with the shared path-table / capacity caches cleared
-  (cold) or hot from a previous run over the same topology (warm, the
-  dynamics sweeps' repeated-trial regime).
+  including routing, with the shared path tables cleared (cold) or hot
+  from a previous run over the same topology (warm, the dynamics sweeps'
+  repeated-trial regime).
 
 Both engines' results are asserted identical before a row is recorded.
 """
@@ -148,7 +148,7 @@ def _end_to_end_case(fattree_k: int, repeats: int, repeats_old=None) -> list:
     old_seconds = timed_cold(run_old, old_reps)
     cold_seconds = timed_cold(run_new, repeats)
     _clear_sim_state()
-    run_new()  # prime the shared path table and capacity cache
+    run_new()  # prime the shared path table
     warm_seconds = _best_of(run_new, repeats)
     return [
         {

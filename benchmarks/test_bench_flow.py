@@ -63,8 +63,7 @@ def test_bench_maxmin_reference(benchmark, fig13_scale_problem):
 
 def test_bench_path_lp_assembly_vectorized(benchmark, fig13_scale_problem):
     topology, demands, path_set, _, _ = fig13_scale_problem
-    structure = PathLPStructure(topology, scheme="ksp", k=8)
-    structure.assemble(demands, path_set)  # warm the per-pair blocks
+    structure = PathLPStructure(topology)
     matrices = benchmark(structure.assemble, demands, path_set)
     assert matrices[-1] > 0
 

@@ -81,10 +81,9 @@ def throughput_under_link_failures(
     disconnected by the failures count as zero throughput.
     """
     rand = ensure_rng(rng)
-    baseline = topology.num_servers
     results = []
     for fraction in fractions:
         failed = fail_random_links(topology, fraction, rng=rand)
-        outcome = degraded_throughput(failed, k=k, rng=rand, baseline_servers=baseline)
+        outcome = degraded_throughput(failed, k=k, rng=rand)
         results.append((fraction, outcome.normalized))
     return results

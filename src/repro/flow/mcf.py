@@ -8,7 +8,8 @@ with CPLEX; we solve the identical LP with scipy's HiGHS backend.
 
 Formulation (source-aggregated multi-commodity flow):
 
-* every undirected link becomes two directed arcs of the same capacity;
+* every undirected link becomes two directed arcs of the same capacity,
+  read from :func:`repro.simulation.capacity.link_capacities`;
 * commodities are grouped by source switch ``s``; variable ``f[s, a]`` is the
   amount of commodity-group ``s`` flow on arc ``a``;
 * flow conservation at node ``v`` for group ``s``:
@@ -25,12 +26,13 @@ the historical ``lil_matrix`` assembly (the oracle in
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+from repro.simulation.capacity import link_capacities
 from repro.topologies.base import Topology
 from repro.traffic.matrices import TrafficMatrix
 
@@ -39,31 +41,21 @@ class FlowSolverError(RuntimeError):
     """Raised when the LP solver fails to find an optimal solution."""
 
 
-def _directed_arcs(topology: Topology) -> List[Tuple[Hashable, Hashable, float]]:
-    """Both orientations of every switch link with their capacities."""
-    arcs = []
-    for u, v, data in topology.graph.edges(data=True):
-        capacity = float(data.get("capacity", 1.0))
-        arcs.append((u, v, capacity))
-        arcs.append((v, u, capacity))
-    return arcs
-
-
 def _assemble_edge_lp(topology: Topology, demands: Dict) -> tuple:
     """Vectorized COO assembly of the edge LP.
 
     Returns ``(a_eq, b_eq, a_ub, b_ub, num_vars)`` with canonical CSR
     matrices equal to the reference ``lil_matrix`` assembly.
     """
-    arcs = _directed_arcs(topology)
-    if not arcs:
+    capacities = link_capacities(topology)
+    if not capacities:
         raise FlowSolverError("topology has no links but traffic crosses switches")
     nodes = list(topology.graph.nodes)
     node_index = {node: i for i, node in enumerate(nodes)}
 
     sources = sorted({src for src, _ in demands}, key=str)
     source_index = {src: i for i, src in enumerate(sources)}
-    num_arcs = len(arcs)
+    num_arcs = len(capacities)
     num_sources = len(sources)
     num_nodes = len(nodes)
 
@@ -72,9 +64,9 @@ def _assemble_edge_lp(topology: Topology, demands: Dict) -> tuple:
     theta_var = num_flow_vars
     num_vars = num_flow_vars + 1
 
-    arc_u = np.asarray([node_index[u] for u, _, _ in arcs], dtype=np.int64)
-    arc_v = np.asarray([node_index[v] for _, v, _ in arcs], dtype=np.int64)
-    arc_caps = np.asarray([capacity for _, _, capacity in arcs], dtype=np.float64)
+    arc_u = np.asarray([node_index[u] for u, _ in capacities], dtype=np.int64)
+    arc_v = np.asarray([node_index[v] for _, v in capacities], dtype=np.int64)
+    arc_caps = np.fromiter(capacities.values(), dtype=np.float64)
     source_offsets = np.arange(num_sources, dtype=np.int64)
 
     # Conservation entries: for each (source block, arc) column, -1 at the

@@ -12,15 +12,14 @@ concurrent-flow factor.  For every pair: ``sum_{p in P(pair)} x[p] =
 theta * demand(pair)``; for every directed arc: ``sum_{p using arc} x[p] <=
 capacity``; maximize ``theta``.
 
-The LP splits into demand-independent structure and per-matrix demand rows.
-:class:`PathLPStructure` owns the structure — directed arcs, capacities and
-per-pair path→arc column blocks — and assembles each matrix's constraint
-matrices from vectorized COO triplets (no ``lil_matrix``, no per-cell
-writes).  Structures are cached in a small LRU keyed by the graph's CSR
-``content_hash`` (the same content-addressing as the engine's result
-cache), so a throughput sweep that probes one topology against several
-traffic matrices only rebuilds the theta column per matrix.  The canonical
-CSR matrices produced here are bit-for-bit identical to the historical
+:class:`PathLPStructure` holds the directed arcs and their capacities, read
+from :func:`repro.simulation.capacity.link_capacities` (the table every
+engine prices links from), and assembles each matrix's constraint matrices
+from vectorized COO triplets (no ``lil_matrix``, no per-cell writes).  The
+path table it reads is the shared, content-hashed one
+(:func:`repro.routing.paths.shared_path_set`); the structure and each
+matrix's path→arc triplets are rebuilt per solve.  The canonical CSR
+matrices produced here are bit-for-bit identical to the historical
 cell-by-cell assembly (the oracle in ``tests/oracles/flow.py``).
 
 The LP's size, not its caller, picks the HiGHS method: dual simplex below
@@ -36,22 +35,19 @@ share this one solve.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from repro.flow.mcf import FlowSolverError, _directed_arcs
+from repro.flow.mcf import FlowSolverError
 from repro.graphs.csr import csr_graph
-from repro.memo import Memo
+from repro.simulation.capacity import link_capacities
 from repro.telemetry import trace
 from repro.routing.paths import PathSet, shared_path_set
 from repro.topologies.base import Topology
 from repro.traffic.matrices import TrafficMatrix
-
-#: Content-hash-keyed LRU of demand-independent LP structures.
-_SHARED_STRUCTURES = Memo("flow.lp_structures", max_entries=8)
 
 #: LPs with at least this many nonzeros in ``a_eq`` and ``a_ub`` together
 #: (the ``nnz`` that ``lp.assemble`` reports) are solved by IPM, smaller
@@ -66,59 +62,18 @@ IPM_MIN_NNZ = 1500
 class PathLPStructure:
     """Demand-independent blocks of the path LP for one topology.
 
-    Holds the directed-arc enumeration, the capacity vector (``b_ub``), and
-    a lazily grown per-pair cache of path→arc incidence triplets.  Only the
-    equality rows' theta column depends on the traffic matrix, so repeated
-    solves over one topology reuse everything else.
+    ``arc_index`` numbers the directed arcs in
+    :func:`~repro.simulation.capacity.link_capacities` order, one capacity
+    row each, and ``capacities`` is their capacity vector (``b_ub``).  The
+    path columns and the theta column are assembled per traffic matrix, so
+    one structure can solve several matrices over one topology.
     """
 
-    def __init__(self, topology: Topology, scheme: str = "ksp", k: int = 8):
-        self.scheme = scheme
-        self.k = k
-        self.arcs = _directed_arcs(topology)
-        self.num_arcs = len(self.arcs)
-        self.arc_index = {(u, v): i for i, (u, v, _) in enumerate(self.arcs)}
-        self.capacities = np.asarray(
-            [capacity for (_, _, capacity) in self.arcs], dtype=np.float64
-        )
-        # pair -> (num_paths, arc row ids, column ids local to the pair block)
-        self._pair_blocks: Dict[Tuple, Tuple[int, np.ndarray, np.ndarray]] = {}
-
-    def matches(self, topology: Topology) -> bool:
-        """True if this structure still describes ``topology``'s arcs exactly.
-
-        Guards the content-hash cache against the (contrived) case of two
-        graphs with equal adjacency hash but different edge iteration order
-        or capacities — arc order defines LP row order, which must match.
-        """
-        return self.arcs == _directed_arcs(topology)
-
-    def _pair_block(
-        self, pair: Tuple, path_set: PathSet
-    ) -> Tuple[int, np.ndarray, np.ndarray]:
-        block = self._pair_blocks.get(pair)
-        if block is None:
-            options = path_set.get(pair)
-            if not options:
-                raise FlowSolverError(f"no candidate path for demanded pair {pair!r}")
-            arc_index = self.arc_index
-            rows = [
-                arc_index[(u, v)]
-                for path in options
-                for u, v in zip(path, path[1:])
-            ]
-            cols = [
-                column
-                for column, path in enumerate(options)
-                for _ in range(len(path) - 1)
-            ]
-            block = (
-                len(options),
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(cols, dtype=np.int64),
-            )
-            self._pair_blocks[pair] = block
-        return block
+    def __init__(self, topology: Topology):
+        capacities = link_capacities(topology)
+        self.num_arcs = len(capacities)
+        self.arc_index = {arc: i for i, arc in enumerate(capacities)}
+        self.capacities = np.fromiter(capacities.values(), dtype=np.float64)
 
     def assemble(
         self, demands: Dict, path_set: PathSet, rates: Optional[np.ndarray] = None
@@ -128,7 +83,7 @@ class PathLPStructure:
         Returns ``(a_eq, b_eq, a_ub, b_ub, num_vars)``; the matrices are
         canonical CSR, equal to the reference ``lil_matrix`` assembly.
         ``rates``, when given, must hold ``demands``' values in key order
-        (the cached :meth:`~repro.traffic.matrices.TrafficMatrix.as_switch_array`
+        (the :meth:`~repro.traffic.matrices.TrafficMatrix.as_switch_array`
         form) and skips the per-pair dict walk for the theta column.
         """
         with trace("lp.assemble") as span:
@@ -145,17 +100,22 @@ class PathLPStructure:
     ) -> tuple:
         pairs = list(demands)
         num_pairs = len(pairs)
+        arc_index = self.arc_index
         counts = np.empty(num_pairs, dtype=np.int64)
-        row_parts = []
-        col_parts = []
+        # One (arc row, path column) triplet per hop of every candidate path.
+        ub_rows: List[int] = []
+        ub_cols: List[int] = []
         offset = 0
         for i, pair in enumerate(pairs):
-            num_paths, rows, cols = self._pair_block(pair, path_set)
-            counts[i] = num_paths
-            row_parts.append(rows)
-            col_parts.append(cols + offset)
-            offset += num_paths
-        num_path_vars = int(offset)
+            options = path_set.get(pair)
+            if not options:
+                raise FlowSolverError(f"no candidate path for demanded pair {pair!r}")
+            for column, path in enumerate(options, offset):
+                ub_rows.extend([arc_index[arc] for arc in zip(path, path[1:])])
+                ub_cols.extend([column] * (len(path) - 1))
+            counts[i] = len(options)
+            offset += len(options)
+        num_path_vars = offset
         theta_var = num_path_vars
         num_vars = num_path_vars + 1
 
@@ -191,14 +151,11 @@ class PathLPStructure:
 
         # Capacity rows: one 1.0 per (arc on path, path variable); duplicate
         # traversals sum on conversion to canonical CSR.
-        if row_parts:
-            ub_rows = np.concatenate(row_parts)
-            ub_cols = np.concatenate(col_parts)
-        else:
-            ub_rows = np.empty(0, dtype=np.int64)
-            ub_cols = np.empty(0, dtype=np.int64)
         a_ub = csr_matrix(
-            (np.ones(len(ub_rows)), (ub_rows, ub_cols)),
+            (
+                np.ones(len(ub_rows)),
+                (np.asarray(ub_rows, dtype=np.int64), np.asarray(ub_cols, dtype=np.int64)),
+            ),
             shape=(self.num_arcs, num_vars),
         )
         return a_eq, b_eq, a_ub, self.capacities, num_vars
@@ -253,21 +210,14 @@ class PathLPStructure:
         return self.solve(demands, path_set, rates)
 
 
-def shared_path_lp_structure(
-    topology: Topology, scheme: str = "ksp", k: int = 8
-) -> PathLPStructure:
-    """Get-or-build the cached :class:`PathLPStructure` for ``topology``.
+def shared_path_lp_structure(topology: Topology) -> PathLPStructure:
+    """The :class:`PathLPStructure` the throughput harness solves ``topology`` with.
 
-    Keyed by the graph's CSR ``content_hash`` plus ``(scheme, k)`` and
-    revalidated against the topology's current arcs, so in-place mutations
-    (e.g. failure injection on a copy that shares a hash) never reuse stale
-    structure.
+    A fresh structure per call.  It stays the harness's one constructor
+    call so that structure builds can be timed apart from assembly and
+    solves by wrapping this name (as ``benchmarks/e2e/layers.py`` does).
     """
-    key = (csr_graph(topology.graph).content_hash, scheme, k)
-    structure = _SHARED_STRUCTURES.get(key)
-    if structure is not None and structure.matches(topology):
-        return structure
-    return _SHARED_STRUCTURES.put(key, PathLPStructure(topology, scheme=scheme, k=k))
+    return PathLPStructure(topology)
 
 
 def max_concurrent_flow_path_lp(
@@ -280,9 +230,8 @@ def max_concurrent_flow_path_lp(
 
     If ``path_set`` is omitted, the k shortest paths for every demanded
     switch pair come from the shared content-hashed path table
-    (:func:`repro.routing.paths.shared_path_set`) and the LP reuses the
-    topology's cached demand-independent structure, so evaluating several
-    traffic matrices against one topology only rebuilds the demand rows.
+    (:func:`repro.routing.paths.shared_path_set`), so evaluating several
+    traffic matrices against one topology routes each switch pair once.
     """
     demands = traffic.switch_pairs()
     if not demands:
@@ -290,8 +239,6 @@ def max_concurrent_flow_path_lp(
 
     arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
     if path_set is None:
-        structure = shared_path_lp_structure(topology, scheme="ksp", k=k)
         path_set = shared_path_set(topology.graph, arrays.pairs, scheme="ksp", k=k)
-    else:
-        structure = PathLPStructure(topology, scheme=path_set.kind, k=k)
+    structure = shared_path_lp_structure(topology)
     return structure.solve(demands, path_set, rates=arrays.rates)

@@ -21,13 +21,12 @@ Implements the paper's evaluation methodology (Section 4):
 The edge LP (:func:`repro.flow.mcf.max_concurrent_flow_edge_lp`) is the
 exact oracle the path LP is tested against; the harness does not call it.
 
-Throughput state is shared across the harness: it keeps a content-hashed
-table of per-pair routes (:func:`repro.routing.paths.shared_path_set`) and
-the demand-independent LP blocks
-(:func:`repro.flow.path_lp.shared_path_lp_structure`) per topology, so
-checking one topology against several permutation matrices — and every
-probe of the binary search — only rebuilds the demand rows of the LP and
-routes each newly demanded switch pair once.
+Routes are shared across the harness: a content-hashed table of per-pair
+paths (:func:`repro.routing.paths.shared_path_set`) per topology, so
+checking one topology against several permutation matrices routes each
+newly demanded switch pair once.  The LP, the analytic screen and the
+simulators price links from one table,
+:func:`repro.simulation.capacity.link_capacities`.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from repro.flow.path_lp import (
 from repro.graphs.csr import csr_graph
 from repro.graphs.properties import csr_component_labels
 from repro.routing.paths import shared_path_set
+from repro.simulation.capacity import link_capacities
 from repro.telemetry import count, trace
 from repro.topologies.base import Topology
 from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
@@ -100,7 +100,6 @@ def degraded_throughput(
     traffic: Optional[TrafficMatrix] = None,
     k: int = 8,
     rng: RngLike = None,
-    baseline_servers: Optional[int] = None,
 ) -> ThroughputResult:
     """Normalized throughput on a topology that failures may have partitioned.
 
@@ -114,22 +113,16 @@ def degraded_throughput(
       carries zero throughput.  The reachable demands, in traffic order,
       are solved as usual, and ``normalized`` is their LP value times
       reachable / total (0.0 when no demand is reachable), so nothing
-      raises;
-    * an *empty* traffic matrix is fully served (1.0) unless
-      ``baseline_servers`` (the healthy plant's server count) shows that
-      demand used to exist and fewer than two servers remain, in which
-      case the result is 0.0.
+      raises.  ``theta`` is 0.0 whenever a demand is cut off, since no
+      positive multiple of the whole matrix can be carried, so such a
+      matrix never supports full capacity;
+    * an *empty* traffic matrix is fully served (1.0).  Scoring a plant
+      that lost every pair it promised is the caller's business
+      (:func:`repro.lifecycle.metrics.evaluate_epoch` does it).
     """
     if traffic is None:
         traffic = random_permutation_traffic(topology, rng=rng)
     if len(traffic) == 0:
-        lost_all_demand = (
-            baseline_servers is not None
-            and baseline_servers >= 2
-            and topology.num_servers < 2
-        )
-        if lost_all_demand:
-            return ThroughputResult(theta=0.0, normalized=0.0, num_flows=0)
         return ThroughputResult(theta=float("inf"), normalized=1.0, num_flows=0)
     csr = topology.csr()
     labels = csr_component_labels(csr)
@@ -146,9 +139,8 @@ def degraded_throughput(
         return ThroughputResult(theta=0.0, normalized=0.0, num_flows=total_flows)
     result = normalized_throughput(topology, TrafficMatrix(reachable), k=k)
     scaled = (result.normalized * len(reachable)) / total_flows
-    return ThroughputResult(
-        theta=result.theta, normalized=scaled, num_flows=total_flows
-    )
+    theta = result.theta if len(reachable) == total_flows else 0.0
+    return ThroughputResult(theta=theta, normalized=scaled, num_flows=total_flows)
 
 
 def _throughput_upper_bound(topology: Topology, traffic: TrafficMatrix) -> float:
@@ -164,14 +156,15 @@ def _throughput_upper_bound(topology: Topology, traffic: TrafficMatrix) -> float
       units of directed arc capacity, so ``theta <= total_arc_capacity /
       sum(demand * hop_dist)``.
 
-    Returns ``inf`` when no bound applies (e.g. a demanded pair is
-    unreachable, which the LP path handles by raising).
+    Capacities come from :func:`~repro.simulation.capacity.link_capacities`,
+    the table the LPs solve over; they are integer-valued, so their sums
+    are exact.  Returns ``inf`` when no bound applies (e.g. a demanded pair
+    is unreachable, which the LP path handles by raising).
     """
-    if not traffic.switch_pairs():
-        return float("inf")
-    graph = topology.graph
-    csr = csr_graph(graph)
+    csr = csr_graph(topology.graph)
     arrays = traffic.as_switch_array(csr.index_of)
+    if not arrays.pairs:
+        return float("inf")
 
     # Per-switch in/out demand via bincount: bins accumulate in demand
     # order, the same float-add sequence as the dict walk it replaces.
@@ -181,12 +174,15 @@ def _throughput_upper_bound(topology: Topology, traffic: TrafficMatrix) -> float
     active = np.flatnonzero((out_demand > 0.0) | (in_demand > 0.0))
 
     bound = float("inf")
-    incident_cap = np.empty(len(active), dtype=np.float64)
-    for position, index in enumerate(active.tolist()):
-        capacity = 0.0
-        for _, _, data in graph.edges(csr.nodes[index], data=True):
-            capacity += float(data.get("capacity", 1.0))
-        incident_cap[position] = capacity
+    capacities = link_capacities(topology)
+    index_of = csr.index_of
+    # A switch's incident capacity, summed over its outgoing arcs (one per
+    # link, each as large as the arc coming back).
+    incident_cap = np.bincount(
+        np.asarray([index_of[u] for u, _ in capacities], dtype=np.int64),
+        weights=np.fromiter(capacities.values(), dtype=np.float64),
+        minlength=num_nodes,
+    )[active]
     for per_switch in (out_demand, in_demand):
         demanded = per_switch[active]
         positive = demanded > 0.0
@@ -207,11 +203,7 @@ def _throughput_upper_bound(topology: Topology, traffic: TrafficMatrix) -> float
     # historical scalar accumulation (numpy's pairwise sum would not).
     total_cost = sum((arrays.rates * hops).tolist())
     if total_cost > 0.0:
-        total_capacity = 2.0 * sum(
-            float(data.get("capacity", 1.0))
-            for _, _, data in graph.edges(data=True)
-        )
-        candidate = total_capacity / total_cost
+        candidate = sum(capacities.values()) / total_cost
         if candidate < bound:
             bound = candidate
     return bound
@@ -239,7 +231,7 @@ def _supports_matrix(topology: Topology, traffic: TrafficMatrix, k: int) -> bool
         return True
     with trace("throughput.decide", pairs=len(demands)):
         arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
-        structure = shared_path_lp_structure(topology, scheme="ksp", k=k)
+        structure = shared_path_lp_structure(topology)
         path_set = shared_path_set(topology.graph, arrays.pairs, scheme="ksp", k=k)
         theta = structure.solve_decision(demands, path_set, rates=arrays.rates)
     return theta >= FULL_RATE_THETA

@@ -102,11 +102,6 @@ def index_dtype(num_nodes: int, num_directed_edges: int) -> np.dtype:
         return np.dtype(np.int64)
     return np.dtype(np.int32)
 
-#: Entry cap of the per-view parent-tree memo, mirroring the intent of
-#: ``DIST_ROW_MEMO_NODE_LIMIT``: a sweep over every source of a fig05-scale
-#: graph must not retain every tree for the graph's lifetime.
-_PARENT_TREE_CACHE_MAX = 256
-
 #: Stand-in hash for node ``-1`` (CPython hashes -1 and -2 identically).
 _MINUS_ONE_SURROGATE = 0x2545F4914F6CDD1D
 
@@ -204,7 +199,6 @@ class CSRGraph:
         "fingerprint",
         "_adj_lists",
         "_edge_src",
-        "parent_trees",
         "_adj_padded",
         "__weakref__",
     )
@@ -237,11 +231,11 @@ class CSRGraph:
         self._init_caches()
 
     def _init_caches(self) -> None:
+        # Lazily built adjacency forms.  They live and die with this view,
+        # so a graph mutation, which forces a rebuild via the fingerprint,
+        # drops them with it.
         self._adj_lists: Optional[List[List[int]]] = None
         self._edge_src: Optional[np.ndarray] = None
-        # The memo lives and dies with this CSR view, so any graph mutation
-        # — which forces a rebuild via the fingerprint — drops it wholesale.
-        self.parent_trees = Memo("graphs.parent_trees", max_entries=_PARENT_TREE_CACHE_MAX)
         self._adj_padded: Optional[np.ndarray] = None
 
     @classmethod
@@ -485,13 +479,10 @@ class CSRGraph:
 
         Parent assignments follow CSR (= networkx adjacency) order, so the
         path extracted for any target equals the one an early-exit BFS to
-        that target would have produced.  Trees are memoized per source
-        (LRU-bounded), so repeated k-shortest-path queries from one source
-        (or one pair) skip their initial full BFS.
+        that target would have produced.  Built on each call; a path table
+        shares one tree among the pairs of a source
+        (:func:`repro.routing.ksp.all_pairs_k_shortest_paths`).
         """
-        cached = self.parent_trees.get(source)
-        if cached is not None:
-            return cached
         adj = self.adj_lists()
         parents = [-1] * self.num_nodes
         parents[source] = source
@@ -502,7 +493,7 @@ class CSRGraph:
                 if parents[v] < 0:
                     parents[v] = u
                     queue.append(v)
-        return self.parent_trees.put(source, parents)
+        return parents
 
 
 def path_from_parent_tree(parents: Sequence[int], source: int, target: int) -> Optional[IndexPath]:

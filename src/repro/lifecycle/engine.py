@@ -5,7 +5,7 @@
 asking :class:`~repro.lifecycle.metrics.IncrementalMetrics` for a
 degradation snapshot after every event and a full traffic evaluation at
 every epoch.  It maintains components by scoped re-sweeps and routes epochs
-through the shared content-hash caches.  The parity suite passes the
+through the shared content-hashed path tables.  The parity suite passes the
 cold-rebuild oracle (``tests/oracles/lifecycle.py``) as ``metrics_class``
 instead.
 

@@ -18,10 +18,11 @@ the component structure **incrementally**:
   region *is* the graph: the backend relabels once per batch (rare) rather
   than once per event (every event, like the reference).
 
-Epoch evaluations route through the content-hash-keyed shared path/capacity
-caches, so a lifecycle that revisits a state (fail + repair is a round
-trip) prices the revisit at a cache hit instead of a Yen recomputation.
-Both backends call the same snapshot arithmetic (:func:`component_summary`,
+Under ``traffic="fixed"`` an epoch is a pure function of the topology
+state, so :class:`IncrementalMetrics` memoizes epochs by content hash and a
+lifecycle that revisits a state (fail + repair is a round trip) prices the
+revisit at a lookup.  Per-epoch traffic draws a new matrix every epoch and
+gets no such reuse.  Both backends call the same snapshot arithmetic (:func:`component_summary`,
 with :func:`availability`) and the same epoch kernel
 (:func:`evaluate_epoch`), which is what the parity suite pins: identical
 trajectories, float for float.
@@ -123,7 +124,8 @@ def evaluate_epoch(
     Unreachable pairs ride the degradation contract: they are routed
     around (skip-mode path sets) and scored at exactly 0.0; if failures
     leave fewer than two servers while the plant promised more, the epoch
-    scores 0.0 outright.
+    scores 0.0 outright, whichever engine runs it (both engines score an
+    empty matrix as fully served).
     """
     if config.traffic == "fixed":
         rand = random.Random(f"lifecycle:{seed}:traffic")
@@ -138,9 +140,7 @@ def evaluate_epoch(
     if config.epoch_engine == "path":
         from repro.flow.throughput import degraded_throughput
 
-        outcome = degraded_throughput(
-            topology, traffic=traffic, k=config.k, baseline_servers=plant_servers
-        )
+        outcome = degraded_throughput(topology, traffic=traffic, k=config.k)
         return {
             "throughput": outcome.normalized,
             "num_flows": float(outcome.num_flows),

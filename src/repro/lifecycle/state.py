@@ -143,7 +143,7 @@ class LifecycleState:
         Nodes and edges are inserted in ``repr`` order, so one *state*
         always materializes to one adjacency layout regardless of the event
         history that led there -- which is what lets the content-hash-keyed
-        path/capacity caches recognize a revisited state.
+        path tables and epoch memo recognize a revisited state.
         """
         nodes = sorted(self.alive_nodes(), key=_node_key)
         graph = nx.Graph()

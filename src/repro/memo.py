@@ -1,19 +1,19 @@
 """One bounded memo for every in-process cache.
 
-The evaluation derives the same data many times over: hop distances, BFS
-parent trees, path tables, path-LP structures, link capacities and
-lifecycle epoch metrics.  Each is kept in a :class:`Memo`, a
+Three kinds of derived data are worth keeping because the evaluation
+asks for them again: BFS distance rows (``graphs.dist_rows``), shared path
+tables (``routing.path_sets``) and, under fixed lifecycle traffic, epoch
+metrics (``lifecycle.epochs``).  Each is kept in a :class:`Memo`, a
 least-recently-used (LRU) map bounded by an entry cap, a cost budget in the
 namespace's own unit (bytes, stored paths), or both.  Every bound shrinks
 with the active :class:`~repro.resources.ExecutionProfile`'s
 ``memory_scale``, so a point re-run on a degraded rung holds less of every
 cache.
 
-Each memo belongs to a namespace (``graphs.dist_rows``,
-``routing.path_sets``, ...).  Hit, miss and eviction counts are kept per
-namespace and summed over its instances -- every CSR view carries its own
-``graphs.parent_trees`` memo -- and evictions are
-also reported to telemetry as ``memo.<namespace>.evictions``.
+Hit, miss and eviction counts are kept per namespace and summed over its
+instances -- every lifecycle's incremental metrics carry their own
+``lifecycle.epochs`` memo -- and evictions are also reported to telemetry
+as ``memo.<namespace>.evictions``.
 :func:`memo_stats` reads the counts; :func:`clear_memos` empties every live
 memo and zeroes them.
 """

@@ -247,7 +247,6 @@ def simulate_fluid(
         path_set = route_demands(topology, traffic, config)
 
     specs = _build_flow_specs(traffic, path_set, config, rand)
-    # Shared cache state: the MPTCP allocator copies it before draining.
     capacities = link_capacities(topology)
     if config.congestion_control == MPTCP:
         # Each flow keeps one subflow per distinct candidate path; the coupled

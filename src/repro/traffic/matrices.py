@@ -47,9 +47,8 @@ class SwitchDemandArrays:
 class Demand:
     """A single server-to-server demand.
 
-    Frozen: the aggregation caches on :class:`TrafficMatrix` fingerprint the
-    demand *list*, so the demands themselves must be immutable (derive a
-    scaled copy with :meth:`TrafficMatrix.scaled` instead of editing rates).
+    Frozen: derive a scaled copy with :meth:`TrafficMatrix.scaled` instead
+    of editing rates.
     """
 
     source: Server
@@ -80,34 +79,12 @@ class TrafficMatrix:
     def total_demand(self) -> float:
         return sum(d.rate for d in self.demands)
 
-    def _fingerprint(self) -> Tuple[Demand, ...]:
-        """Snapshot of the demand list for the aggregation caches.
-
-        A tuple of the demand objects themselves: caches compare it slot
-        identity for slot identity (``is``, not ``==``), and the strong
-        references keep object ids from being recycled, so a matching
-        snapshot plus :class:`Demand` being frozen guarantees identical
-        demands.  The identity sweep is C-level and far cheaper than
-        re-aggregating.
-        """
-        return tuple(self.demands)
-
-    @staticmethod
-    def _fingerprint_matches(snapshot, demands) -> bool:
-        return len(snapshot) == len(demands) and all(
-            cached is current for cached, current in zip(snapshot, demands)
-        )
-
     def switch_pairs(self) -> Dict[Tuple[Hashable, Hashable], float]:
         """Aggregate demands by (source switch, destination switch).
 
         Demands whose endpoints share a switch never touch the network and
-        are excluded.  The aggregation is memoized per demand-list state;
-        treat the returned dict as read-only.
+        are excluded.  Keys are in first-occurrence order.
         """
-        cached = getattr(self, "_pairs_cache", None)
-        if cached is not None and self._fingerprint_matches(cached[0], self.demands):
-            return cached[1]
         aggregated: Dict[Tuple[Hashable, Hashable], float] = {}
         for demand in self.demands:
             src, dst = demand.source_switch, demand.destination_switch
@@ -115,35 +92,25 @@ class TrafficMatrix:
                 continue
             key = (src, dst)
             aggregated[key] = aggregated.get(key, 0.0) + demand.rate
-        self._pairs_cache = (self._fingerprint(), aggregated)
         return aggregated
 
     def as_switch_array(self, index_of: Dict[Hashable, int]) -> SwitchDemandArrays:
-        """Aggregated demand triplets as numpy arrays (cached).
+        """Aggregated demand triplets as numpy arrays.
 
         ``index_of`` maps switches to the topology's sorted-switch index
-        (``csr.index_of``); pass the same mapping object to hit the cache.
-        Pair order is the ``switch_pairs`` first-occurrence order, and the
-        per-pair rates are the exact same floats, so LP rows assembled from
-        these arrays are bit-identical to the dict walk they replace.
+        (``csr.index_of``).  Pair order is the ``switch_pairs``
+        first-occurrence order, and the per-pair rates are the exact same
+        floats, so LP rows assembled from these arrays are bit-identical to
+        the dict walk they replace.
         """
-        cached = getattr(self, "_array_cache", None)
-        if (
-            cached is not None
-            and cached[0] is index_of
-            and self._fingerprint_matches(cached[1], self.demands)
-        ):
-            return cached[2]
         pairs_dict = self.switch_pairs()
         pairs = list(pairs_dict)
-        arrays = SwitchDemandArrays(
+        return SwitchDemandArrays(
             pairs=pairs,
             src=np.asarray([index_of[src] for src, _ in pairs], dtype=np.int32),
             dst=np.asarray([index_of[dst] for _, dst in pairs], dtype=np.int32),
             rates=np.asarray(list(pairs_dict.values()), dtype=np.float64),
         )
-        self._array_cache = (index_of, self._fingerprint(), arrays)
-        return arrays
 
     def scaled(self, factor: float) -> "TrafficMatrix":
         """Return a copy with every demand multiplied by ``factor``."""

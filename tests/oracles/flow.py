@@ -27,8 +27,9 @@ from scipy.optimize import linprog
 from scipy.sparse import lil_matrix
 
 from repro.flow.maxmin import Allocation, DirectedLink, FlowSpec, _path_links
-from repro.flow.mcf import FlowSolverError, _directed_arcs
+from repro.flow.mcf import FlowSolverError
 from repro.routing.paths import PathSet, build_path_set
+from repro.simulation.capacity import link_capacities
 from repro.topologies.base import Topology
 from repro.traffic.matrices import TrafficMatrix
 
@@ -151,7 +152,9 @@ def assemble_edge_lp_reference(topology: Topology, demands: Dict) -> tuple:
     already converted to CSR, exactly as the pre-vectorized solver
     handed them to HiGHS.
     """
-    arcs = _directed_arcs(topology)
+    arcs = [
+        (u, v, capacity) for (u, v), capacity in link_capacities(topology).items()
+    ]
     if not arcs:
         raise FlowSolverError("topology has no links but traffic crosses switches")
     nodes = list(topology.graph.nodes)
@@ -243,7 +246,9 @@ def assemble_path_lp_reference(
     Returns ``(a_eq, b_eq, a_ub, b_ub, num_vars)`` in CSR form, exactly as
     the pre-vectorized solver handed them to HiGHS.
     """
-    arcs = _directed_arcs(topology)
+    arcs = [
+        (u, v, capacity) for (u, v), capacity in link_capacities(topology).items()
+    ]
     arc_index = {(u, v): i for i, (u, v, _) in enumerate(arcs)}
 
     # Enumerate path variables.

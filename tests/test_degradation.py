@@ -111,15 +111,24 @@ class TestRoutingUnderPartition:
                 assert (source, target) not in path_set.paths
 
 
+def two_rings(servers_per_switch):
+    """Two disjoint 4-switch rings: a permutation sends some demands across
+    the cut and keeps others inside a ring."""
+    graph = nx.cycle_graph(4)
+    graph.add_edges_from(nx.cycle_graph(range(4, 8)).edges)
+    return Topology(
+        graph,
+        ports={node: 2 + servers_per_switch for node in graph},
+        servers={node: servers_per_switch for node in graph},
+    )
+
+
 class TestFlowEnginesUnderPartition:
     @COMMON_SETTINGS
     @given(damaged_problem())
     def test_path_throughput_finite_and_degradation_scaled(self, problem):
-        plant, damaged, traffic, _ = problem
-        outcome = degraded_throughput(
-            damaged, traffic=traffic, k=4,
-            baseline_servers=plant.num_servers,
-        )
+        _, damaged, traffic, _ = problem
+        outcome = degraded_throughput(damaged, traffic=traffic, k=4)
         assert math.isfinite(outcome.normalized)
         assert 0.0 <= outcome.normalized <= 1.0
         labels = component_labels(damaged)
@@ -129,29 +138,37 @@ class TestFlowEnginesUnderPartition:
         ]
         if crossing and all(crossing):
             assert outcome.normalized == 0.0
+        if any(crossing):
+            assert outcome.theta == 0.0
 
     def test_path_throughput_scales_the_reachable_demands(self):
-        # Two disjoint 4-switch rings, three servers per switch: a permutation
-        # sends some demands across the cut and keeps others inside a ring.
-        graph = nx.cycle_graph(4)
-        graph.add_edges_from(nx.cycle_graph(range(4, 8)).edges)
-        topology = Topology(
-            graph, ports={node: 5 for node in graph}, servers={node: 3 for node in graph}
-        )
+        # Three servers per switch: the rings are oversubscribed.
+        topology = two_rings(servers_per_switch=3)
         traffic = random_permutation_traffic(topology, rng=0)
         reachable = [
             demand
             for demand in traffic
-            if nx.has_path(graph, demand.source_switch, demand.destination_switch)
+            if nx.has_path(
+                topology.graph, demand.source_switch, demand.destination_switch
+            )
         ]
         assert 0 < len(reachable) < len(traffic)
         outcome = degraded_throughput(topology, traffic=traffic, k=4)
         within = normalized_throughput(topology, TrafficMatrix(reachable), k=4)
-        assert 0.0 < within.normalized < 1.0  # the rings are oversubscribed
+        assert 0.0 < within.normalized < 1.0
         assert isinstance(outcome, ThroughputResult)
         assert outcome.normalized == within.normalized * len(reachable) / len(traffic)
-        assert outcome.theta == within.theta
+        assert outcome.theta == 0.0
         assert outcome.num_flows == len(traffic)
+
+    def test_cut_off_demands_deny_full_capacity(self):
+        # Two servers per switch: the reachable demands alone run at line
+        # rate, yet half the matrix is cut off.
+        topology = two_rings(servers_per_switch=2)
+        traffic = random_permutation_traffic(topology, rng=0)
+        outcome = degraded_throughput(topology, traffic=traffic, k=4)
+        assert outcome.normalized == 0.5
+        assert not outcome.supports_full_capacity()
 
     @COMMON_SETTINGS
     @given(
@@ -190,10 +207,10 @@ class TestTotalLoss:
         assert dead.num_switches == 0
         traffic = random_permutation_traffic(dead, rng=2)
         assert not list(traffic)
-        outcome = degraded_throughput(
-            dead, traffic=traffic, k=4,
-            baseline_servers=plant.num_servers,
-        )
-        assert outcome.normalized == 0.0
+        # No demand is left to serve; scoring the lost plant at 0.0 is
+        # evaluate_epoch's rule (tests/test_lifecycle.py).
+        outcome = degraded_throughput(dead, traffic=traffic, k=4)
+        assert outcome.normalized == 1.0
+        assert outcome.num_flows == 0
         result = simulate_fluid(dead, traffic, SimulationConfig(routing="ecmp", k=4))
         assert result.flow_throughputs == []

@@ -156,8 +156,19 @@ def test_one_entry_memos_leave_rows_unchanged(experiment_id, golden, monkeypatch
     stats = memo_stats()
     clear_memos()
     assert_golden_rows(result, golden)
-    for namespace in ("graphs.dist_rows", "routing.path_sets", "flow.lp_structures"):
+    for namespace in ("graphs.dist_rows", "routing.path_sets"):
         assert stats[namespace]["entries"] <= 1
+
+
+def test_kept_memos_hit_on_table1():
+    """The distance-row and path-set memos pay on packet-level work: a key
+    change that silently stops either from hitting fails here."""
+    clear_memos()
+    run_sweep("table1", scale="small", seed=0)
+    stats = memo_stats()
+    clear_memos()
+    for namespace in ("graphs.dist_rows", "routing.path_sets"):
+        assert stats[namespace]["hits"] > stats[namespace]["misses"] > 0
 
 
 class TestHeadlineClaims:

@@ -14,8 +14,10 @@ implementations (:mod:`oracles.flow`):
   fig04-sized LP, whichever HiGHS method the LP's size selects;
 * the size rule itself: the method each ``lp.solve`` span records, and the
   one retry with the other method when a solve fails;
-* the shared path-set / LP-structure caches: reuse on an unchanged graph,
-  invalidation on mutation.
+* the one link-capacity table: both LPs' arcs and capacities, and the
+  screen's bound, read ``link_capacities`` (trunked leaf-spine links
+  included);
+* the shared path-set cache: reuse on an unchanged graph.
 """
 
 import numpy as np
@@ -35,10 +37,11 @@ from repro.flow.path_lp import (
     IPM_MIN_NNZ,
     PathLPStructure,
     max_concurrent_flow_path_lp,
-    shared_path_lp_structure,
 )
 from repro.memo import clear_memos
 from repro.routing.paths import build_path_set, shared_path_set
+from repro.simulation.capacity import link_capacities
+from repro.topologies.clos import LeafSpineTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 
@@ -206,7 +209,7 @@ class TestLpAssemblyParity:
         traffic = random_permutation_traffic(topology, rng=seed)
         demands = traffic.switch_pairs()
         path_set = build_path_set(topology.graph, list(demands), scheme="ksp", k=8)
-        structure = PathLPStructure(topology, scheme="ksp", k=8)
+        structure = PathLPStructure(topology)
         _assert_same_matrices(
             structure.assemble(demands, path_set),
             assemble_path_lp_reference(topology, demands, path_set),
@@ -335,33 +338,53 @@ class TestDecisionPathParity:
     def test_upper_bound_is_sound(self):
         from repro.flow.throughput import _throughput_upper_bound
 
-        for seed in range(3):
-            topology = JellyfishTopology.build(12, 6, 3, rng=seed)
-            traffic = random_permutation_traffic(topology, rng=seed + 50)
+        # On the trunked leaf-spine the bound is tight (0.5, 0.571, 0.571),
+        # so a screen that read a 2-cable trunk as one cable would fail.
+        inputs = [
+            (JellyfishTopology.build(12, 6, 3, rng=seed), seed + 50)
+            for seed in range(3)
+        ]
+        inputs += [(trunked_leaf_spine(), seed) for seed in range(3)]
+        for topology, traffic_seed in inputs:
+            traffic = random_permutation_traffic(topology, rng=traffic_seed)
             bound = _throughput_upper_bound(topology, traffic)
             theta = max_concurrent_flow_edge_lp(topology, traffic)
             assert theta <= bound + 1e-9
 
 
+def trunked_leaf_spine():
+    """4 leaves x 8 servers and 2 spines, each leaf-spine pair a 2-cable trunk."""
+    return LeafSpineTopology.build(
+        num_leaves=4, num_spines=2, servers_per_leaf=8,
+        leaf_ports=12, spine_ports=8, links_per_pair=2,
+    )
+
+
+class TestLinkCapacityTable:
+    """Both LPs read their arcs and capacities from ``link_capacities``."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [trunked_leaf_spine, lambda: JellyfishTopology.build(20, 8, 5, rng=4)],
+        ids=["leaf-spine-trunks", "jellyfish-core"],
+    )
+    def test_lp_arcs_follow_the_table(self, build):
+        topology = build()
+        table = link_capacities(topology)
+        # Each edge in graph order, then its reverse: the LP row order.
+        assert list(table) == [
+            arc for u, v in topology.graph.edges for arc in ((u, v), (v, u))
+        ]
+        structure = PathLPStructure(topology)
+        assert list(structure.arc_index) == list(table)
+        assert list(structure.arc_index.values()) == list(range(len(table)))
+        assert structure.capacities.tolist() == list(table.values())
+        demands = random_permutation_traffic(topology, rng=1).switch_pairs()
+        edge_capacities = _assemble_edge_lp(topology, demands)[3]
+        assert edge_capacities.tolist() == list(table.values())
+
+
 class TestSharedState:
-    def test_structure_reused_for_unchanged_graph(self):
-        clear_memos()
-        topology = JellyfishTopology.build(10, 6, 3, rng=3)
-        first = shared_path_lp_structure(topology, k=8)
-        second = shared_path_lp_structure(topology, k=8)
-        assert first is second
-        assert shared_path_lp_structure(topology, k=4) is not first
-
-    def test_structure_invalidated_on_mutation(self):
-        clear_memos()
-        topology = JellyfishTopology.build(10, 6, 3, rng=3)
-        first = shared_path_lp_structure(topology, k=8)
-        edge = next(iter(topology.graph.edges))
-        topology.graph.remove_edge(*edge)
-        second = shared_path_lp_structure(topology, k=8)
-        assert first is not second
-        assert second.num_arcs == first.num_arcs - 2
-
     def test_shared_path_set_extends_lazily(self):
         clear_memos()
         topology = JellyfishTopology.build(10, 6, 3, rng=5)

@@ -175,13 +175,18 @@ class TestBackendParity:
         assert max(switches) > small_plant().num_switches
 
     @pytest.mark.parametrize(
-        "metrics_class",
-        [IncrementalMetrics, ColdMetrics],
-        ids=["incremental", "reference"],
+        "metrics_class, epoch_engine",
+        [
+            (IncrementalMetrics, "path"),
+            (ColdMetrics, "path"),
+            (IncrementalMetrics, "fluid"),
+            (ColdMetrics, "fluid"),
+        ],
+        ids=["incremental", "reference", "incremental-fluid", "reference-fluid"],
     )
-    def test_losing_every_switch_degrades_to_zero(self, metrics_class):
+    def test_losing_every_switch_degrades_to_zero(self, metrics_class, epoch_engine):
         plant = small_plant()
-        config = LifecycleConfig(**FAST)
+        config = LifecycleConfig(**{**FAST, "epoch_engine": epoch_engine})
         events = [
             LifecycleEvent(float(i), SWITCH_FAIL, i)
             for i in range(plant.num_switches)
