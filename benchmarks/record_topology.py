@@ -47,11 +47,10 @@ from repro.telemetry.manifest import peak_rss_kb
 from timing import best_of
 
 from repro.graphs.regular import (
-    random_graph_with_degree_budget,
+    graph_from_rows,
     random_graph_with_degree_budget_rows,
-    sequential_random_regular_graph,
+    random_regular_graph,
     sequential_random_regular_rows,
-    stub_matching_regular_graph,
     stub_matching_regular_rows,
 )
 from repro.topologies.jellyfish import JellyfishTopology, rrg_core
@@ -85,7 +84,7 @@ def _sequential_case(num_nodes: int, degree: int, repeats: int, repeats_old: int
     CSR kernels from the rows directly and only materializes on demand.
     """
     _assert_same_edges(
-        sequential_random_regular_graph(num_nodes, degree, random.Random(0)),
+        random_regular_graph(num_nodes, degree, random.Random(0)),
         sequential_random_regular_graph_reference(num_nodes, degree, random.Random(0)),
     )
     new_seconds = _best_of(
@@ -111,7 +110,10 @@ def _sequential_case(num_nodes: int, degree: int, repeats: int, repeats_old: int
 def _stub_case(num_nodes: int, degree: int, repeats: int, repeats_old: int) -> dict:
     """Scalar stub-matching reference vs the vectorized kernel (same seed)."""
     _assert_same_edges(
-        stub_matching_regular_graph(num_nodes, degree, random.Random(0)),
+        graph_from_rows(
+            range(num_nodes),
+            stub_matching_regular_rows(num_nodes, degree, random.Random(0)),
+        ),
         stub_matching_regular_graph_reference(num_nodes, degree, random.Random(0)),
     )
     new_seconds = _best_of(
@@ -141,8 +143,9 @@ def _budget_case(num_switches: int, ports: int, num_servers: int, repeats: int, 
         node: min(ports - (base + (1 if node < extra else 0)), num_switches - 1)
         for node in range(num_switches)
     }
+    rows, labels = random_graph_with_degree_budget_rows(budgets, random.Random(0))
     _assert_same_edges(
-        random_graph_with_degree_budget(budgets, random.Random(0)),
+        graph_from_rows(labels, rows),
         random_graph_with_degree_budget_reference(budgets, random.Random(0)),
     )
     new_seconds = _best_of(

@@ -5,7 +5,7 @@ performance regressions are visible independently of the figure harnesses.
 """
 
 from repro.flow.path_lp import max_concurrent_flow_path_lp
-from repro.graphs.regular import sequential_random_regular_graph
+from repro.graphs.regular import random_regular_graph
 from repro.routing.ksp import k_shortest_paths
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
 from repro.topologies.fattree import FatTreeTopology
@@ -14,7 +14,7 @@ from repro.traffic.matrices import random_permutation_traffic
 
 
 def test_bench_rrg_construction(benchmark):
-    graph = benchmark(sequential_random_regular_graph, 200, 12, 1)
+    graph = benchmark(random_regular_graph, 200, 12, 1)
     assert graph.number_of_edges() == 200 * 12 // 2
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.flow.maxmin import max_min_fair_allocation
 from repro.flow.path_lp import PathLPStructure
+from repro.graphs.csr import csr_graph
 from repro.routing.paths import build_path_set
 from repro.simulation.capacity import link_capacities
 from repro.simulation.fluid import (
@@ -43,17 +44,18 @@ def fig13_scale_problem():
     config = SimulationConfig(routing="ksp", k=8, congestion_control=TCP_EIGHT_FLOWS)
     specs = _build_flow_specs(traffic, path_set, config, ensure_rng(3))
     capacities = link_capacities(topology)
-    return topology, demands, path_set, specs, capacities
+    arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
+    return topology, demands, path_set, specs, capacities, arrays
 
 
 def test_bench_maxmin_vectorized(benchmark, fig13_scale_problem):
-    _, _, _, specs, capacities = fig13_scale_problem
+    _, _, _, specs, capacities, _ = fig13_scale_problem
     allocation = benchmark(max_min_fair_allocation, specs, capacities)
     assert allocation.flow_rates
 
 
 def test_bench_maxmin_reference(benchmark, fig13_scale_problem):
-    _, _, _, specs, capacities = fig13_scale_problem
+    _, _, _, specs, capacities, _ = fig13_scale_problem
     allocation = benchmark.pedantic(
         max_min_fair_allocation_reference, args=(specs, capacities),
         iterations=1, rounds=2,
@@ -62,14 +64,14 @@ def test_bench_maxmin_reference(benchmark, fig13_scale_problem):
 
 
 def test_bench_path_lp_assembly_vectorized(benchmark, fig13_scale_problem):
-    topology, demands, path_set, _, _ = fig13_scale_problem
-    structure = PathLPStructure(topology)
-    matrices = benchmark(structure.assemble, demands, path_set)
+    _, _, path_set, _, capacities, arrays = fig13_scale_problem
+    structure = PathLPStructure(capacities)
+    matrices = benchmark(structure.assemble, arrays, path_set)
     assert matrices[-1] > 0
 
 
 def test_bench_path_lp_assembly_reference(benchmark, fig13_scale_problem):
-    topology, demands, path_set, _, _ = fig13_scale_problem
+    topology, demands, path_set, _, _, _ = fig13_scale_problem
     matrices = benchmark.pedantic(
         assemble_path_lp_reference, args=(topology, demands, path_set),
         iterations=1, rounds=3,

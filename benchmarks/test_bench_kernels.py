@@ -7,7 +7,7 @@ into the committed ``BENCH_kernels.json`` trajectory snapshot.
 
 import pytest
 
-from repro.graphs.csr import batched_hop_distances, clear_csr_cache, csr_graph
+from repro.graphs.csr import clear_csr_cache, csr_graph
 from repro.graphs.properties import average_path_length, diameter
 from repro.memo import clear_memos
 from repro.routing.ksp import k_shortest_paths
@@ -33,7 +33,7 @@ def ksp_graph():
 def test_bench_batched_bfs_all_pairs(benchmark, fig05_scale_graph):
     clear_csr_cache()
     csr_graph(fig05_scale_graph)
-    matrix = benchmark(batched_hop_distances, fig05_scale_graph)
+    matrix = benchmark(lambda: csr_graph(fig05_scale_graph).hop_distance_matrix())
     assert matrix.shape == (400, 400)
 
 

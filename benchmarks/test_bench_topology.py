@@ -10,8 +10,9 @@ import random
 import pytest
 
 from repro.graphs.regular import (
-    sequential_random_regular_graph,
-    stub_matching_regular_graph,
+    graph_from_rows,
+    random_regular_graph,
+    stub_matching_regular_rows,
 )
 from repro.topologies.jellyfish import JellyfishTopology, rrg_core
 from repro.utils.rng import spawn_seeds
@@ -27,9 +28,7 @@ DEGREE = 11
 
 
 def test_bench_sequential_rrg_array_native(benchmark):
-    graph = benchmark(
-        sequential_random_regular_graph, NUM_NODES, DEGREE, random.Random(0)
-    )
+    graph = benchmark(random_regular_graph, NUM_NODES, DEGREE, random.Random(0))
     assert graph.number_of_edges() == NUM_NODES * DEGREE // 2
 
 
@@ -45,8 +44,11 @@ def test_bench_sequential_rrg_reference(benchmark):
 
 
 def test_bench_stub_matching_vectorized(benchmark):
+    rng = random.Random(0)
     graph = benchmark(
-        stub_matching_regular_graph, NUM_NODES, DEGREE, random.Random(0)
+        lambda: graph_from_rows(
+            range(NUM_NODES), stub_matching_regular_rows(NUM_NODES, DEGREE, rng)
+        )
     )
     assert graph.number_of_edges() == NUM_NODES * DEGREE // 2
 

@@ -38,19 +38,6 @@ class CablingReport:
     def num_optical(self) -> int:
         return sum(1 for length in self.cable_lengths_m if length > self.electrical_limit_m)
 
-    @property
-    def num_electrical(self) -> int:
-        return len(self.cable_lengths_m) - self.num_optical
-
-    @property
-    def total_length_m(self) -> float:
-        return sum(self.cable_lengths_m)
-
-    def mean_length_m(self) -> float:
-        if not self.cable_lengths_m:
-            return 0.0
-        return self.total_length_m / len(self.cable_lengths_m)
-
 
 class FloorPlan:
     """Rectangular data-center floor with a central switch cluster.

@@ -626,11 +626,10 @@ def build_topo_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--method",
-        choices=["sequential", "stubs", "pairing", "networkx"],
+        choices=["sequential", "stubs"],
         default="sequential",
-        help="RRG construction: the paper's sequential procedure (default), "
-        "vectorized stub matching for large batches, or the pairing-model "
-        "and networkx ablations",
+        help="RRG construction: the paper's sequential procedure (default) "
+        "or vectorized stub matching for large batches",
     )
     common.add_argument(
         "--seed",

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.expansion.cost import CostModel
-from repro.topologies.clos import LeafSpineTopology
 from repro.utils.validation import require_integer, require_non_negative
 
 
@@ -63,18 +62,6 @@ class ClosExpansionState:
             return 0.0
         bisection_edges = self.num_leaves * self.uplinks_per_leaf / 2.0
         return bisection_edges / (self.num_servers / 2.0)
-
-    def to_topology(self, leaf_ports: int, spine_ports: int) -> LeafSpineTopology:
-        """Materialize the state as a concrete leaf-spine topology."""
-        return LeafSpineTopology.build(
-            num_leaves=self.num_leaves,
-            num_spines=self.num_spines,
-            servers_per_leaf=self.servers_per_leaf,
-            leaf_ports=leaf_ports,
-            spine_ports=spine_ports,
-            links_per_pair=self.links_per_pair,
-            name=f"clos-stage-{self.stage}",
-        )
 
 
 class ClosExpansionPlanner:

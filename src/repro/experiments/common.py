@@ -31,9 +31,6 @@ class ExperimentResult:
             raise KeyError(f"no column named {name!r}") from error
         return [row[index] for row in self.rows]
 
-    def as_dicts(self) -> List[Dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def __str__(self) -> str:
         return format_table(self)
 

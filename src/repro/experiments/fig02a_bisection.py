@@ -22,6 +22,7 @@ from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
 from repro.graphs.bisection import bollobas_bisection_lower_bound
 from repro.topologies.fattree import fattree_num_servers
+from repro.utils.validation import require_positive
 
 _SCALES = {
     "small": [(720, 24), (1280, 32)],
@@ -35,6 +36,7 @@ _TARGET = "repro.experiments.fig02a_bisection:jellyfish_curve_point"
 
 def jellyfish_curve_point(num_switches: int, ports: int, servers: int) -> float:
     """Normalized bisection bandwidth of RRG equipment hosting ``servers``."""
+    require_positive(servers, "servers")
     servers_per_switch = servers / num_switches
     network_degree = ports - math.ceil(servers_per_switch)
     if network_degree <= 0:

@@ -10,7 +10,8 @@ The incremental growth makes the sizes a single sequential scenario (each
 stage expands the previous topology with the same rng stream), so the whole
 figure is one engine scenario point rather than a per-size grid.  The
 mean-path-length and diameter queries at each size share one memoized
-all-pairs BFS sweep (:func:`repro.graphs.properties.all_pairs_hop_distances`).
+all-pairs BFS sweep (the distance rows behind
+:func:`repro.graphs.properties.path_length_distribution`).
 """
 
 from __future__ import annotations

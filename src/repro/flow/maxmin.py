@@ -67,9 +67,6 @@ class Allocation:
     subflow_rates: Dict[Tuple[Hashable, int], float] = field(default_factory=dict)
     link_loads: Dict[DirectedLink, float] = field(default_factory=dict)
 
-    def total_throughput(self) -> float:
-        return sum(self.flow_rates.values())
-
 
 def _path_links(path: Path) -> List[DirectedLink]:
     return list(zip(path, path[1:]))

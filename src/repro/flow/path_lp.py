@@ -43,11 +43,11 @@ from scipy.sparse import csr_matrix
 
 from repro.flow.mcf import FlowSolverError
 from repro.graphs.csr import csr_graph
-from repro.simulation.capacity import link_capacities
+from repro.simulation.capacity import DirectedLink, link_capacities
 from repro.telemetry import trace
 from repro.routing.paths import PathSet, shared_path_set
 from repro.topologies.base import Topology
-from repro.traffic.matrices import TrafficMatrix
+from repro.traffic.matrices import SwitchDemandArrays, TrafficMatrix
 
 #: LPs with at least this many nonzeros in ``a_eq`` and ``a_ub`` together
 #: (the ``nnz`` that ``lp.assemble`` reports) are solved by IPM, smaller
@@ -62,43 +62,40 @@ IPM_MIN_NNZ = 1500
 class PathLPStructure:
     """Demand-independent blocks of the path LP for one topology.
 
-    ``arc_index`` numbers the directed arcs in
-    :func:`~repro.simulation.capacity.link_capacities` order, one capacity
-    row each, and ``capacities`` is their capacity vector (``b_ub``).  The
-    path columns and the theta column are assembled per traffic matrix, so
-    one structure can solve several matrices over one topology.
+    Built from the topology's
+    :func:`~repro.simulation.capacity.link_capacities` table: ``arc_index``
+    numbers the directed arcs in table order, one capacity row each, and
+    ``capacities`` is their capacity vector (``b_ub``).  The path columns
+    and the theta column are assembled per traffic matrix, so one structure
+    can solve several matrices over one topology.
     """
 
-    def __init__(self, topology: Topology):
-        capacities = link_capacities(topology)
+    def __init__(self, capacities: Dict[DirectedLink, float]):
         self.num_arcs = len(capacities)
         self.arc_index = {arc: i for i, arc in enumerate(capacities)}
         self.capacities = np.fromiter(capacities.values(), dtype=np.float64)
 
-    def assemble(
-        self, demands: Dict, path_set: PathSet, rates: Optional[np.ndarray] = None
-    ) -> tuple:
+    def assemble(self, arrays: SwitchDemandArrays, path_set: PathSet) -> tuple:
         """Vectorized COO assembly for one traffic matrix.
 
-        Returns ``(a_eq, b_eq, a_ub, b_ub, num_vars)``; the matrices are
-        canonical CSR, equal to the reference ``lil_matrix`` assembly.
-        ``rates``, when given, must hold ``demands``' values in key order
-        (the :meth:`~repro.traffic.matrices.TrafficMatrix.as_switch_array`
-        form) and skips the per-pair dict walk for the theta column.
+        ``arrays`` is the matrix's
+        :meth:`~repro.traffic.matrices.TrafficMatrix.as_switch_array` form:
+        one equality row per demanded pair, in ``arrays.pairs`` order, with
+        ``arrays.rates`` as the theta column.  Returns ``(a_eq, b_eq, a_ub,
+        b_ub, num_vars)``; the matrices are canonical CSR, equal to the
+        reference ``lil_matrix`` assembly.
         """
         with trace("lp.assemble") as span:
-            assembled = self._assemble(demands, path_set, rates)
+            assembled = self._assemble(arrays, path_set)
             span.add(
-                pairs=len(demands),
+                pairs=len(arrays.pairs),
                 vars=assembled[-1],
                 nnz=int(assembled[0].nnz + assembled[2].nnz),
             )
         return assembled
 
-    def _assemble(
-        self, demands: Dict, path_set: PathSet, rates: Optional[np.ndarray] = None
-    ) -> tuple:
-        pairs = list(demands)
+    def _assemble(self, arrays: SwitchDemandArrays, path_set: PathSet) -> tuple:
+        pairs = arrays.pairs
         num_pairs = len(pairs)
         arc_index = self.arc_index
         counts = np.empty(num_pairs, dtype=np.int64)
@@ -122,12 +119,7 @@ class PathLPStructure:
         # Equality rows: one 1.0 per path variable in its pair's row, plus
         # the theta column (-demand).  Zero demands are filtered to mirror
         # lil_matrix, which drops explicit zero writes.
-        if rates is not None:
-            theta_data = -np.asarray(rates, dtype=np.float64)
-        else:
-            theta_data = np.asarray(
-                [-demands[pair] for pair in pairs], dtype=np.float64
-            )
+        theta_data = -arrays.rates
         theta_rows = np.arange(num_pairs, dtype=np.int64)
         nonzero = theta_data != 0.0
         a_eq = csr_matrix(
@@ -160,9 +152,7 @@ class PathLPStructure:
         )
         return a_eq, b_eq, a_ub, self.capacities, num_vars
 
-    def solve(
-        self, demands: Dict, path_set: PathSet, rates: Optional[np.ndarray] = None
-    ) -> float:
+    def solve(self, arrays: SwitchDemandArrays, path_set: PathSet) -> float:
         """Concurrent-flow factor theta for one traffic matrix.
 
         One HiGHS solve whose method follows the assembled LP's size: IPM
@@ -171,7 +161,7 @@ class PathLPStructure:
         the other method; :class:`FlowSolverError` is raised only when both
         fail.
         """
-        a_eq, b_eq, a_ub, b_ub, num_vars = self.assemble(demands, path_set, rates)
+        a_eq, b_eq, a_ub, b_ub, num_vars = self.assemble(arrays, path_set)
         objective = np.zeros(num_vars)
         objective[num_vars - 1] = -1.0
         methods = ("highs-ds", "highs-ipm")
@@ -197,9 +187,7 @@ class PathLPStructure:
                 return float(result.x[num_vars - 1])
         raise FlowSolverError(f"LP solver failed: {result.message}")
 
-    def solve_decision(
-        self, demands: Dict, path_set: PathSet, rates: Optional[np.ndarray] = None
-    ) -> float:
+    def solve_decision(self, arrays: SwitchDemandArrays, path_set: PathSet) -> float:
         """Theta for the full-line-rate decision: the same solve as :meth:`solve`.
 
         Decisions and reported theta values share one LP and one method, so
@@ -207,17 +195,17 @@ class PathLPStructure:
         stays a separate entry point so that decision solves can be counted
         apart from theta evaluations.
         """
-        return self.solve(demands, path_set, rates)
+        return self.solve(arrays, path_set)
 
 
-def shared_path_lp_structure(topology: Topology) -> PathLPStructure:
-    """The :class:`PathLPStructure` the throughput harness solves ``topology`` with.
+def shared_path_lp_structure(capacities: Dict[DirectedLink, float]) -> PathLPStructure:
+    """The :class:`PathLPStructure` the throughput harness solves over ``capacities``.
 
     A fresh structure per call.  It stays the harness's one constructor
     call so that structure builds can be timed apart from assembly and
     solves by wrapping this name (as ``benchmarks/e2e/layers.py`` does).
     """
-    return PathLPStructure(topology)
+    return PathLPStructure(capacities)
 
 
 def max_concurrent_flow_path_lp(
@@ -233,12 +221,10 @@ def max_concurrent_flow_path_lp(
     (:func:`repro.routing.paths.shared_path_set`), so evaluating several
     traffic matrices against one topology routes each switch pair once.
     """
-    demands = traffic.switch_pairs()
-    if not demands:
-        return float("inf")
-
     arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
+    if not arrays.pairs:
+        return float("inf")
     if path_set is None:
         path_set = shared_path_set(topology.graph, arrays.pairs, scheme="ksp", k=k)
-    structure = shared_path_lp_structure(topology)
-    return structure.solve(demands, path_set, rates=arrays.rates)
+    structure = shared_path_lp_structure(link_capacities(topology))
+    return structure.solve(arrays, path_set)

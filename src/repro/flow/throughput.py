@@ -32,7 +32,7 @@ simulators price links from one table,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -40,13 +40,17 @@ from repro.flow.path_lp import (
     max_concurrent_flow_path_lp,
     shared_path_lp_structure,
 )
-from repro.graphs.csr import csr_graph
+from repro.graphs.csr import CSRGraph, csr_graph
 from repro.graphs.properties import csr_component_labels
 from repro.routing.paths import shared_path_set
-from repro.simulation.capacity import link_capacities
+from repro.simulation.capacity import DirectedLink, link_capacities
 from repro.telemetry import count, trace
 from repro.topologies.base import Topology
-from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
+from repro.traffic.matrices import (
+    SwitchDemandArrays,
+    TrafficMatrix,
+    random_permutation_traffic,
+)
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Theta at or above this is full line rate.  Both the reported
@@ -143,7 +147,9 @@ def degraded_throughput(
     return ThroughputResult(theta=theta, normalized=scaled, num_flows=total_flows)
 
 
-def _throughput_upper_bound(topology: Topology, traffic: TrafficMatrix) -> float:
+def _throughput_upper_bound(
+    csr: CSRGraph, arrays: SwitchDemandArrays, capacities: Dict[DirectedLink, float]
+) -> float:
     """Analytic upper bound on the concurrent-flow factor theta.
 
     Two sound bounds, both valid for the edge LP and (a fortiori) the
@@ -156,13 +162,13 @@ def _throughput_upper_bound(topology: Topology, traffic: TrafficMatrix) -> float
       units of directed arc capacity, so ``theta <= total_arc_capacity /
       sum(demand * hop_dist)``.
 
-    Capacities come from :func:`~repro.simulation.capacity.link_capacities`,
-    the table the LPs solve over; they are integer-valued, so their sums
-    are exact.  Returns ``inf`` when no bound applies (e.g. a demanded pair
-    is unreachable, which the LP path handles by raising).
+    ``arrays`` is the matrix aggregated over ``csr``'s switch index and
+    ``capacities`` the topology's
+    :func:`~repro.simulation.capacity.link_capacities` table, the one the
+    LPs solve over; capacities are integer-valued, so their sums are exact.
+    Returns ``inf`` when no bound applies (e.g. a demanded pair is
+    unreachable, which the LP path handles by raising).
     """
-    csr = csr_graph(topology.graph)
-    arrays = traffic.as_switch_array(csr.index_of)
     if not arrays.pairs:
         return float("inf")
 
@@ -174,7 +180,6 @@ def _throughput_upper_bound(topology: Topology, traffic: TrafficMatrix) -> float
     active = np.flatnonzero((out_demand > 0.0) | (in_demand > 0.0))
 
     bound = float("inf")
-    capacities = link_capacities(topology)
     index_of = csr.index_of
     # A switch's incident capacity, summed over its outgoing arcs (one per
     # link, each as large as the arc coming back).
@@ -218,22 +223,25 @@ def _supports_matrix(topology: Topology, traffic: TrafficMatrix, k: int) -> bool
     (:meth:`~repro.flow.path_lp.PathLPStructure.solve_decision`), and
     compares theta against the same :data:`FULL_RATE_THETA`, so decisions
     are identical to evaluating ``normalized_throughput`` by construction.
+    The screen and the solve share one aggregation of the matrix and one
+    capacity table.
     """
     if len(traffic) == 0:
         return True
     with trace("throughput.screen", flows=len(traffic)):
-        screened = _throughput_upper_bound(topology, traffic) < 1.0 - _SCREEN_MARGIN
+        csr = csr_graph(topology.graph)
+        arrays = traffic.as_switch_array(csr.index_of)
+        capacities = link_capacities(topology)
+        screened = _throughput_upper_bound(csr, arrays, capacities) < 1.0 - _SCREEN_MARGIN
     if screened:
         count("throughput.screen_rejects")
         return False
-    demands = traffic.switch_pairs()
-    if not demands:
+    if not arrays.pairs:
         return True
-    with trace("throughput.decide", pairs=len(demands)):
-        arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
-        structure = shared_path_lp_structure(topology)
+    with trace("throughput.decide", pairs=len(arrays.pairs)):
+        structure = shared_path_lp_structure(capacities)
         path_set = shared_path_set(topology.graph, arrays.pairs, scheme="ksp", k=k)
-        theta = structure.solve_decision(demands, path_set, rates=arrays.rates)
+        theta = structure.solve_decision(arrays, path_set)
     return theta >= FULL_RATE_THETA
 
 

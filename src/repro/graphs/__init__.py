@@ -3,11 +3,9 @@
 from repro.graphs.bisection import (
     bollobas_bisection_lower_bound,
     estimate_bisection_bandwidth,
-    exact_bisection_bandwidth,
 )
 from repro.graphs.csr import (
     CSRGraph,
-    batched_hop_distances,
     bfs_source_chunk,
     csr_graph,
     distance_memo_stats,
@@ -15,14 +13,10 @@ from repro.graphs.csr import (
 )
 from repro.graphs.properties import (
     average_path_length,
-    degree_histogram,
     diameter,
     path_length_distribution,
 )
-from repro.graphs.regular import (
-    random_regular_graph,
-    sequential_random_regular_graph,
-)
+from repro.graphs.regular import random_regular_graph
 from repro.graphs.sampling import (
     SampledCutStats,
     SampledPathStats,
@@ -33,20 +27,16 @@ from repro.graphs.sampling import (
 
 __all__ = [
     "CSRGraph",
-    "batched_hop_distances",
     "bfs_source_chunk",
     "csr_graph",
     "distance_memo_stats",
     "index_dtype",
     "bollobas_bisection_lower_bound",
     "estimate_bisection_bandwidth",
-    "exact_bisection_bandwidth",
     "average_path_length",
-    "degree_histogram",
     "diameter",
     "path_length_distribution",
     "random_regular_graph",
-    "sequential_random_regular_graph",
     "SampledCutStats",
     "SampledPathStats",
     "sampled_bisection_stats",

@@ -1,6 +1,6 @@
 """Bisection bandwidth computations.
 
-Three tools matching the paper's evaluation methodology:
+Two tools matching the paper's evaluation methodology:
 
 * :func:`bollobas_bisection_lower_bound` -- the analytic lower bound of
   Bollobás (1988) used for Fig 2(a) and 2(b): in almost every r-regular
@@ -10,16 +10,12 @@ Three tools matching the paper's evaluation methodology:
   that searches for a small balanced cut in a concrete graph (upper bound on
   the true bisection width); used for the LEGUP comparison (Fig 7) where
   concrete expanded topologies are measured.
-* :func:`exact_bisection_bandwidth` -- brute-force over all balanced
-  partitions, only feasible for tiny graphs; used by the test suite to
-  validate the heuristic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -47,8 +43,7 @@ def cut_size(graph: nx.Graph, partition: Set) -> int:
 
     Evaluated on the cached CSR view: a boolean side vector indexed by the
     directed edge arrays counts mismatched endpoints in one vectorized
-    pass.  The exhaustive search below batches partitions over the same
-    edge arrays directly instead of calling this per partition.
+    pass.
     """
     csr = csr_graph(graph)
     if csr.num_edges == 0:
@@ -58,47 +53,6 @@ def cut_size(graph: nx.Graph, partition: Set) -> int:
     side[inside] = True
     crossings = np.count_nonzero(side[csr.edge_sources()] != side[csr.indices])
     return int(crossings) // 2
-
-
-def exact_bisection_bandwidth(graph: nx.Graph) -> int:
-    """Exact bisection width by exhaustive search (tiny graphs only).
-
-    The graph must have an even number of nodes.  Complexity is
-    C(n, n/2) cut evaluations, so this is reserved for validation tests.
-    Partitions are evaluated in vectorized batches over the CSR edge
-    arrays: one membership matrix per chunk, one comparison per edge
-    endpoint, instead of a per-partition edge loop.
-    """
-    num_nodes = graph.number_of_nodes()
-    if num_nodes % 2 != 0:
-        raise ValueError("exact bisection requires an even number of nodes")
-    if num_nodes == 0:
-        return 0
-    if num_nodes > 20:
-        raise ValueError("exact bisection is only supported for <= 20 nodes")
-    csr = csr_graph(graph)
-    if csr.num_edges == 0:
-        return 0
-    half = num_nodes // 2
-    heads = csr.edge_sources()
-    tails = csr.indices
-    best = None
-    combos = itertools.combinations(range(1, num_nodes), half - 1)
-    chunk_size = 16384
-    while True:
-        chunk = list(itertools.islice(combos, chunk_size))
-        if not chunk:
-            break
-        side = np.zeros((len(chunk), num_nodes), dtype=bool)
-        side[:, 0] = True  # node index 0 anchors one half
-        if half > 1:
-            rows = np.repeat(np.arange(len(chunk)), half - 1)
-            side[rows, np.asarray(chunk, dtype=np.intp).ravel()] = True
-        crossings = (side[:, heads] != side[:, tails]).sum(axis=1)
-        chunk_best = int(crossings.min()) // 2
-        if best is None or chunk_best < best:
-            best = chunk_best
-    return best if best is not None else 0
 
 
 def _kernighan_lin_once(graph: nx.Graph, rng) -> Tuple[Set, int]:
@@ -136,33 +90,3 @@ def estimate_bisection_bandwidth(
         if best is None or size < best:
             best = size
     return float(best) * weight_per_edge if best is not None else 0.0
-
-
-def normalized_bisection_bandwidth(
-    bisection_edges: float, num_servers: int, server_line_rate: float = 1.0
-) -> float:
-    """Normalize a bisection width by the server bandwidth in one partition.
-
-    The paper divides the bisection bandwidth by the total line-rate
-    bandwidth of the servers in one partition (values > 1 indicate
-    overprovisioning).
-    """
-    if num_servers <= 0:
-        raise ValueError("num_servers must be positive")
-    one_side = num_servers / 2.0
-    return bisection_edges / (one_side * server_line_rate)
-
-
-def jellyfish_normalized_bisection(
-    num_switches: int, ports_per_switch: int, network_degree: int
-) -> float:
-    """Normalized bisection bandwidth of RRG(N, k, r) via the Bollobás bound.
-
-    Servers per switch is ``k - r``; the bound is normalized by the servers
-    in one partition, i.e. ``N * (k - r) / 2``.
-    """
-    servers = num_switches * (ports_per_switch - network_degree)
-    if servers <= 0:
-        raise ValueError("topology has no servers (k - r must be positive)")
-    bound = bollobas_bisection_lower_bound(num_switches, network_degree)
-    return normalized_bisection_bandwidth(bound, servers)

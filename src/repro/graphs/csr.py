@@ -9,10 +9,10 @@ This module provides both as kernels over an immutable compressed-sparse-row
   ``nx.Graph`` object, revalidated against an order-insensitive structural
   fingerprint so in-place mutations (including edge-count-preserving
   rewires) are detected.
-* :meth:`CSRGraph.hop_distance_matrix` / :func:`batched_hop_distances` run a
-  frontier-synchronous multi-source BFS where the per-source frontier and
-  visited sets are bit-packed into ``uint64`` words, so one numpy pass over
-  the edge array advances BFS for 64 sources at once.
+* :meth:`CSRGraph.hop_distance_matrix` runs a frontier-synchronous
+  multi-source BFS where the per-source frontier and visited sets are
+  bit-packed into ``uint64`` words, so one numpy pass over the edge array
+  advances BFS for 64 sources at once.
 * :func:`k_shortest_path_table` runs Yen's algorithm for every pair of a
   path table in lockstep: each Yen round answers the spur queries of all
   pairs with one bit-parallel BFS from their targets, and each spur path is
@@ -812,22 +812,3 @@ def adopt_csr_view(graph: nx.Graph, view: CSRGraph) -> None:
 def clear_csr_cache() -> None:
     """Drop every cached CSR view (memos are emptied by ``clear_memos``)."""
     _csr_cache.clear()
-
-
-def batched_hop_distances(
-    graph: nx.Graph, sources: Optional[Sequence[Hashable]] = None
-) -> np.ndarray:
-    """Hop-distance matrix from ``sources`` (default: all nodes) by node.
-
-    Row ``i`` corresponds to ``sources[i]`` and column ``j`` to
-    ``csr_graph(graph).nodes[j]``; unreachable entries are ``-1``.
-    """
-    csr = csr_graph(graph)
-    if sources is None:
-        indices = None
-    else:
-        try:
-            indices = [csr.index_of[node] for node in sources]
-        except KeyError as error:
-            raise nx.NodeNotFound(f"source {error.args[0]!r} not in graph") from None
-    return csr.hop_distance_matrix(indices)

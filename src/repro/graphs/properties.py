@@ -9,7 +9,7 @@ histograms are reduced with ``numpy`` straight from the distance matrix.
 Per-source distance rows are memoized in
 :data:`~repro.graphs.csr.DIST_ROW_MEMO`, keyed by the CSR content hash, so
 one BFS sweep is shared by :func:`average_path_length`, :func:`diameter`
-and :func:`path_length_cdf`.  The CSR view is revalidated against its
+and the server path-length CDF.  The CSR view is revalidated against its
 structural fingerprint, so in-place mutations — including
 edge-count-preserving rewires such as failure injection followed by repair
 — produce a new content hash and fresh rows.
@@ -76,29 +76,6 @@ def _rows_for_indices(csr: CSRGraph, wanted: List[int]) -> List[np.ndarray]:
                 rows[index] = DIST_ROW_MEMO.put((content, index), matrix[position].copy())
         return [rows[index] for index in wanted]
     return list(_bfs_matrix(csr, wanted))
-
-
-def all_pairs_hop_distances(graph: nx.Graph, sources: Optional[Iterable] = None) -> Dict:
-    """Hop distances from each of ``sources`` (default: all nodes) to every
-    reachable node, as ``{source: {node: hops}}``.
-
-    The underlying BFS rows are memoized (see :func:`_rows_for_indices`);
-    the dict-of-dicts view is rebuilt per call for API compatibility, so
-    hot paths should use the array kernels directly.
-    """
-    csr = csr_graph(graph)
-    if sources is None:
-        wanted = list(range(csr.num_nodes))
-    else:
-        wanted = _indices_of(csr, sources)
-    nodes = csr.nodes
-    table: Dict = {}
-    for index, row in zip(wanted, _rows_for_indices(csr, wanted)):
-        reachable = np.nonzero(row >= 0)[0]
-        table[nodes[index]] = {
-            nodes[target]: int(row[target]) for target in reachable.tolist()
-        }
-    return table
 
 
 def path_length_distribution(
@@ -232,7 +209,7 @@ def server_path_length_cdf_csr(csr: CSRGraph, server_counts) -> Dict[int, float]
     """Server-to-server path-length CDF computed at the switch level.
 
     Equivalent to building the combined host graph (servers as leaves) and
-    running :func:`path_length_cdf` over its server nodes -- every
+    taking the path-length CDF over its server nodes -- every
     server-to-server path goes leaf -> switch ... switch -> leaf, so a pair
     on switches ``u != v`` is ``hops(u, v) + 2`` apart and a pair sharing a
     switch is 2 apart -- but runs BFS only over the switch graph and weights
@@ -277,30 +254,3 @@ def diameter(graph: nx.Graph, nodes: Optional[Iterable] = None) -> int:
     if not histogram:
         raise ValueError(_NO_CONNECTED_PAIR)
     return max(histogram)
-
-
-def path_length_cdf(graph: nx.Graph, nodes: Optional[Iterable] = None) -> Dict[int, float]:
-    """Cumulative fraction of node pairs reachable within each hop count.
-
-    This is the quantity plotted in Fig 1(c): fraction of server pairs with
-    path length <= h, for each h.
-    """
-    return histogram_cdf(path_length_distribution(graph, nodes))
-
-
-def degree_histogram(graph: nx.Graph) -> Counter:
-    """Histogram mapping degree -> number of nodes with that degree."""
-    return Counter(dict(graph.degree()).values())
-
-
-def node_connectivity_at_least(graph: nx.Graph, k: int) -> bool:
-    """True if the graph is at least ``k``-connected.
-
-    Random r-regular graphs are almost surely r-connected (Section 4.3); this
-    check is used by the resilience tests.
-    """
-    if k <= 0:
-        return True
-    if graph.number_of_nodes() <= k:
-        return False
-    return nx.node_connectivity(graph) >= k

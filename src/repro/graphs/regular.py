@@ -24,20 +24,17 @@ links, then splice repairs until every port is used), and
 :func:`fill_random_links` for the builders that leave a stuck port free
 (the SWDC shortcuts and the localized Jellyfish layers).
 
-:func:`regular_rows` dispatches the constructions on ``method``
-(:func:`random_regular_graph` materializes its rows):
+:func:`regular_rows` dispatches the two constructions on ``method``:
 
-* ``"sequential"`` -- the paper's procedure (default);
+* ``"sequential"`` -- the paper's procedure (default;
+  :func:`random_regular_graph` materializes its rows);
 * ``"stubs"`` -- a vectorized configuration-model pass (one numpy
   permutation pairs every stub at once; self-loops and duplicate pairs are
   dropped first-occurrence-first) followed by the paper's splice repair for
   the leftover ports.  This is the fast constructor used for large
-  topology ensembles;
-* ``"pairing"`` -- :func:`pairing_model_regular_graph`, the classical
-  rejection-sampling configuration model, kept as an ablation baseline;
-* ``"networkx"`` -- :func:`networkx.random_regular_graph`, an ablation too.
+  topology ensembles.
 
-:func:`random_graph_with_degree_budget` generalizes the sequential
+:func:`random_graph_with_degree_budget_rows` generalizes the sequential
 construction to heterogeneous per-node degree budgets.
 """
 
@@ -74,11 +71,6 @@ def _validate_regular_params(num_nodes: int, degree: int) -> None:
             "num_nodes * degree must be even for a regular graph "
             f"(got {num_nodes} * {degree})"
         )
-
-
-def free_port_counts(graph: nx.Graph, degree: int) -> Dict:
-    """Map each node to the number of unused (free) ports at target ``degree``."""
-    return {node: degree - graph.degree(node) for node in graph.nodes}
 
 
 # --------------------------------------------------------------------------- #
@@ -360,53 +352,19 @@ def sequential_random_regular_rows(
     return rows
 
 
-def sequential_random_regular_graph(
-    num_nodes: int,
-    degree: int,
-    rng: RngLike = None,
-    max_stall_rounds: int = 1000,
-) -> nx.Graph:
-    """Build an (approximately uniform) random ``degree``-regular graph.
-
-    This is the construction procedure from the Jellyfish paper: join random
-    pairs of non-adjacent nodes that both have free ports; when no such pair
-    exists but some node still has >= 2 free ports, remove a random existing
-    link (x, y) not incident to that node and add links to both x and y.
-
-    The result is connected and exactly regular for all parameter choices
-    used in the paper (it may leave a single free port when ``degree`` is odd
-    and an odd number of stubs remains, matching the paper's description).
-    """
-    rows = sequential_random_regular_rows(num_nodes, degree, rng, max_stall_rounds)
-    return graph_from_rows(range(num_nodes), rows)
-
-
-def random_graph_with_degree_budget(
-    budgets: Dict,
-    rng: RngLike = None,
-    max_stall_rounds: int = 1000,
-) -> nx.Graph:
-    """Random graph where node ``v`` gets (up to) ``budgets[v]`` links.
-
-    This generalizes the paper's construction to heterogeneous degrees (used
-    when servers are spread unevenly over switches, or when switches have
-    different port counts): join random pairs of non-adjacent nodes that both
-    have unused budget, then splice stuck nodes (>= 2 free ports) into random
-    existing links.  As in the regular case, at most one free port may remain
-    unmatched per stuck node when the graph becomes saturated.
-    """
-    rows, labels = random_graph_with_degree_budget_rows(
-        budgets, rng, max_stall_rounds
-    )
-    return graph_from_rows(labels, rows)
-
-
 def random_graph_with_degree_budget_rows(
     budgets: Dict,
     rng: RngLike = None,
     max_stall_rounds: int = 1000,
 ):
-    """Index-space rows + label list of the degree-budget construction."""
+    """Index-space rows and label list of a graph where node ``v`` gets (up
+    to) ``budgets[v]`` links.
+
+    The paper's construction for heterogeneous degrees (servers spread
+    unevenly over switches): random links between nodes with unused budget,
+    then splice repairs.  At most one free port may remain unmatched per
+    stuck node when the graph saturates.
+    """
     rand = ensure_rng(rng)
     labels = list(budgets)
     num_nodes = len(labels)
@@ -498,78 +456,11 @@ def stub_matching_regular_rows(
     return rows
 
 
-def stub_matching_regular_graph(
-    num_nodes: int,
-    degree: int,
-    rng: RngLike = None,
-    max_stall_rounds: int = 1000,
-) -> nx.Graph:
-    """Vectorized stub-matching random regular graph (see the rows variant)."""
-    rows = stub_matching_regular_rows(num_nodes, degree, rng, max_stall_rounds)
-    return graph_from_rows(range(num_nodes), rows)
-
-
-def pairing_model_regular_graph(
-    num_nodes: int,
-    degree: int,
-    rng: RngLike = None,
-    max_attempts: int = 200,
-) -> nx.Graph:
-    """Sample a random regular graph via the configuration (pairing) model.
-
-    Stubs are matched uniformly at random.  When the next stub pair would
-    create a self-loop or a parallel edge, a compatible partner is searched
-    among the remaining stubs (a standard practical repair of the pairing
-    model); only if no compatible partner exists is the sample rejected and
-    retried.  Provided as an ablation baseline against the paper's sequential
-    construction.
-    """
-    _validate_regular_params(num_nodes, degree)
-    rand = ensure_rng(rng)
-
-    if num_nodes == 0 or degree == 0:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_nodes))
-        return graph
-
-    for _ in range(max_attempts):
-        stubs = [node for node in range(num_nodes) for _ in range(degree)]
-        rand.shuffle(stubs)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_nodes))
-        simple = True
-        while stubs:
-            u = stubs.pop()
-            partner_index = None
-            for index in range(len(stubs) - 1, -1, -1):
-                v = stubs[index]
-                if v != u and not graph.has_edge(u, v):
-                    partner_index = index
-                    break
-            if partner_index is None:
-                simple = False
-                break
-            v = stubs.pop(partner_index)
-            graph.add_edge(u, v)
-        if simple:
-            return graph
-    raise GraphConstructionError(
-        f"pairing model failed after {max_attempts} attempts "
-        f"(num_nodes={num_nodes}, degree={degree})"
+def random_regular_graph(num_nodes: int, degree: int, rng: RngLike = None) -> nx.Graph:
+    """The paper's sequential random ``degree``-regular graph as an ``nx.Graph``."""
+    return graph_from_rows(
+        range(num_nodes), sequential_random_regular_rows(num_nodes, degree, rng)
     )
-
-
-def random_regular_graph(
-    num_nodes: int,
-    degree: int,
-    rng: RngLike = None,
-    method: str = "sequential",
-) -> nx.Graph:
-    """Build a random ``degree``-regular graph on ``num_nodes`` nodes.
-
-    ``method`` selects the construction (see :func:`regular_rows`).
-    """
-    return graph_from_rows(range(num_nodes), regular_rows(num_nodes, degree, rng, method))
 
 
 def regular_rows(
@@ -580,38 +471,10 @@ def regular_rows(
 ) -> List[dict]:
     """Index-space adjacency rows of a random ``degree``-regular graph.
 
-    ``method`` is one of the constructions listed in the module docstring;
-    the two ablations build an ``nx.Graph`` whose adjacency order the rows
-    copy.
+    ``method`` is ``"sequential"`` or ``"stubs"`` (see the module docstring).
     """
     if method == "sequential":
         return sequential_random_regular_rows(num_nodes, degree, rng)
     if method == "stubs":
         return stub_matching_regular_rows(num_nodes, degree, rng)
-    if method == "pairing":
-        graph = pairing_model_regular_graph(num_nodes, degree, rng)
-    elif method == "networkx":
-        _validate_regular_params(num_nodes, degree)
-        if num_nodes == 0 or degree == 0:
-            return [{} for _ in range(num_nodes)]
-        seed = ensure_rng(rng).randrange(2**32)
-        graph = nx.random_regular_graph(degree, num_nodes, seed=seed)
-    else:
-        raise ValueError(f"unknown construction method: {method!r}")
-    return [dict.fromkeys(graph.adj[node], True) for node in range(num_nodes)]
-
-
-def is_regular(graph: nx.Graph, degree: Optional[int] = None) -> bool:
-    """Return True if every node of ``graph`` has the same degree.
-
-    If ``degree`` is given, additionally require that common degree to equal
-    it.
-    """
-    degrees = {d for _, d in graph.degree()}
-    if not degrees:
-        return True
-    if len(degrees) != 1:
-        return False
-    if degree is None:
-        return True
-    return degrees.pop() == degree
+    raise ValueError(f"unknown construction method: {method!r}")

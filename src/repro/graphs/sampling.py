@@ -82,10 +82,6 @@ class SampledPathStats:
     unreachable_pairs: int
     histogram: Dict[int, int]
 
-    @property
-    def ci_halfwidth(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
     def cdf(self) -> Dict[int, float]:
         """Cumulative fraction of sampled pairs within each hop count."""
         return histogram_cdf(self.histogram, "no reachable sampled pairs")

@@ -54,31 +54,12 @@ class PathSet:
     def add(self, pair: Pair, path: Path) -> None:
         self.paths.setdefault(pair, []).append(tuple(path))
 
-    def max_paths_per_pair(self) -> int:
-        if not self.paths:
-            return 0
-        return max(len(options) for options in self.paths.values())
-
     def average_path_length(self) -> float:
         """Mean hop count over every stored path (edges, not nodes)."""
         lengths = [len(p) - 1 for options in self.paths.values() for p in options]
         if not lengths:
             raise ValueError("path set is empty")
         return sum(lengths) / len(lengths)
-
-    def validate_against(self, graph: nx.Graph) -> None:
-        """Check every stored path is a real, loop-free path of ``graph``."""
-        for (source, target), options in self.paths.items():
-            for path in options:
-                if path[0] != source or path[-1] != target:
-                    raise ValueError(
-                        f"path {path!r} does not join {source!r} and {target!r}"
-                    )
-                if len(set(path)) != len(path):
-                    raise ValueError(f"path {path!r} revisits a node")
-                for u, v in zip(path, path[1:]):
-                    if not graph.has_edge(u, v):
-                        raise ValueError(f"path {path!r} uses missing edge {(u, v)!r}")
 
 
 def build_path_set(

@@ -134,11 +134,6 @@ class Topology:
         self._core = None
         self._core_fingerprint = None
 
-    @property
-    def has_materialized_graph(self) -> bool:
-        """True once the ``networkx`` view exists (False for fresh cores)."""
-        return self._graph is not None
-
     def core(self) -> TopologyCore:
         """The array-native core describing the current structure.
 
@@ -243,24 +238,8 @@ class Topology:
         ]
 
     # ------------------------------------------------------------------ #
-    # Derived graphs and metrics
+    # Metrics
     # ------------------------------------------------------------------ #
-    def host_graph(self) -> nx.Graph:
-        """Graph containing both switches and servers (servers as leaf nodes).
-
-        Server nodes are tuples ``("server", switch, index)`` so they never
-        collide with switch identifiers.
-        """
-        combined = self.graph.copy()
-        for switch, index in self.server_list():
-            server = ("server", switch, index)
-            combined.add_edge(server, switch)
-        return combined
-
-    def server_nodes(self) -> List[Tuple]:
-        """Server node identifiers as used by :meth:`host_graph`."""
-        return [("server", switch, index) for switch, index in self.server_list()]
-
     def is_connected(self) -> bool:
         return csr_is_connected(self.csr())
 
@@ -325,18 +304,6 @@ class Topology:
             graph.remove_node(switch)
             self.ports.pop(switch, None)
             self.servers.pop(switch, None)
-
-    def attach_servers(self, switch: Hashable, count: int) -> None:
-        """Attach ``count`` additional servers to ``switch`` (port budget permitting)."""
-        if count < 0:
-            raise TopologyError("count must be non-negative")
-        if self.free_ports(switch) < count:
-            raise TopologyError(
-                f"switch {switch!r} has only {self.free_ports(switch)} free ports, "
-                f"cannot attach {count} servers"
-            )
-        self.edit_graph()
-        self.servers[switch] = self.servers.get(switch, 0) + count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -101,23 +101,6 @@ class LeafSpineTopology(Topology):
                     f"{self.ports[node]}"
                 )
 
-    def leaves(self):
-        return [node for node in self.graph.nodes if node[0] == LEAF]
-
-    def spines(self):
-        return [node for node in self.graph.nodes if node[0] == SPINE]
-
-    def uplink_capacity_per_leaf(self) -> float:
-        """Total leaf-to-spine capacity from one leaf."""
-        leaves = self.leaves()
-        if not leaves:
-            return 0.0
-        leaf = leaves[0]
-        return sum(
-            data.get("capacity", 1.0)
-            for _, _, data in self.graph.edges(leaf, data=True)
-        )
-
     def bisection_bandwidth_edges(self) -> float:
         """Bisection of a leaf-spine: half of the total leaf uplink capacity.
 

@@ -32,6 +32,7 @@ from repro.topologies.core import TopologyCore
 from repro.topologies.jellyfish import JellyfishTopology, rrg_budget, rrg_core
 from repro.utils.rng import RngLike, ensure_rng, spawn_seeds
 from repro.utils.stats import mean_std
+from repro.utils.validation import require_positive
 
 
 def single_rrg_core(
@@ -222,6 +223,7 @@ def ensemble_bisection_point(
     del instance
     from repro.graphs.bisection import estimate_bisection_bandwidth
 
+    require_positive(servers, "servers")
     servers_per_switch = servers / num_switches
     network_degree = ports - math.ceil(servers_per_switch)
     if network_degree <= 0:

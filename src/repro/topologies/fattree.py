@@ -112,28 +112,6 @@ class FatTreeTopology(Topology):
 
         return cls(graph, ports, servers, k=k, name=name)
 
-    # ------------------------------------------------------------------ #
-    # Layer helpers
-    # ------------------------------------------------------------------ #
-    def layer(self, switch) -> str:
-        """Return ``"core"``, ``"agg"`` or ``"edge"`` for a switch identifier."""
-        return switch[0]
-
-    def pod_of(self, switch) -> int:
-        """Pod index of an edge or aggregation switch."""
-        if self.layer(switch) == CORE:
-            raise ValueError("core switches do not belong to a pod")
-        return switch[1]
-
-    def edge_switches(self):
-        return [node for node in self.graph.nodes if node[0] == EDGE]
-
-    def aggregation_switches(self):
-        return [node for node in self.graph.nodes if node[0] == AGGREGATION]
-
-    def core_switches(self):
-        return [node for node in self.graph.nodes if node[0] == CORE]
-
     def bisection_bandwidth_edges(self) -> float:
         """Worst-case balanced-cut capacity of the full fat-tree.
 

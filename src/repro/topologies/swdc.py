@@ -149,20 +149,3 @@ class SmallWorldTopology(Topology):
             variant=variant,
             name=f"swdc-{variant}",
         )
-
-    def set_servers_per_switch(self, servers_per_switch: int) -> None:
-        """Re-provision every switch with ``servers_per_switch`` servers.
-
-        Port counts are grown if necessary so the budget stays valid.  (Fig
-        4 provisions its 2 servers per switch through :meth:`build`.)
-        """
-        require_integer(servers_per_switch, "servers_per_switch")
-        if servers_per_switch < 0:
-            raise TopologyError("servers_per_switch must be non-negative")
-        graph = self.edit_graph()
-        for node in graph.nodes:
-            needed = graph.degree(node) + servers_per_switch
-            if self.ports[node] < needed:
-                self.ports[node] = needed
-            self.servers[node] = servers_per_switch
-        self.validate()

@@ -76,9 +76,6 @@ class TrafficMatrix:
     def __iter__(self):
         return iter(self.demands)
 
-    def total_demand(self) -> float:
-        return sum(d.rate for d in self.demands)
-
     def switch_pairs(self) -> Dict[Tuple[Hashable, Hashable], float]:
         """Aggregate demands by (source switch, destination switch).
 

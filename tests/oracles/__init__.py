@@ -8,7 +8,7 @@ installed package, so production code can never select them:
   ``lil_matrix``-assembled edge and path LPs;
 * :mod:`oracles.simulation` -- the scalar AIMD round loop;
 * :mod:`oracles.graphs` -- the ``networkx``-native random-graph
-  constructors;
+  constructors, the exhaustive bisection width and the regularity check;
 * :mod:`oracles.routing` -- dict/deque BFS and Yen;
 * :mod:`oracles.topologies` -- the quadratic ``add_switch`` splice loop;
 * :mod:`oracles.lifecycle` -- the cold-rebuild lifecycle metrics;

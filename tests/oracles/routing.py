@@ -13,6 +13,8 @@ the production implementation.
 
 :func:`bfs_distances`, the per-source dict BFS, used to live in
 :mod:`repro.graphs.properties`; only this module and its tests call it.
+:func:`assert_valid_path_set` is the check the routing tests apply to a
+built :class:`~repro.routing.paths.PathSet`.
 """
 
 from __future__ import annotations
@@ -124,3 +126,13 @@ def all_pairs_hop_distances_reference(graph: nx.Graph, sources=None) -> Dict:
     """Per-source dict BFS sweep exactly as the pre-CSR implementation ran it."""
     wanted = list(graph.nodes) if sources is None else list(sources)
     return {source: bfs_distances(graph, source) for source in wanted}
+
+
+def assert_valid_path_set(path_set, graph: nx.Graph) -> None:
+    """Every stored path joins its pair, visits no node twice and uses real links."""
+    for (source, target), options in path_set.paths.items():
+        for path in options:
+            assert path[0] == source and path[-1] == target, (path, source, target)
+            assert len(set(path)) == len(path), f"path {path!r} revisits a node"
+            for u, v in zip(path, path[1:]):
+                assert graph.has_edge(u, v), f"path {path!r} uses missing edge {(u, v)!r}"

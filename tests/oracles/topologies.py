@@ -1,17 +1,23 @@
-"""The historical quadratic splice loop of Jellyfish incremental expansion.
+"""Topology-level references.
 
 :meth:`repro.topologies.jellyfish.JellyfishTopology.add_switch` keeps the
 splice-eligible links in a rank-selectable set instead of rebuilding an
 O(E) candidate list per splice.  :func:`add_switch_reference` is the loop it
 replaced, pinned draw for draw by ``tests/test_topology_core.py`` and timed
 by ``benchmarks/record_topology.py``.
+
+:func:`host_graph_reference` is the combined switch-and-server graph that
+:meth:`repro.topologies.base.Topology.server_path_length_cdf` avoids
+building.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, List, Tuple
 
-from repro.topologies.base import TopologyError
+import networkx as nx
+
+from repro.topologies.base import Topology, TopologyError
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_integer
@@ -59,3 +65,19 @@ def add_switch_reference(
         graph.add_edge(switch, v)
         graph.add_edge(switch, w)
     topology.validate()
+
+
+def host_graph_reference(topology: Topology) -> Tuple[nx.Graph, List[Tuple]]:
+    """The switch graph with every server as a leaf, and the server nodes.
+
+    Servers are ``("server", switch, index)`` tuples in
+    :meth:`~repro.topologies.base.Topology.server_list` order, so they never
+    collide with switch identifiers.
+    """
+    combined = topology.graph.copy()
+    servers = []
+    for switch, index in topology.server_list():
+        server = ("server", switch, index)
+        combined.add_edge(server, switch)
+        servers.append(server)
+    return combined, servers

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from repro.graphs.csr import (
     CSRGraph,
-    batched_hop_distances,
     bfs_source_chunk,
     clear_csr_cache,
     csr_graph,
 )
-from repro.graphs.regular import sequential_random_regular_graph
+from repro.graphs.properties import path_length_distribution
+from repro.graphs.regular import random_regular_graph
 from repro.resources import ExecutionProfile, activate_profile
 from repro.routing.ecmp import all_shortest_paths
 from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
@@ -52,7 +52,7 @@ def jellyfish_like_graphs(draw):
         degree -= 1
     degree = max(2, degree)
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    graph = sequential_random_regular_graph(num_nodes, degree, rng=seed)
+    graph = random_regular_graph(num_nodes, degree, rng=seed)
     if draw(st.booleans()):
         edges = sorted(graph.edges)
         drop = draw(st.integers(min_value=0, max_value=max(0, len(edges) // 3)))
@@ -75,7 +75,7 @@ class TestBatchedBfsParity:
     def test_matches_networkx_single_source(self, graph):
         clear_csr_cache()
         csr = csr_graph(graph)
-        matrix = batched_hop_distances(graph)
+        matrix = csr.hop_distance_matrix()
         for source in graph.nodes:
             expected = nx.single_source_shortest_path_length(graph, source)
             row = matrix[csr.index_of[source]]
@@ -87,7 +87,7 @@ class TestBatchedBfsParity:
         graph = topology.graph
         csr = csr_graph(graph)
         sources = sorted(graph.nodes)[:5]
-        matrix = batched_hop_distances(graph, sources)
+        matrix = csr.hop_distance_matrix([csr.index_of[node] for node in sources])
         assert matrix.shape == (5, graph.number_of_nodes())
         for row, source in enumerate(sources):
             expected = nx.single_source_shortest_path_length(graph, source)
@@ -98,7 +98,7 @@ class TestBatchedBfsParity:
     def test_fattree_tuple_nodes(self):
         graph = FatTreeTopology.build(4).graph
         csr = csr_graph(graph)
-        matrix = batched_hop_distances(graph)
+        matrix = csr.hop_distance_matrix()
         source = csr.nodes[0]
         expected = nx.single_source_shortest_path_length(graph, source)
         row = matrix[0]
@@ -108,23 +108,23 @@ class TestBatchedBfsParity:
 
     def test_more_than_64_sources_cross_word_boundary(self):
         graph = nx.cycle_graph(70)
-        matrix = batched_hop_distances(graph)
+        matrix = csr_graph(graph).hop_distance_matrix()
         assert matrix.shape == (70, 70)
         assert int(matrix.max()) == 35
         assert (np.diagonal(matrix) == 0).all()
 
     def test_empty_and_edgeless_graphs(self):
-        assert batched_hop_distances(nx.Graph()).shape == (0, 0)
+        assert csr_graph(nx.Graph()).hop_distance_matrix().shape == (0, 0)
         graph = nx.Graph()
         graph.add_nodes_from([0, 1, 2])
-        matrix = batched_hop_distances(graph)
+        matrix = csr_graph(graph).hop_distance_matrix()
         assert (np.diagonal(matrix) == 0).all()
         assert (matrix.sum(axis=1) == -2).all()  # every off-diagonal is -1
 
     def test_missing_source_raises(self):
         graph = nx.path_graph(3)
         with pytest.raises(nx.NodeNotFound):
-            batched_hop_distances(graph, [99])
+            path_length_distribution(graph, [0, 99])
 
 
 class TestYenParity:

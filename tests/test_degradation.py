@@ -32,6 +32,8 @@ from repro.topologies.base import Topology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import TrafficMatrix, random_permutation_traffic
 
+from oracles.routing import assert_valid_path_set
+
 # Each example builds a topology and may solve an LP: keep counts modest.
 COMMON_SETTINGS = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -102,7 +104,7 @@ class TestRoutingUnderPartition:
         path_set = build_path_set(
             damaged.graph, pairs, scheme=scheme, k=4, on_unreachable="skip"
         )
-        path_set.validate_against(damaged.graph)
+        assert_valid_path_set(path_set, damaged.graph)
         labels = component_labels(damaged)
         for source, target in pairs:
             if labels[source] == labels[target]:

@@ -5,6 +5,7 @@ import pytest
 from repro.expansion.cost import CostModel
 from repro.expansion.legup import ClosExpansionPlanner
 from repro.expansion.planner import JellyfishExpansionPlanner
+from repro.topologies.clos import LeafSpineTopology
 
 
 class TestClosPlanner:
@@ -46,12 +47,20 @@ class TestClosPlanner:
             )
 
     def test_to_topology(self):
+        # A planned stage fits the leaf and spine port budgets when built.
         planner = ClosExpansionPlanner(
             leaf_ports=24, spine_ports=48, servers_per_leaf=12,
             reserved_ports_per_leaf=3,
         )
         state = planner.expand(budget=60_000.0, new_servers=48)
-        topo = state.to_topology(leaf_ports=24, spine_ports=48)
+        topo = LeafSpineTopology.build(
+            num_leaves=state.num_leaves,
+            num_spines=state.num_spines,
+            servers_per_leaf=state.servers_per_leaf,
+            leaf_ports=24,
+            spine_ports=48,
+            links_per_pair=state.links_per_pair,
+        )
         assert topo.num_servers == state.num_servers
         assert topo.is_connected()
 

@@ -30,6 +30,11 @@ def golden_path(seed: int) -> Path:
 GOLDEN = golden_path(0)
 
 
+def row_dicts(result: ExperimentResult) -> list:
+    """Each row as ``{column: value}``."""
+    return [dict(zip(result.columns, row)) for row in result.rows]
+
+
 def _plain(value):
     """JSON-shaped rows: tuples become lists, numpy scalars Python numbers."""
     if isinstance(value, (list, tuple)):
@@ -112,7 +117,7 @@ class TestResultContainer:
     def test_as_dicts_and_format(self):
         result = ExperimentResult("x", "t", ["a"], notes="hello")
         result.add_row(1.23456)
-        assert result.as_dicts() == [{"a": 1.23456}]
+        assert row_dicts(result) == [{"a": 1.23456}]
         text = format_table(result)
         assert "x: t" in text and "hello" in text
 
@@ -176,7 +181,7 @@ class TestHeadlineClaims:
 
     def test_fig01_jellyfish_reaches_more_servers_in_fewer_hops(self):
         result = run_sweep("fig01", scale="small", seed=0)
-        rows = result.as_dicts()
+        rows = row_dicts(result)
         # At an intermediate hop count Jellyfish's CDF dominates the fat-tree's.
         intermediate = [r for r in rows if 0.05 < r["fattree_fraction"] < 0.999]
         assert intermediate
@@ -195,26 +200,26 @@ class TestHeadlineClaims:
 
     def test_fig06_incremental_matches_scratch(self):
         result = run_sweep("fig06", scale="small", seed=0)
-        for row in result.as_dicts():
+        for row in row_dicts(result):
             assert row["incremental_throughput"] == pytest.approx(
                 row["from_scratch_throughput"], abs=0.1
             )
 
     def test_fig07_jellyfish_beats_clos_expansion(self):
         result = run_sweep("fig07", scale="small", seed=0)
-        last = result.as_dicts()[-1]
+        last = row_dicts(result)[-1]
         assert last["jellyfish_normalized_bisection"] > last["clos_normalized_bisection"]
 
     def test_fig08_graceful_degradation(self):
         result = run_sweep("fig08", scale="small", seed=0)
-        rows = result.as_dicts()
+        rows = row_dicts(result)
         baseline = rows[0]["jellyfish_throughput"]
         worst = rows[-1]["jellyfish_throughput"]
         assert worst >= baseline - 0.45
 
     def test_fig09_ksp_spreads_better_than_ecmp(self):
         result = run_sweep("fig09", scale="small", seed=0)
-        rows = {row["routing"]: row for row in result.as_dicts()}
+        rows = {row["routing"]: row for row in row_dicts(result)}
         assert (
             rows["8 shortest paths"]["fraction_links_on_at_most_2_paths"]
             < rows["8-way ECMP"]["fraction_links_on_at_most_2_paths"]
@@ -222,7 +227,7 @@ class TestHeadlineClaims:
 
     def test_table1_orderings(self):
         result = run_sweep("table1", scale="small", seed=0)
-        rows = {row["congestion_control"]: row for row in result.as_dicts()}
+        rows = {row["congestion_control"]: row for row in row_dicts(result)}
         mptcp = rows["MPTCP 8 subflows"]
         # k-shortest-path routing recovers the capacity ECMP wastes on Jellyfish.
         assert mptcp["jellyfish_8_shortest_paths"] > mptcp["jellyfish_ecmp"]
@@ -235,7 +240,7 @@ class TestHeadlineClaims:
 
     def test_fig13_dynamics_tracks_fluid_fairness(self):
         result = run_sweep("fig13-dynamics", scale="small", seed=0)
-        rows = result.as_dicts()
+        rows = row_dicts(result)
         # The dynamic controller should land near the fluid equilibrium's
         # fairness and below-or-near its average throughput.
         for row in rows:
@@ -244,13 +249,13 @@ class TestHeadlineClaims:
 
     def test_fig12_dynamics_reports_convergence(self):
         result = run_sweep("fig12-dynamics", scale="small", seed=0)
-        for row in result.as_dicts():
+        for row in row_dicts(result):
             assert 0.0 <= row["converged_fraction"] <= 1.0
             assert row["min"] <= row["mean"] <= row["max"]
 
     def test_fig14_localization_costs_little(self):
         result = run_sweep("fig14", scale="small", seed=0)
-        rows = result.as_dicts()
+        rows = row_dicts(result)
         moderate = [r for r in rows if r["requested_local_fraction"] <= 0.6]
         assert all(r["throughput_normalized_to_unrestricted"] > 0.7 for r in moderate)
 

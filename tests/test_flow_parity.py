@@ -38,6 +38,7 @@ from repro.flow.path_lp import (
     PathLPStructure,
     max_concurrent_flow_path_lp,
 )
+from repro.graphs.csr import csr_graph
 from repro.memo import clear_memos
 from repro.routing.paths import build_path_set, shared_path_set
 from repro.simulation.capacity import link_capacities
@@ -209,9 +210,10 @@ class TestLpAssemblyParity:
         traffic = random_permutation_traffic(topology, rng=seed)
         demands = traffic.switch_pairs()
         path_set = build_path_set(topology.graph, list(demands), scheme="ksp", k=8)
-        structure = PathLPStructure(topology)
+        structure = PathLPStructure(link_capacities(topology))
+        arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
         _assert_same_matrices(
-            structure.assemble(demands, path_set),
+            structure.assemble(arrays, path_set),
             assemble_path_lp_reference(topology, demands, path_set),
         )
 
@@ -347,7 +349,9 @@ class TestDecisionPathParity:
         inputs += [(trunked_leaf_spine(), seed) for seed in range(3)]
         for topology, traffic_seed in inputs:
             traffic = random_permutation_traffic(topology, rng=traffic_seed)
-            bound = _throughput_upper_bound(topology, traffic)
+            csr = csr_graph(topology.graph)
+            arrays = traffic.as_switch_array(csr.index_of)
+            bound = _throughput_upper_bound(csr, arrays, link_capacities(topology))
             theta = max_concurrent_flow_edge_lp(topology, traffic)
             assert theta <= bound + 1e-9
 
@@ -375,7 +379,7 @@ class TestLinkCapacityTable:
         assert list(table) == [
             arc for u, v in topology.graph.edges for arc in ((u, v), (v, u))
         ]
-        structure = PathLPStructure(topology)
+        structure = PathLPStructure(table)
         assert list(structure.arc_index) == list(table)
         assert list(structure.arc_index.values()) == list(range(len(table)))
         assert structure.capacities.tolist() == list(table.values())

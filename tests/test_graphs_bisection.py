@@ -5,14 +5,15 @@ import math
 import networkx as nx
 import pytest
 
+from repro.experiments.fig02a_bisection import jellyfish_curve_point
 from repro.graphs.bisection import (
     bollobas_bisection_lower_bound,
     cut_size,
     estimate_bisection_bandwidth,
-    exact_bisection_bandwidth,
-    jellyfish_normalized_bisection,
-    normalized_bisection_bandwidth,
 )
+from repro.topologies.ensemble import ensemble_bisection_point
+
+from oracles.graphs import exact_bisection_bandwidth
 
 
 class TestBollobasBound:
@@ -76,18 +77,23 @@ class TestHeuristic:
 
 
 class TestNormalization:
+    """Fig 2(a)'s normalization: the Bollobás bound over one side's servers."""
+
     def test_normalized_bisection(self):
-        assert normalized_bisection_bandwidth(50, 100) == pytest.approx(1.0)
+        # 1,400 servers on 100 24-port switches leave r = 10 network ports.
+        expected = bollobas_bisection_lower_bound(100, 10) / 700
+        assert jellyfish_curve_point(100, 24, 1400) == pytest.approx(expected)
+
+    def test_jellyfish_normalized_monotone_in_degree(self):
+        low = jellyfish_curve_point(100, 24, 100 * (24 - 10))
+        high = jellyfish_curve_point(100, 24, 100 * (24 - 20))
+        assert high > low
 
     def test_zero_servers_rejected(self):
         with pytest.raises(ValueError):
-            normalized_bisection_bandwidth(50, 0)
-
-    def test_jellyfish_normalized_monotone_in_degree(self):
-        low = jellyfish_normalized_bisection(100, 24, 10)
-        high = jellyfish_normalized_bisection(100, 24, 20)
-        assert high > low
+            jellyfish_curve_point(50, 24, 0)
 
     def test_jellyfish_requires_servers(self):
+        # The sampled counterpart of the curve point rejects it before building.
         with pytest.raises(ValueError):
-            jellyfish_normalized_bisection(100, 24, 24)
+            ensemble_bisection_point(20, 6, 0)

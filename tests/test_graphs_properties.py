@@ -1,18 +1,19 @@
 """Tests for graph metrics (repro.graphs.properties)."""
 
+import itertools
+from collections import Counter
+
 import networkx as nx
+import numpy as np
 import pytest
 
 import repro.graphs.properties as properties
 from repro.graphs.csr import clear_csr_cache, csr_graph
 from repro.graphs.properties import (
-    all_pairs_hop_distances,
     average_path_length,
     csr_is_connected,
-    degree_histogram,
     diameter,
-    node_connectivity_at_least,
-    path_length_cdf,
+    histogram_cdf,
     path_length_distribution,
 )
 from repro.memo import clear_memos
@@ -76,7 +77,7 @@ class TestAveragePathLengthAndDiameter:
 class TestPathLengthCdf:
     def test_monotone_and_ends_at_one(self):
         graph = nx.random_regular_graph(3, 16, seed=2)
-        cdf = path_length_cdf(graph)
+        cdf = histogram_cdf(path_length_distribution(graph))
         values = [cdf[h] for h in sorted(cdf)]
         assert values == sorted(values)
         assert values[-1] == pytest.approx(1.0)
@@ -112,16 +113,18 @@ class TestAllPairsMemoization:
 
     def test_distances_match_uncached_bfs(self):
         graph = nx.random_regular_graph(3, 20, seed=5)
-        table = all_pairs_hop_distances(graph)
-        for source in graph.nodes:
-            assert table[source] == bfs_distances(graph, source)
+        csr = csr_graph(graph)
+        rows = properties._rows_for_indices(csr, list(range(csr.num_nodes)))
+        for source, row in zip(csr.nodes, rows):
+            reachable = {csr.nodes[t]: int(d) for t, d in enumerate(row) if d >= 0}
+            assert reachable == bfs_distances(graph, source)
 
     def test_metric_queries_share_one_sweep(self, bfs_counter):
         graph = nx.random_regular_graph(3, 20, seed=6)
         average_path_length(graph)
         assert len(bfs_counter) == 20
         diameter(graph)
-        path_length_cdf(graph)
+        path_length_distribution(graph)
         assert len(bfs_counter) == 20  # no additional BFS for the later queries
 
     def test_subset_queries_reuse_sources(self, bfs_counter):
@@ -151,8 +154,8 @@ class TestAllPairsMemoization:
     def test_large_graphs_skip_the_memo(self, bfs_counter, monkeypatch):
         monkeypatch.setattr(properties, "DIST_ROW_MEMO_NODE_LIMIT", 10)
         graph = nx.cycle_graph(12)
-        all_pairs_hop_distances(graph)
-        all_pairs_hop_distances(graph)
+        path_length_distribution(graph)
+        path_length_distribution(graph)
         assert len(bfs_counter) == 24  # recomputed both times, nothing stored
 
 
@@ -162,11 +165,17 @@ class TestOtherMetrics:
 
     def test_degree_histogram(self):
         graph = nx.star_graph(3)  # one hub of degree 3, three leaves of degree 1
-        histogram = degree_histogram(graph)
-        assert histogram == {3: 1, 1: 3}
+        degrees = np.diff(csr_graph(graph).indptr)  # CSR row lengths are degrees
+        assert Counter(degrees.tolist()) == {3: 1, 1: 3}
 
     def test_node_connectivity(self):
+        # K5 has node connectivity 4: it survives the loss of any 3 nodes.
         graph = nx.complete_graph(5)
-        assert node_connectivity_at_least(graph, 4)
-        assert not node_connectivity_at_least(graph, 5)
-        assert node_connectivity_at_least(graph, 0)
+        for lost in itertools.combinations(graph, 3):
+            survivors = graph.copy()
+            survivors.remove_nodes_from(lost)
+            assert csr_is_connected(csr_graph(survivors))
+        # A path has node connectivity 1: losing its middle node splits it.
+        path = nx.path_graph(3)
+        path.remove_node(1)
+        assert not csr_is_connected(csr_graph(path))

@@ -7,73 +7,83 @@ import pytest
 
 from repro.graphs.regular import (
     _sample_pair,
-    free_port_counts,
-    is_regular,
-    pairing_model_regular_graph,
-    random_graph_with_degree_budget,
+    graph_from_rows,
+    random_graph_with_degree_budget_rows,
     random_regular_graph,
-    sequential_random_regular_graph,
+    regular_rows,
+    stub_matching_regular_rows,
 )
+from repro.topologies.base import Topology
+
+from oracles.graphs import is_regular
+
+
+def random_graph_with_degree_budget(budgets, rng=None):
+    rows, labels = random_graph_with_degree_budget_rows(budgets, rng)
+    return graph_from_rows(labels, rows)
 
 
 class TestSequentialConstruction:
     def test_exact_regularity_even_product(self):
-        graph = sequential_random_regular_graph(20, 4, rng=1)
+        graph = random_regular_graph(20, 4, rng=1)
         assert is_regular(graph, 4)
 
     def test_node_and_edge_counts(self):
-        graph = sequential_random_regular_graph(30, 6, rng=2)
+        graph = random_regular_graph(30, 6, rng=2)
         assert graph.number_of_nodes() == 30
         assert graph.number_of_edges() == 30 * 6 // 2
 
     def test_connected_for_degree_three_and_up(self):
         for seed in range(5):
-            graph = sequential_random_regular_graph(40, 3, rng=seed)
+            graph = random_regular_graph(40, 3, rng=seed)
             assert nx.is_connected(graph)
 
     def test_simple_graph_no_self_loops(self):
-        graph = sequential_random_regular_graph(25, 4, rng=3)
+        graph = random_regular_graph(25, 4, rng=3)
         assert all(u != v for u, v in graph.edges)
 
     def test_zero_degree(self):
-        graph = sequential_random_regular_graph(10, 0, rng=4)
+        graph = random_regular_graph(10, 0, rng=4)
         assert graph.number_of_edges() == 0
 
     def test_empty_graph(self):
-        graph = sequential_random_regular_graph(0, 0, rng=5)
+        graph = random_regular_graph(0, 0, rng=5)
         assert graph.number_of_nodes() == 0
 
     def test_odd_product_rejected(self):
         with pytest.raises(ValueError):
-            sequential_random_regular_graph(5, 3)
+            random_regular_graph(5, 3)
 
     def test_degree_too_large_rejected(self):
         with pytest.raises(ValueError):
-            sequential_random_regular_graph(4, 4)
+            random_regular_graph(4, 4)
 
     def test_deterministic_given_seed(self):
-        a = sequential_random_regular_graph(20, 4, rng=11)
-        b = sequential_random_regular_graph(20, 4, rng=11)
+        a = random_regular_graph(20, 4, rng=11)
+        b = random_regular_graph(20, 4, rng=11)
         assert set(a.edges) == set(b.edges)
 
     def test_different_seeds_give_different_graphs(self):
-        a = sequential_random_regular_graph(30, 5, rng=1)
-        b = sequential_random_regular_graph(30, 5, rng=2)
+        a = random_regular_graph(30, 5, rng=1)
+        b = random_regular_graph(30, 5, rng=2)
         assert set(a.edges) != set(b.edges)
 
 
 class TestPairingModel:
+    """The ``stubs`` builder: a pairing (configuration) model with splice repair."""
+
     def test_regularity(self):
-        graph = pairing_model_regular_graph(24, 5, rng=1)
+        graph = graph_from_rows(range(24), stub_matching_regular_rows(24, 5, rng=1))
         assert is_regular(graph, 5)
 
     def test_simple(self):
-        graph = pairing_model_regular_graph(24, 5, rng=2)
+        graph = graph_from_rows(range(24), stub_matching_regular_rows(24, 5, rng=2))
         assert all(u != v for u, v in graph.edges)
+        assert graph.number_of_edges() == 24 * 5 // 2  # no pair linked twice
 
     def test_odd_product_rejected(self):
         with pytest.raises(ValueError):
-            pairing_model_regular_graph(7, 3)
+            stub_matching_regular_rows(7, 3)
 
 
 class TestSamplePair:
@@ -108,14 +118,14 @@ class TestSamplePair:
 
 
 class TestDispatcher:
-    @pytest.mark.parametrize("method", ["sequential", "pairing", "networkx"])
+    @pytest.mark.parametrize("method", ["sequential", "stubs"])
     def test_all_methods_regular(self, method):
-        graph = random_regular_graph(16, 4, rng=9, method=method)
+        graph = graph_from_rows(range(16), regular_rows(16, 4, rng=9, method=method))
         assert is_regular(graph, 4)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            random_regular_graph(10, 3, method="magic")
+            regular_rows(10, 3, method="magic")
 
 
 class TestDegreeBudget:
@@ -148,9 +158,11 @@ class TestDegreeBudget:
 
 class TestHelpers:
     def test_free_port_counts(self):
-        graph = nx.path_graph(3)
-        counts = free_port_counts(graph, 4)
+        # Free ports are what the random-link step may still use.
+        topology = Topology(nx.path_graph(3), {0: 4, 1: 4, 2: 4})
+        counts = {node: topology.free_ports(node) for node in topology.graph}
         assert counts == {0: 3, 1: 2, 2: 3}
+        assert topology.core().free_ports_array().tolist() == [3, 2, 3]
 
     def test_is_regular_empty(self):
         assert is_regular(nx.Graph())
@@ -158,3 +170,4 @@ class TestHelpers:
     def test_is_regular_wrong_degree(self):
         assert not is_regular(nx.cycle_graph(5), 3)
         assert is_regular(nx.cycle_graph(5), 2)
+        assert not is_regular(nx.path_graph(3))

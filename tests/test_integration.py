@@ -13,6 +13,8 @@ from repro.topologies.jellyfish import JellyfishTopology
 from repro.traffic.matrices import random_permutation_traffic
 from repro.utils.stats import mean
 
+from oracles.routing import assert_valid_path_set
+
 
 class TestJellyfishVersusFatTree:
     """Section 4.1: same equipment, shorter paths, no less capacity."""
@@ -81,7 +83,7 @@ class TestRoutingAndCongestionControl:
         traffic = random_permutation_traffic(equipment_jellyfish, rng=9)
         pairs = list(traffic.switch_pairs())
         path_set = build_path_set(equipment_jellyfish.graph, pairs, scheme="ksp", k=8)
-        path_set.validate_against(equipment_jellyfish.graph)
+        assert_valid_path_set(path_set, equipment_jellyfish.graph)
         via_lp = max_concurrent_flow_path_lp(
             equipment_jellyfish, traffic, path_set=path_set
         )

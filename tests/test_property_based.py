@@ -12,7 +12,7 @@ from repro.flow.mcf import max_concurrent_flow_edge_lp
 from repro.flow.path_lp import max_concurrent_flow_path_lp
 from repro.graphs.bisection import bollobas_bisection_lower_bound, cut_size
 from repro.graphs.properties import average_path_length, diameter, path_length_distribution
-from repro.graphs.regular import is_regular, sequential_random_regular_graph
+from repro.graphs.regular import random_regular_graph
 from repro.routing.ksp import k_shortest_paths
 from repro.routing.paths import build_path_set
 from repro.simulation.capacity import link_capacities
@@ -47,8 +47,8 @@ class TestRandomRegularGraphProperties:
     @given(regular_graph_params())
     def test_construction_is_regular_and_simple(self, params):
         num_nodes, degree, seed = params
-        graph = sequential_random_regular_graph(num_nodes, degree, rng=seed)
-        assert is_regular(graph, degree)
+        graph = random_regular_graph(num_nodes, degree, rng=seed)
+        assert all(d == degree for _, d in graph.degree())
         assert all(u != v for u, v in graph.edges)
         assert graph.number_of_edges() == num_nodes * degree // 2
 
@@ -56,7 +56,7 @@ class TestRandomRegularGraphProperties:
     @given(regular_graph_params())
     def test_handshake_lemma(self, params):
         num_nodes, degree, seed = params
-        graph = sequential_random_regular_graph(num_nodes, degree, rng=seed)
+        graph = random_regular_graph(num_nodes, degree, rng=seed)
         assert sum(d for _, d in graph.degree()) == 2 * graph.number_of_edges()
 
     @COMMON_SETTINGS
@@ -65,7 +65,7 @@ class TestRandomRegularGraphProperties:
         """Moore bound: a degree-r graph of diameter d has at most
         1 + r * ((r-1)^d - 1)/(r-2) nodes, so the diameter cannot be tiny."""
         num_nodes, degree, seed = params
-        graph = sequential_random_regular_graph(num_nodes, degree, rng=seed)
+        graph = random_regular_graph(num_nodes, degree, rng=seed)
         if not nx.is_connected(graph) or degree < 3:
             return
         d = diameter(graph)
@@ -121,7 +121,7 @@ class TestKShortestPathProperties:
     @given(regular_graph_params(), st.integers(min_value=1, max_value=6))
     def test_paths_sorted_valid_and_distinct(self, params, k):
         num_nodes, degree, seed = params
-        graph = sequential_random_regular_graph(num_nodes, degree, rng=seed)
+        graph = random_regular_graph(num_nodes, degree, rng=seed)
         nodes = sorted(graph.nodes)
         source, target = nodes[0], nodes[-1]
         if not nx.has_path(graph, source, target):
@@ -293,7 +293,7 @@ class TestBisectionProperties:
         num_nodes, degree, seed = params
         if num_nodes % 2 != 0 or degree < 3:
             return
-        graph = sequential_random_regular_graph(num_nodes, degree, rng=seed)
+        graph = random_regular_graph(num_nodes, degree, rng=seed)
         nodes = sorted(graph.nodes)
         partition = set(nodes[: num_nodes // 2])
         observed = cut_size(graph, partition)

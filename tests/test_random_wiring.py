@@ -24,7 +24,7 @@ from repro.utils.rng import spawn_seeds
 
 FIXTURE = Path(__file__).parent / "golden" / "random_wiring.json"
 SEEDS = range(10)
-METHODS = ("sequential", "stubs", "pairing", "networkx")
+METHODS = ("sequential", "stubs")
 
 
 def adjacency_digest(graph) -> str:

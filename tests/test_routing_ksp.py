@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.regular import sequential_random_regular_graph
+from repro.graphs.regular import random_regular_graph
 from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
 
 
@@ -93,7 +93,7 @@ class TestPropertyAgainstNetworkX:
     @given(ksp_cases())
     def test_matches_reference_on_random_regular_graphs(self, case):
         num_nodes, degree, seed, k = case
-        graph = sequential_random_regular_graph(num_nodes, degree, rng=seed)
+        graph = random_regular_graph(num_nodes, degree, rng=seed)
         nodes = sorted(graph.nodes)
         source, target = nodes[0], nodes[-1]
         if not nx.has_path(graph, source, target):
@@ -124,7 +124,7 @@ class TestPropertyAgainstNetworkX:
         """With a huge k, the paths found must be every simple path, i.e.
         exactly what the reference enumeration yields."""
         num_nodes, degree, seed, _ = case
-        graph = sequential_random_regular_graph(min(num_nodes, 10), 2, rng=seed)
+        graph = random_regular_graph(min(num_nodes, 10), 2, rng=seed)
         nodes = sorted(graph.nodes)
         source, target = nodes[0], nodes[-1]
         if not nx.has_path(graph, source, target):

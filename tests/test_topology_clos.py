@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.simulation.capacity import link_capacities
 from repro.topologies.base import TopologyError
-from repro.topologies.clos import LeafSpineTopology
+from repro.topologies.clos import LEAF, SPINE, LeafSpineTopology
+
+
+def switches_in_layer(topology, tag):
+    """Switches whose identifier starts with the layer tag (leaf or spine)."""
+    return [node for node in topology.graph.nodes if node[0] == tag]
 
 
 class TestBuild:
@@ -19,15 +25,17 @@ class TestBuild:
 
     def test_every_leaf_connects_to_every_spine(self):
         topo = LeafSpineTopology.build(3, 2, 2, leaf_ports=8, spine_ports=8)
-        for leaf in topo.leaves():
-            for spine in topo.spines():
+        for leaf in switches_in_layer(topo, LEAF):
+            for spine in switches_in_layer(topo, SPINE):
                 assert topo.graph.has_edge(leaf, spine)
 
     def test_parallel_links_modelled_as_capacity(self):
         topo = LeafSpineTopology.build(
             2, 2, 2, leaf_ports=8, spine_ports=8, links_per_pair=2
         )
-        capacity = topo.graph.edges[topo.leaves()[0], topo.spines()[0]]["capacity"]
+        leaf = switches_in_layer(topo, LEAF)[0]
+        spine = switches_in_layer(topo, SPINE)[0]
+        capacity = topo.graph.edges[leaf, spine]["capacity"]
         assert capacity == 2.0
 
     def test_leaf_port_overflow_rejected(self):
@@ -46,7 +54,10 @@ class TestBuild:
 class TestCapacityMetrics:
     def test_uplink_capacity_per_leaf(self):
         topo = LeafSpineTopology.build(4, 3, 2, leaf_ports=8, spine_ports=8)
-        assert topo.uplink_capacity_per_leaf() == pytest.approx(3.0)
+        capacities = link_capacities(topo)
+        for leaf in switches_in_layer(topo, LEAF):
+            uplinks = sum(capacities[leaf, spine] for spine in switches_in_layer(topo, SPINE))
+            assert uplinks == pytest.approx(3.0)
 
     def test_bisection(self):
         topo = LeafSpineTopology.build(4, 3, 2, leaf_ports=8, spine_ports=8)

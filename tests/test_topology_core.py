@@ -30,11 +30,12 @@ from hypothesis import strategies as st
 
 from repro.failures.injection import fail_random_links
 from repro.graphs.csr import CSRGraph, csr_graph
+from repro.graphs.properties import histogram_cdf, path_length_distribution
 from repro.graphs.regular import (
     graph_from_rows,
-    random_graph_with_degree_budget,
-    sequential_random_regular_graph,
-    stub_matching_regular_graph,
+    random_graph_with_degree_budget_rows,
+    random_regular_graph,
+    stub_matching_regular_rows,
 )
 from repro.topologies.base import Topology, TopologyError
 from repro.topologies.core import TopologyCore
@@ -52,11 +53,20 @@ from oracles.graphs import (
     sequential_random_regular_graph_reference,
     stub_matching_regular_graph_reference,
 )
-from oracles.topologies import add_switch_reference
+from oracles.topologies import add_switch_reference, host_graph_reference
 
 COMMON_SETTINGS = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+
+
+def random_graph_with_degree_budget(budgets, rng=None, max_stall_rounds=1000):
+    rows, labels = random_graph_with_degree_budget_rows(budgets, rng, max_stall_rounds)
+    return graph_from_rows(labels, rows)
+
+
+def stub_matching_regular_graph(num_nodes, degree, rng=None):
+    return graph_from_rows(range(num_nodes), stub_matching_regular_rows(num_nodes, degree, rng))
 
 
 def assert_same_graph(fast: nx.Graph, reference: nx.Graph) -> None:
@@ -86,7 +96,7 @@ class TestSequentialParity:
         num_nodes, degree, seed = params
         fast_rng = random.Random(seed)
         reference_rng = random.Random(seed)
-        fast = sequential_random_regular_graph(num_nodes, degree, fast_rng)
+        fast = random_regular_graph(num_nodes, degree, fast_rng)
         reference = sequential_random_regular_graph_reference(
             num_nodes, degree, reference_rng
         )
@@ -96,10 +106,10 @@ class TestSequentialParity:
 
     def test_rejects_odd_total_degree(self):
         with pytest.raises(ValueError):
-            sequential_random_regular_graph(5, 3)
+            random_regular_graph(5, 3)
 
     def test_large_instance_spot_check(self):
-        fast = sequential_random_regular_graph(120, 11, random.Random(9))
+        fast = random_regular_graph(120, 11, random.Random(9))
         reference = sequential_random_regular_graph_reference(
             120, 11, random.Random(9)
         )
@@ -265,7 +275,7 @@ class TestTopologyCore:
     def test_materialization_adopts_core_csr(self):
         topology = JellyfishTopology.build(12, 6, 3, rng=3)
         view = topology.csr()  # built on the core, graph not materialized
-        assert not topology.has_materialized_graph
+        assert topology._graph is None
         graph = topology.graph
         assert csr_graph(graph) is view
 
@@ -307,14 +317,14 @@ class TestTopologyCore:
 class TestLazyTopologyWrapper:
     def test_metrics_without_materialization(self):
         topology = JellyfishTopology.build(30, 8, 5, rng=1)
-        assert not topology.has_materialized_graph
+        assert topology._graph is None
         assert topology.num_switches == 30
         assert topology.num_links == 75
         assert topology.is_connected()
         mean_lazy = topology.switch_average_path_length()
         diameter_lazy = topology.switch_diameter()
         cdf_lazy = topology.server_path_length_cdf()
-        assert not topology.has_materialized_graph
+        assert topology._graph is None
         # Materialize and recompute through the graph path.
         eager = JellyfishTopology(
             topology.graph,
@@ -326,21 +336,21 @@ class TestLazyTopologyWrapper:
         assert eager.server_path_length_cdf() == cdf_lazy
 
     def test_server_cdf_matches_host_graph_path(self):
-        from repro.graphs.properties import path_length_cdf
-
         topology = JellyfishTopology.from_equipment(20, 6, 26, rng=4)
-        via_host_graph = path_length_cdf(
-            topology.host_graph(), topology.server_nodes()
-        )
+        host_graph, servers = host_graph_reference(topology)
+        via_host_graph = histogram_cdf(path_length_distribution(host_graph, servers))
         assert topology.server_path_length_cdf() == via_host_graph
 
     def test_attach_servers_updates_core(self):
         topology = JellyfishTopology.build(10, 8, 3, rng=2, servers_per_switch=3)
-        topology.attach_servers(0, 2)
+        topology.edit_graph()
+        topology.servers[0] += 2
         core = topology.core()
         assert int(core.servers[core.index_of[0]]) == 3 + 2
+        topology.edit_graph()
+        topology.servers[0] += 100
         with pytest.raises(TopologyError):
-            topology.attach_servers(0, 100)
+            topology.validate()
 
     def test_core_revalidates_after_graph_mutation(self):
         topology = JellyfishTopology.build(10, 6, 3, rng=3)
@@ -435,7 +445,7 @@ class TestEnsembles:
         values = SweepRunner().run_values(expand(specs))
         assert values == serial
 
-    @pytest.mark.parametrize("method", ["stubs", "pairing", "networkx"])
+    @pytest.mark.parametrize("method", ["stubs"])
     def test_sharded_points_match_serial_summary_for_every_method(self, method):
         # Serial cores and sharded JellyfishTopology.build points run one
         # builder, so every construction method gives the same summary.
@@ -449,10 +459,9 @@ class TestEnsembles:
         assert summarize_instance_metrics(serial)["distinct_hashes"] == 4
 
     def test_ablation_methods_build_serially_too(self):
-        # pairing/networkx have no rows-native path; rrg_core must still
-        # produce cores for them (matching the sharded points).
+        # The stubs ablation builds its serial cores through rrg_core too.
         summary = summarize_instance_metrics(
-            _serial_metrics(2, 12, 6, 4, method="pairing", seed=6)
+            _serial_metrics(2, 12, 6, 4, method="stubs", seed=6)
         )
         assert summary["num_instances"] == 2
         assert summary["distinct_hashes"] == 2

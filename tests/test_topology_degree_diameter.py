@@ -4,7 +4,6 @@ import networkx as nx
 import pytest
 
 from repro.graphs.properties import average_path_length, diameter
-from repro.graphs.regular import is_regular
 from repro.topologies.base import TopologyError
 from repro.topologies.degree_diameter import (
     DegreeDiameterTopology,
@@ -12,6 +11,8 @@ from repro.topologies.degree_diameter import (
     optimized_low_diameter_graph,
     petersen_graph,
 )
+
+from oracles.graphs import is_regular
 
 
 class TestClassicalConstructions:

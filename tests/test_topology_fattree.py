@@ -11,6 +11,11 @@ from repro.topologies.fattree import (
 )
 
 
+def switches_in_layer(topology, tag):
+    """Switches whose identifier starts with the layer tag (core, agg, edge)."""
+    return [node for node in topology.graph.nodes if node[0] == tag]
+
+
 class TestFormulas:
     def test_servers(self):
         assert fattree_num_servers(4) == 16
@@ -49,12 +54,12 @@ class TestBuild:
             assert used == small_fattree.ports[node]
 
     def test_layers(self, small_fattree):
-        assert len(small_fattree.core_switches()) == 4
-        assert len(small_fattree.aggregation_switches()) == 8
-        assert len(small_fattree.edge_switches()) == 8
+        assert len(switches_in_layer(small_fattree, "core")) == 4
+        assert len(switches_in_layer(small_fattree, "agg")) == 8
+        assert len(switches_in_layer(small_fattree, "edge")) == 8
 
     def test_core_switch_reaches_every_pod(self, small_fattree):
-        for core in small_fattree.core_switches():
+        for core in switches_in_layer(small_fattree, "core"):
             pods = {agg[1] for agg in small_fattree.graph.neighbors(core)}
             assert pods == set(range(4))
 
@@ -71,11 +76,15 @@ class TestBuild:
             FatTreeTopology.build(0)
 
     def test_pod_helpers(self, small_fattree):
-        edge = small_fattree.edge_switches()[0]
-        assert small_fattree.layer(edge) == "edge"
-        assert isinstance(small_fattree.pod_of(edge), int)
-        with pytest.raises(ValueError):
-            small_fattree.pod_of(small_fattree.core_switches()[0])
+        # Edge and aggregation switches are (layer, pod, index); a pod's
+        # edge switches link only to its own aggregation switches.
+        for edge in switches_in_layer(small_fattree, "edge"):
+            assert isinstance(edge[1], int)
+            neighbors = list(small_fattree.graph.neighbors(edge))
+            assert {node[0] for node in neighbors} == {"agg"}
+            assert {node[1] for node in neighbors} == {edge[1]}
+        pods = {agg[1] for agg in switches_in_layer(small_fattree, "agg")}
+        assert pods == set(range(4))
 
 
 class TestBisection:

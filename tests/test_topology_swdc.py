@@ -66,18 +66,17 @@ class TestValidationAndHelpers:
             SmallWorldTopology.build(3, RING, degree=6)
 
     def test_set_servers_per_switch(self):
-        topo = SmallWorldTopology.build(30, RING, degree=6, rng=7)
-        before = topo.content_hash()
-        topo.set_servers_per_switch(2)
+        one = SmallWorldTopology.build(30, RING, degree=6, rng=7)
+        topo = SmallWorldTopology.build(30, RING, degree=6, servers_per_switch=2, rng=7)
+        assert set(topo.graph.edges) == set(one.graph.edges)  # same draws
         assert topo.num_servers == 60
         topo.validate()
-        # The cached core must not outlive the re-provisioning.
+        # The provisioning is part of the structure the core hashes.
         fresh = TopologyCore.from_graph(topo.graph, topo.ports, topo.servers)
-        assert topo.content_hash() != before
+        assert topo.content_hash() != one.content_hash()
         assert topo.content_hash() == fresh.content_hash
         assert topo.core().servers.tolist() == [2] * 30
 
     def test_set_servers_negative_rejected(self):
-        topo = SmallWorldTopology.build(30, RING, degree=6, rng=8)
         with pytest.raises(TopologyError):
-            topo.set_servers_per_switch(-1)
+            SmallWorldTopology.build(30, RING, degree=6, servers_per_switch=-1, rng=8)
