@@ -23,14 +23,6 @@ class ExperimentResult:
             )
         self.rows.append(tuple(values))
 
-    def column(self, name: str) -> List:
-        """All values of one column, in row order."""
-        try:
-            index = self.columns.index(name)
-        except ValueError as error:
-            raise KeyError(f"no column named {name!r}") from error
-        return [row[index] for row in self.rows]
-
     def __str__(self) -> str:
         return format_table(self)
 

@@ -14,11 +14,10 @@ from typing import Any, List
 
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
-from repro.flow.throughput import normalized_throughput
+from repro.flow.throughput import mean_normalized_throughput
 from repro.topologies.degree_diameter import DegreeDiameterTopology
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
-from repro.utils.stats import mean
 
 # (num_switches, ports_per_switch, network_degree) as labelled on the paper's x-axis.
 _SCALES = {
@@ -43,16 +42,11 @@ _SCALES = {
 _TARGET = "repro.experiments.fig03_degree_diameter:compute_rows"
 
 
-def _throughput(topology, trials, rng) -> float:
-    return mean(
-        normalized_throughput(topology, k=8, rng=rng).normalized for _ in range(trials)
-    )
-
-
 def compute_rows(scale: str, seed: int = 0) -> list:
     """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
     rng = ensure_rng(seed)
+    trials = config["trials"]
 
     rows = []
     for num_switches, ports, degree in config["configs"]:
@@ -66,8 +60,8 @@ def compute_rows(scale: str, seed: int = 0) -> list:
         jellyfish = JellyfishTopology.build(
             num_switches, ports, degree, rng=rng
         )
-        bench_throughput = _throughput(benchmark, config["trials"], rng)
-        jelly_throughput = _throughput(jellyfish, config["trials"], rng)
+        bench_throughput = mean_normalized_throughput(benchmark, trials, k=8, rng=rng)
+        jelly_throughput = mean_normalized_throughput(jellyfish, trials, k=8, rng=rng)
         ratio = jelly_throughput / bench_throughput if bench_throughput else 0.0
         rows.append(
             [

@@ -12,10 +12,9 @@ from typing import Any, List
 
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
-from repro.flow.throughput import normalized_throughput
+from repro.flow.throughput import mean_normalized_throughput
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
-from repro.utils.stats import mean
 
 _SCALES = {
     "small": {"increment": 10, "stages": 3, "trials": 2},
@@ -27,12 +26,6 @@ _SERVERS_PER_SWITCH = 4
 _NETWORK_DEGREE = _PORTS - _SERVERS_PER_SWITCH
 
 _TARGET = "repro.experiments.fig06_incremental:compute_rows"
-
-
-def _throughput(topology, trials, rng) -> float:
-    return mean(
-        normalized_throughput(topology, k=8, rng=rng).normalized for _ in range(trials)
-    )
 
 
 def compute_rows(scale: str, seed: int = 0) -> list:
@@ -62,8 +55,8 @@ def compute_rows(scale: str, seed: int = 0) -> list:
             [
                 count,
                 count * _SERVERS_PER_SWITCH,
-                _throughput(grown, trials, rng),
-                _throughput(scratch, trials, rng),
+                mean_normalized_throughput(grown, trials, k=8, rng=rng),
+                mean_normalized_throughput(scratch, trials, k=8, rng=rng),
             ]
         )
     return rows

@@ -14,10 +14,9 @@ from typing import Any, List
 from repro.cabling.containers import build_localized_jellyfish, local_link_fraction
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.common import ExperimentResult
-from repro.flow.throughput import normalized_throughput
+from repro.flow.throughput import mean_normalized_throughput
 from repro.topologies.jellyfish import JellyfishTopology
 from repro.utils.rng import ensure_rng
-from repro.utils.stats import mean
 
 _SCALES = {
     "small": {
@@ -39,12 +38,6 @@ _SERVERS_PER_SWITCH = 4  # oversubscribed so localization effects are visible
 _TARGET = "repro.experiments.fig14_localization:compute_rows"
 
 
-def _throughput(topology, trials, rng) -> float:
-    return mean(
-        normalized_throughput(topology, k=8, rng=rng).normalized for _ in range(trials)
-    )
-
-
 def compute_rows(scale: str, seed: int = 0) -> list:
     """Scenario target: every row of the figure, from one rng stream."""
     config = _SCALES[scale]
@@ -61,7 +54,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
             rng=rng,
             servers_per_switch=_SERVERS_PER_SWITCH,
         )
-        baseline = _throughput(unrestricted, trials, rng)
+        baseline = mean_normalized_throughput(unrestricted, trials, k=8, rng=rng)
         for fraction in config["fractions"]:
             localized = build_localized_jellyfish(
                 num_containers=containers,
@@ -72,7 +65,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
                 local_fraction=fraction,
                 rng=rng,
             )
-            value = _throughput(localized, trials, rng)
+            value = mean_normalized_throughput(localized, trials, k=8, rng=rng)
             normalized = value / baseline if baseline else 0.0
             rows.append(
                 [

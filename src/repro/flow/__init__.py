@@ -10,6 +10,7 @@ from repro.flow.path_lp import (
 from repro.flow.throughput import (
     ThroughputResult,
     max_servers_at_full_throughput,
+    mean_normalized_throughput,
     normalized_throughput,
     supports_full_throughput,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "shared_path_lp_structure",
     "ThroughputResult",
     "max_servers_at_full_throughput",
+    "mean_normalized_throughput",
     "normalized_throughput",
     "supports_full_throughput",
 ]

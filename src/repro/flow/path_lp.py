@@ -31,11 +31,20 @@ wins because IPM's fixed cost dominates.  Crossover returns a vertex, so
 theta agrees with dual simplex to about 1e-10 relative; without it the
 interior point is off by up to 2e-8.  Theta values and full-rate decisions
 share this one solve.
+
+:func:`path_lp_thetas` evaluates several traffic matrices over one topology
+as one batch: one routing call for the union of their pairs, one structure,
+and the LPs solved concurrently.  HiGHS releases the interpreter lock while
+it solves, so the calling thread and up to one helper thread per further
+CPU (:func:`repro.resources.helper_threads`) solve in parallel.  Each LP is
+the one a serial loop would solve, so every theta is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -43,8 +52,9 @@ from scipy.sparse import csr_matrix
 
 from repro.flow.mcf import FlowSolverError
 from repro.graphs.csr import csr_graph
+from repro.resources import helper_threads
 from repro.simulation.capacity import DirectedLink, link_capacities
-from repro.telemetry import trace
+from repro.telemetry import in_current_span, trace
 from repro.routing.paths import PathSet, shared_path_set
 from repro.topologies.base import Topology
 from repro.traffic.matrices import SwitchDemandArrays, TrafficMatrix
@@ -216,15 +226,75 @@ def max_concurrent_flow_path_lp(
 ) -> float:
     """Concurrent-flow factor ``theta`` restricted to a candidate path set.
 
+    The batch of one of :func:`path_lp_thetas`, so it starts no thread.
     If ``path_set`` is omitted, the k shortest paths for every demanded
     switch pair come from the shared content-hashed path table
     (:func:`repro.routing.paths.shared_path_set`), so evaluating several
     traffic matrices against one topology routes each switch pair once.
     """
-    arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
-    if not arrays.pairs:
-        return float("inf")
+    (theta,) = path_lp_thetas(topology, [traffic], path_set=path_set, k=k)
+    return theta
+
+
+def path_lp_thetas(
+    topology: Topology,
+    matrices: Sequence[TrafficMatrix],
+    path_set: Optional[PathSet] = None,
+    k: int = 8,
+) -> List[float]:
+    """Concurrent-flow factor ``theta`` of each traffic matrix, in order.
+
+    A matrix that demands no pair of distinct switches gets ``inf``.
+    Unless ``path_set`` is given, the union of the demanded switch pairs is
+    routed with one :func:`~repro.routing.paths.shared_path_set` call, so
+    a pair several matrices demand is routed once.  One
+    :class:`PathLPStructure` serves every matrix, and the LPs are solved
+    concurrently (:func:`_solve_concurrently`).
+    """
+    index_of = csr_graph(topology.graph).index_of
+    batch = [traffic.as_switch_array(index_of) for traffic in matrices]
+    demanded = [arrays for arrays in batch if arrays.pairs]
+    if not demanded:
+        return [float("inf")] * len(batch)
     if path_set is None:
-        path_set = shared_path_set(topology.graph, arrays.pairs, scheme="ksp", k=k)
+        pairs = list(dict.fromkeys(pair for arrays in demanded for pair in arrays.pairs))
+        path_set = shared_path_set(topology.graph, pairs, scheme="ksp", k=k)
     structure = shared_path_lp_structure(link_capacities(topology))
-    return structure.solve(arrays, path_set)
+    solved = iter(_solve_concurrently(structure, demanded, path_set))
+    return [next(solved) if arrays.pairs else float("inf") for arrays in batch]
+
+
+def _solve_concurrently(
+    structure: PathLPStructure, batch: List[SwitchDemandArrays], path_set: PathSet
+) -> List[float]:
+    """:meth:`PathLPStructure.solve` of every matrix in ``batch``, in order.
+
+    The calling thread and :func:`~repro.resources.helper_threads` helpers
+    take the LPs from one queue until it is empty, so a batch of one starts
+    no thread.  The pool lives for this call only: no thread outlives it in
+    a process that the sweep runner may fork workers from.  A solve's
+    error is raised here, on the calling thread.
+    """
+    thetas = [0.0] * len(batch)
+    pending: "queue.SimpleQueue[int]" = queue.SimpleQueue()
+    for index in range(len(batch)):
+        pending.put(index)
+
+    def drain() -> None:
+        while True:
+            try:
+                index = pending.get_nowait()
+            except queue.Empty:
+                return
+            thetas[index] = structure.solve(batch[index], path_set)
+
+    helpers = helper_threads(len(batch))
+    if not helpers:
+        drain()
+        return thetas
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(in_current_span(drain)) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()
+    return thetas

@@ -9,6 +9,9 @@ Implements the paper's evaluation methodology (Section 4):
   :func:`repro.simulation.fluid.simulate_fluid` and
   :func:`repro.simulation.aimd.simulate_aimd` draw the same permutation the
   same way, so a figure's trial loop passes its rng and no matrix.
+* :func:`mean_normalized_throughput` -- the mean of that over several
+  random permutations, as one batch whose LPs are solved concurrently
+  (Figs 3, 4, 6 and 14).
 * :func:`degraded_throughput` -- the same on a failed, possibly partitioned
   topology (Fig 8): demands cut off by a partition carry zero throughput.
 * :func:`supports_full_throughput` -- check that a topology carries several
@@ -38,6 +41,7 @@ import numpy as np
 
 from repro.flow.path_lp import (
     max_concurrent_flow_path_lp,
+    path_lp_thetas,
     shared_path_lp_structure,
 )
 from repro.graphs.csr import CSRGraph, csr_graph
@@ -52,6 +56,7 @@ from repro.traffic.matrices import (
     random_permutation_traffic,
 )
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.stats import mean
 
 #: Theta at or above this is full line rate.  Both the reported
 #: :meth:`ThroughputResult.supports_full_capacity` and the decision path
@@ -97,6 +102,23 @@ def normalized_throughput(
     return ThroughputResult(
         theta=theta, normalized=min(theta, 1.0), num_flows=len(traffic)
     )
+
+
+def mean_normalized_throughput(
+    topology: Topology, trials: int, k: int = 8, rng: RngLike = None
+) -> float:
+    """Mean normalized throughput over ``trials`` random permutation matrices.
+
+    Equals the mean of ``trials`` calls of ``normalized_throughput(topology,
+    k=k, rng=rng).normalized``, bit for bit, and leaves ``rng`` where they
+    would: every trial's permutation is drawn first, in order, and solving
+    draws nothing.  The trials' LPs are then routed and solved as one batch
+    (:func:`~repro.flow.path_lp.path_lp_thetas`), concurrently where the
+    process may use more than one CPU.
+    """
+    rand = ensure_rng(rng)
+    matrices = [random_permutation_traffic(topology, rng=rand) for _ in range(trials)]
+    return mean(min(theta, 1.0) for theta in path_lp_thetas(topology, matrices, k=k))
 
 
 def degraded_throughput(

@@ -155,17 +155,15 @@ def histogram_mean(histogram: Mapping[int, int]) -> float:
     return sum(hops * count for hops, count in histogram.items()) / total
 
 
-def histogram_cdf(
-    histogram: Mapping[int, int], empty_error: str = _NO_CONNECTED_PAIR
-) -> Dict[int, float]:
+def histogram_cdf(histogram: Mapping[int, int]) -> Dict[int, float]:
     """Cumulative fraction of a ``{hops: pairs}`` histogram's pairs within
     each hop count.
 
-    Raises ``ValueError(empty_error)`` when the histogram counts no pair.
+    Raises ``ValueError`` when the histogram counts no pair.
     """
     total = sum(histogram.values())
     if total == 0:
-        raise ValueError(empty_error)
+        raise ValueError(_NO_CONNECTED_PAIR)
     cdf: Dict[int, float] = {}
     running = 0
     for hops in sorted(histogram):

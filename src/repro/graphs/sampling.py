@@ -44,7 +44,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.properties import histogram_cdf
 from repro.resources import active_profile
 from repro.telemetry import trace
 
@@ -81,10 +80,6 @@ class SampledPathStats:
     diameter_lower_bound: int
     unreachable_pairs: int
     histogram: Dict[int, int]
-
-    def cdf(self) -> Dict[int, float]:
-        """Cumulative fraction of sampled pairs within each hop count."""
-        return histogram_cdf(self.histogram, "no reachable sampled pairs")
 
 
 def sampled_path_length_stats(

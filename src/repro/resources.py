@@ -25,6 +25,11 @@ mapped, plus the per-point budget, plus a safety margin", so an overrun
 raises a catchable :class:`MemoryError` inside the worker instead of
 drawing the kernel OOM killer.  The budget comes from ``--memory-mb``.
 See ``docs/robustness.md``.
+
+**Helper threads** -- :func:`helper_threads` says how many threads a
+caller may start beside itself for independent work that releases the
+interpreter lock (the LP solves of :mod:`repro.flow.path_lp`): one per
+usable CPU, and none under an address-space cap.
 """
 
 from __future__ import annotations
@@ -226,3 +231,29 @@ def apply_memory_budget(memory_mb: float) -> Optional[Callable[[], None]]:
             pass
 
     return restore
+
+
+def helper_threads(tasks: int) -> int:
+    """Threads to start beside the caller for ``tasks`` independent tasks.
+
+    ``min(tasks, CPUs this process may run on) - 1``: the caller works too,
+    so one task or one CPU starts none.  None start under a finite
+    ``RLIMIT_AS`` soft limit (a ``--memory-mb`` budget): glibc aborts the
+    whole process, exit 127, when it cannot map a new thread's
+    thread-local storage, where an allocation over the cap would raise a
+    catchable ``MemoryError``.
+    """
+    if tasks < 2:
+        return 0
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-Unix platforms
+        pass
+    else:
+        if resource.getrlimit(resource.RLIMIT_AS)[0] != resource.RLIM_INFINITY:
+            return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity masks (macOS)
+        cpus = os.cpu_count() or 1
+    return min(tasks, cpus) - 1

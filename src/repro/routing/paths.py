@@ -54,13 +54,6 @@ class PathSet:
     def add(self, pair: Pair, path: Path) -> None:
         self.paths.setdefault(pair, []).append(tuple(path))
 
-    def average_path_length(self) -> float:
-        """Mean hop count over every stored path (edges, not nodes)."""
-        lengths = [len(p) - 1 for options in self.paths.values() for p in options]
-        if not lengths:
-            raise ValueError("path set is empty")
-        return sum(lengths) / len(lengths)
-
 
 def build_path_set(
     graph: nx.Graph,

@@ -44,6 +44,7 @@ from repro.telemetry.tracer import (
     enable,
     enable_in_subprocesses,
     get_tracer,
+    in_current_span,
     is_enabled,
     summarize_events,
     trace,
@@ -66,6 +67,7 @@ __all__ = [
     "enable_in_subprocesses",
     "get_logger",
     "get_tracer",
+    "in_current_span",
     "is_enabled",
     "journal_path",
     "load_journal",

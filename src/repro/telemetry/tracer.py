@@ -28,6 +28,14 @@ Design constraints, in priority order:
    configured, each completed span is appended as one line and flushed, so
    concurrent worker processes interleave whole lines (each carries its
    ``pid``) and a killed run keeps everything already flushed.
+4. **Thread-safe**: each thread keeps its own stack of open spans, and
+   span indices, records and counter updates are taken under one lock.
+   Work handed to another thread through :func:`in_current_span` opens its
+   spans under the span that handed it over, not as new roots, so root
+   spans still cover each wall-clock second once.  A span's ``self_s``
+   subtracts only its children on its own thread: summed over all spans,
+   self time is the busy time of every thread, which can exceed the wall
+   time while helper threads run.
 
 Enabling
 --------
@@ -46,18 +54,20 @@ Span records are plain dicts (JSON-ready)::
 ``t`` is seconds since the tracer was created (on :data:`clock`, which the
 benchmark scripts' timing also reads); ``parent`` is the ``i`` of
 the enclosing span in the same process or ``None`` for roots; ``self_s``
-is ``dur_s`` minus the cumulative duration of direct children, which is
-what ``repro stats`` aggregates as per-phase self time.
+is ``dur_s`` minus the cumulative duration of direct children on the same
+thread, which is what ``repro stats`` aggregates as per-phase self time.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import json
 import os
+import threading
 import time
 from collections import deque
-from typing import Any, Dict, IO, List, Optional
+from typing import Any, Callable, Dict, IO, List, Optional, TypeVar
 
 #: The single clock path for every measurement in the repo: tracer spans,
 #: sweep point durations, and the ``record_*.py`` benchmark scripts all
@@ -70,6 +80,8 @@ TRACE_ENV = "REPRO_TRACE"
 
 #: Completed spans retained in process (oldest evicted first).
 DEFAULT_RING_SIZE = 65536
+
+T = TypeVar("T")
 
 
 class NullSpan:
@@ -107,12 +119,8 @@ class Span:
 
     def add(self, **counters: Any) -> "Span":
         """Merge counters into the span (numeric values accumulate)."""
-        own = self.counters
-        for key, value in counters.items():
-            if key in own and isinstance(value, (int, float)) and not isinstance(value, bool):
-                own[key] = own[key] + value
-            else:
-                own[key] = value
+        with self._tracer._lock:
+            _merge(self.counters, counters)
         return self
 
     def __enter__(self) -> "Span":
@@ -124,6 +132,27 @@ class Span:
         duration = clock() - self._start
         self._tracer._pop(self, duration)
         return False
+
+
+def _merge(target: Dict[str, Any], counters: Dict[str, Any]) -> None:
+    """Add numeric counters into ``target``; other values overwrite."""
+    for key, value in counters.items():
+        if key in target and isinstance(value, (int, float)) and not isinstance(value, bool):
+            target[key] = target[key] + value
+        else:
+            target[key] = value
+
+
+class _ThreadSpans(threading.local):
+    """One thread's open spans, innermost last, and the span of another
+    thread they hang under (``None`` unless set by :func:`in_current_span`)."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+        self.parent: Optional[Span] = None
+
+    def innermost(self) -> Optional[Span]:
+        return self.stack[-1] if self.stack else self.parent
 
 
 class Tracer:
@@ -138,7 +167,8 @@ class Tracer:
         self.jsonl_path = os.fspath(jsonl_path) if jsonl_path is not None else None
         self.root_counters: Dict[str, Any] = {}
         self.epoch = clock()
-        self._stack: List[Span] = []
+        self._threads = _ThreadSpans()
+        self._lock = threading.Lock()
         self._next_index = 0
         self._sink: Optional[IO[str]] = None
         self._pid = os.getpid()
@@ -148,17 +178,18 @@ class Tracer:
         return Span(self, name, counters)
 
     def _push(self, span: Span) -> None:
-        stack = self._stack
-        if stack:
-            parent = stack[-1]
+        threads = self._threads
+        parent = threads.innermost()
+        if parent is not None:
             span._parent = parent._index
             span._depth = parent._depth + 1
-        span._index = self._next_index
-        self._next_index += 1
-        stack.append(span)
+        with self._lock:
+            span._index = self._next_index
+            self._next_index += 1
+        threads.stack.append(span)
 
     def _pop(self, span: Span, duration: float) -> None:
-        stack = self._stack
+        stack = self._threads.stack
         # Tolerate exits out of order (a span used without ``with`` never
         # enters the stack): unwind to this span if present, else drop.
         if stack and stack[-1] is span:
@@ -179,20 +210,17 @@ class Tracer:
             "counters": span.counters,
             "pid": self._pid,
         }
-        self.events.append(record)
-        if self.jsonl_path is not None:
-            self._write(record)
+        with self._lock:
+            self.events.append(record)
+            if self.jsonl_path is not None:
+                self._write(record)
 
     def count(self, name: str, value: Any = 1) -> None:
         """Credit a counter to the innermost active span (or the root)."""
-        if self._stack:
-            target = self._stack[-1].counters
-        else:
-            target = self.root_counters
-        if name in target and isinstance(value, (int, float)) and not isinstance(value, bool):
-            target[name] = target[name] + value
-        else:
-            target[name] = value
+        span = self._threads.innermost()
+        target = self.root_counters if span is None else span.counters
+        with self._lock:
+            _merge(target, {name: value})
 
     # -- sink -----------------------------------------------------------
     def _write(self, record: dict) -> None:
@@ -212,12 +240,13 @@ class Tracer:
             self.jsonl_path = None
 
     def close(self) -> None:
-        if self._sink is not None:
-            try:
-                self._sink.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._sink = None
+        with self._lock:
+            if self._sink is not None:
+                try:
+                    self._sink.close()
+                except OSError:  # pragma: no cover
+                    pass
+                self._sink = None
 
 
 def _json_default(value: Any) -> Any:
@@ -261,6 +290,30 @@ def count(name: str, value: Any = 1) -> None:
     if tracer is None:
         return
     tracer.count(name, value)
+
+
+def in_current_span(fn: Callable[..., T]) -> Callable[..., T]:
+    """``fn``, set to run on another thread under the caller's innermost span.
+
+    Spans that ``fn`` opens hang under that span instead of becoming roots,
+    and its :func:`count` calls outside its own spans credit that span.
+    Returns ``fn`` itself while tracing is off.
+    """
+    tracer = _TRACER
+    if tracer is None:
+        return fn
+    parent = tracer._threads.innermost()
+
+    @functools.wraps(fn)
+    def run(*args: Any, **kwargs: Any) -> T:
+        threads = tracer._threads
+        previous, threads.parent = threads.parent, parent
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            threads.parent = previous
+
+    return run
 
 
 def is_enabled() -> bool:

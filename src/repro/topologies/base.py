@@ -22,7 +22,6 @@ all.
 from __future__ import annotations
 
 import copy as _copy
-from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import networkx as nx
@@ -36,25 +35,7 @@ from repro.graphs.properties import (
 )
 from repro.topologies.core import TopologyCore, TopologyError
 
-__all__ = ["EquipmentSummary", "Topology", "TopologyError"]
-
-
-@dataclass(frozen=True)
-class EquipmentSummary:
-    """Switching equipment used by a topology (the paper's cost unit is ports)."""
-
-    num_switches: int
-    total_ports: int
-    num_servers: int
-    num_links: int
-
-    def as_dict(self) -> dict:
-        return {
-            "num_switches": self.num_switches,
-            "total_ports": self.total_ports,
-            "num_servers": self.num_servers,
-            "num_links": self.num_links,
-        }
+__all__ = ["Topology", "TopologyError"]
 
 
 class Topology:
@@ -92,8 +73,6 @@ class Topology:
             for node, count in servers.items():
                 if node not in self.servers:
                     raise TopologyError(f"server host {node!r} is not a switch")
-                if count < 0:
-                    raise TopologyError(f"negative server count on {node!r}")
                 self.servers[node] = count
         self.name = name
         self.validate()
@@ -167,13 +146,16 @@ class Topology:
     # Invariants and accounting
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Check that every switch respects its port budget."""
+        """Check that every switch respects its port budget and hosts no
+        negative server count."""
         if self._graph is None and self._core is not None:
             self._core.validate()
             return
         for node in self.graph.nodes:
             if node not in self.ports:
                 raise TopologyError(f"switch {node!r} has no port count")
+            if self.servers.get(node, 0) < 0:
+                raise TopologyError(f"negative server count on {node!r}")
             used = self.graph.degree(node) + self.servers.get(node, 0)
             if used > self.ports[node]:
                 raise TopologyError(
@@ -215,15 +197,6 @@ class Topology:
     def content_hash(self) -> str:
         """Canonical structural hash (see ``TopologyCore.content_hash``)."""
         return self.core().content_hash
-
-    def equipment(self) -> EquipmentSummary:
-        """Summary of the switching equipment this topology consumes."""
-        return EquipmentSummary(
-            num_switches=self.num_switches,
-            total_ports=self.total_ports,
-            num_servers=self.num_servers,
-            num_links=self.num_links,
-        )
 
     def server_hosts(self) -> List[Hashable]:
         """Switches that host at least one server."""

@@ -12,7 +12,8 @@ installed package, so production code can never select them:
 * :mod:`oracles.routing` -- dict/deque BFS and Yen;
 * :mod:`oracles.topologies` -- the quadratic ``add_switch`` splice loop;
 * :mod:`oracles.lifecycle` -- the cold-rebuild lifecycle metrics;
-* :mod:`oracles.targets` -- tiny scenario targets for the engine tests.
+* :mod:`oracles.targets` -- tiny scenario targets for the engine tests;
+* :mod:`oracles.results` -- row and column accessors for experiment results.
 
 The package is importable as ``oracles`` from three places: pytest (the
 ``pythonpath`` setting in ``pyproject.toml`` puts ``tests/`` on

@@ -25,6 +25,8 @@ from repro.experiments.fig02b_equipment_cost import (
     jellyfish_min_ports_for_full_bisection,
 )
 
+from oracles.results import column
+
 
 class TestRegistry:
     def test_every_experiment_is_registered_as_a_sweep(self):
@@ -66,7 +68,7 @@ class TestEquivalenceWithDirectExecution:
                 servers = int(round(step * max_servers / 12))
                 expected.append(jellyfish_curve_point(num_switches, ports, servers))
         result = run_sweep("fig02a", scale="small", seed=0)
-        assert result.column("jellyfish_normalized_bisection") == expected
+        assert column(result, "jellyfish_normalized_bisection") == expected
 
     def test_fig02b_matches_pre_refactor_loop(self):
         config = FIG02B_SCALES["small"]
@@ -76,7 +78,7 @@ class TestEquivalenceWithDirectExecution:
             for servers in config["server_targets"]
         ]
         result = run_sweep("fig02b", scale="small", seed=0)
-        assert result.column("jellyfish_total_ports") == expected
+        assert column(result, "jellyfish_total_ports") == expected
 
     def test_same_seed_reproduces_and_seeds_differ(self):
         first = run_sweep("fig01", scale="small", seed=3)

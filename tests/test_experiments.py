@@ -18,6 +18,8 @@ from repro.experiments.common import ExperimentResult, format_table, list_experi
 from repro.memo import clear_memos, memo_stats
 from repro.resources import ExecutionProfile
 
+from oracles.results import column, row_dicts
+
 ALL_EXPERIMENTS = list_experiments()
 
 GOLDEN_SEEDS = (0, 1, 3)
@@ -28,11 +30,6 @@ def golden_path(seed: int) -> Path:
 
 
 GOLDEN = golden_path(0)
-
-
-def row_dicts(result: ExperimentResult) -> list:
-    """Each row as ``{column: value}``."""
-    return [dict(zip(result.columns, row)) for row in result.rows]
 
 
 def _plain(value):
@@ -105,14 +102,6 @@ class TestResultContainer:
         result.add_row(1, 2)
         with pytest.raises(ValueError):
             result.add_row(1)
-
-    def test_column_access(self):
-        result = ExperimentResult("x", "t", ["a", "b"])
-        result.add_row(1, 2)
-        result.add_row(3, 4)
-        assert result.column("b") == [2, 4]
-        with pytest.raises(KeyError):
-            result.column("c")
 
     def test_as_dicts_and_format(self):
         result = ExperimentResult("x", "t", ["a"], notes="hello")
@@ -191,12 +180,12 @@ class TestHeadlineClaims:
 
     def test_fig02c_jellyfish_supports_at_least_as_many_servers(self):
         result = run_sweep("fig02c", scale="small", seed=0)
-        advantages = result.column("jellyfish_advantage")
+        advantages = column(result, "jellyfish_advantage")
         assert max(advantages) >= 1.0
 
     def test_fig05_short_paths(self):
         result = run_sweep("fig05", scale="small", seed=0)
-        assert all(value <= 4 for value in result.column("scratch_diameter"))
+        assert all(value <= 4 for value in column(result, "scratch_diameter"))
 
     def test_fig06_incremental_matches_scratch(self):
         result = run_sweep("fig06", scale="small", seed=0)
@@ -236,7 +225,7 @@ class TestHeadlineClaims:
 
     def test_fig13_fairness_is_high(self):
         result = run_sweep("fig13", scale="small", seed=0)
-        assert all(value > 0.8 for value in result.column("jain_fairness_index"))
+        assert all(value > 0.8 for value in column(result, "jain_fairness_index"))
 
     def test_fig13_dynamics_tracks_fluid_fairness(self):
         result = run_sweep("fig13-dynamics", scale="small", seed=0)

@@ -64,25 +64,26 @@ def _definitions(tree):
 
 
 def _reads(path, tree):
-    """``(name, line)`` of every name a module reads.
+    """``(name, line, attribute)`` of every name a module reads.
 
-    An ``__init__.py``'s plain ``from x import y`` re-exports ``y`` and does
-    not read it; ``from x import y as z`` does.
+    ``attribute`` is true for an ``x.name`` read and for a ``module:name``
+    string.  An ``__init__.py``'s plain ``from x import y`` re-exports ``y``
+    and does not read it; ``from x import y as z`` does.
     """
     reexports = path.name == "__init__.py"
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 if not reexports or alias.asname not in (None, alias.name):
-                    yield alias.name.rsplit(".", 1)[-1], node.lineno
+                    yield alias.name.rsplit(".", 1)[-1], node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             target = _TARGET.match(node.value)
             if target:
-                yield target.group(1), node.lineno
+                yield target.group(1), node.lineno, True
 
 
 def _package_all():
@@ -102,9 +103,11 @@ def test_every_definition_is_read_on_a_program_path():
     A definition counts as read when its name appears anywhere in
     ``src/repro`` outside the definition itself (or as a ``module:name``
     sweep target), as a word in ``examples/*.py`` or
-    ``benchmarks/e2e/*.py``, or in ``repro.__all__``.  Matching is by name,
-    so a method that shares its name with something the program reads
-    escapes this check.
+    ``benchmarks/e2e/*.py``, or in ``repro.__all__``.  A class member counts
+    only as an attribute read (``x.name``, in ``src/repro`` or in those
+    files), so it cannot hide behind a local variable or a word of the same
+    name.  Matching is by name, so a method that shares its name with an
+    attribute the program reads still escapes this check.
     """
     reads = defaultdict(list)
     definitions = []
@@ -112,19 +115,30 @@ def test_every_definition_is_read_on_a_program_path():
         tree = ast.parse(path.read_text(), filename=str(path))
         for name, qualname, node in _definitions(tree):
             definitions.append((path, name, qualname, node.lineno, node.end_lineno))
-        for name, line in _reads(path, tree):
-            reads[name].append((path, line))
-    outside = _package_all() | set(EXEMPT)
+        for name, line, attribute in _reads(path, tree):
+            reads[name].append((path, line, attribute))
+    words = _package_all() | set(EXEMPT)
+    attributes = set(EXEMPT)
     for pattern in ("examples/*.py", "benchmarks/e2e/*.py"):
         for path in ROOT.glob(pattern):
-            outside.update(re.findall(r"\w+", path.read_text()))
+            text = path.read_text()
+            words.update(re.findall(r"\w+", text))
+            attributes.update(re.findall(r"\.(\w+)", text))
+
+    def read(path, name, qualname, first, last):
+        member = "." in qualname
+        if name in (attributes if member else words):
+            return True
+        return any(
+            (attribute or not member) and not (where == path and first <= line <= last)
+            for where, line, attribute in reads[name]
+        )
 
     unread = [
         f"{path.relative_to(SRC)}:{qualname}"
         for path, name, qualname, first, last in definitions
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in outside
-        and all(where == path and first <= line <= last for where, line in reads[name])
+        and not read(path, name, qualname, first, last)
     ]
     assert not unread, (
         "only tests or benchmark scripts read these; delete them or move "

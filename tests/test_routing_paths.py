@@ -60,16 +60,6 @@ class TestBuildPathSet:
 
 
 class TestPathSetStatistics:
-    def test_average_path_length(self, grid):
-        path_set = PathSet()
-        path_set.add((0, 1), (0, "a", 1))
-        path_set.add((0, 2), (0, "a", "b", 2))
-        assert path_set.average_path_length() == pytest.approx(2.5)
-
-    def test_average_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            PathSet().average_path_length()
-
     def test_max_paths_per_pair(self, grid):
         path_set = build_path_set(grid, [((0, 0), (3, 3))], scheme="ksp", k=5)
         assert max(len(options) for options in path_set.paths.values()) == 5

@@ -23,6 +23,7 @@ from repro.graphs.csr import csr_graph
 from repro.graphs.properties import (
     average_path_length,
     diameter,
+    histogram_cdf,
     path_length_distribution,
 )
 from repro.graphs.regular import random_regular_graph
@@ -140,7 +141,7 @@ def test_path_stats_input_validation():
 def test_cdf_is_monotone_and_ends_at_one():
     core = single_rrg_core(60, 8, 5, seed=4)
     stats = sampled_path_length_stats(core.csr(), num_sources=10, seed=4)
-    cdf = stats.cdf()
+    cdf = histogram_cdf(stats.histogram)
     values = [cdf[h] for h in sorted(cdf)]
     assert values == sorted(values)
     assert values[-1] == pytest.approx(1.0)

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -40,6 +41,7 @@ from repro.telemetry.tracer import (
     disable,
     enable,
     get_tracer,
+    in_current_span,
     is_enabled,
     trace,
 )
@@ -107,7 +109,7 @@ class TestSpans:
         with pytest.raises(RuntimeError):
             with trace("boom"):
                 raise RuntimeError("x")
-        assert tracer._stack == []
+        assert tracer._threads.stack == []
         assert [e["name"] for e in tracer.events] == ["boom"]
 
     def test_ring_buffer_evicts_oldest(self):
@@ -139,6 +141,75 @@ class TestSpans:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert proc.stdout.strip() == "True", proc.stderr
+
+
+class TestThreads:
+    """Spans and counters from several threads at once, as a batch of LP
+    solves on helper threads produces them."""
+
+    ROUNDS = 40
+
+    def _run(self, tracer_threads):
+        def work(number):
+            for _ in range(self.ROUNDS):
+                with trace(f"t{number}.outer"):
+                    with trace(f"t{number}.inner"):
+                        count("inner_hits")
+                    count("outer_hits")
+                count("batch_hits")  # no span of its own open: the batch's
+
+        with trace("batch"):
+            workers = [
+                threading.Thread(target=in_current_span(work), args=(number,))
+                for number in range(tracer_threads)
+            ]
+            for worker in workers:
+                worker.start()
+            work("caller")
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+
+    def test_records_parents_and_counters_survive_contention(self, tmp_path):
+        threads = (os.cpu_count() or 1) + 4  # more threads than cores
+        tracer = enable(jsonl_path=str(tmp_path / "events.jsonl"))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._run(threads)
+        finally:
+            sys.setswitchinterval(previous)
+        disable()
+
+        records = list(tracer.events)
+        spans_opened = 1 + (threads + 1) * self.ROUNDS * 2
+        assert len(records) == spans_opened
+        assert load_events(tmp_path / "events.jsonl") == records
+        indices = [record["i"] for record in records]
+        assert len(set(indices)) == len(indices)
+
+        by_index = {record["i"]: record for record in records}
+        (batch,) = [record for record in records if record["name"] == "batch"]
+        assert batch["parent"] is None and batch["depth"] == 0
+        for record in records:
+            if record is batch:
+                continue
+            thread, level = record["name"].split(".")
+            parent = by_index[record["parent"]]
+            if level == "outer":
+                assert parent is batch and record["depth"] == 1
+            else:
+                assert parent["name"] == f"{thread}.outer" and record["depth"] == 2
+                assert parent["t"] <= record["t"]
+
+        def total(name):
+            return sum(record["counters"].get(name, 0) for record in records)
+
+        per_counter = (threads + 1) * self.ROUNDS
+        assert total("inner_hits") == total("outer_hits") == per_counter
+        assert batch["counters"]["batch_hits"] == per_counter
+        assert tracer.root_counters == {}
+        assert tracer._threads.stack == []
 
 
 class TestLogging:

@@ -55,12 +55,6 @@ class TestAccounting:
         assert topo.free_ports(0) == 4 - 2 - 2
         assert topo.free_ports(2) == 2
 
-    def test_equipment_summary(self):
-        summary = triangle_topology().equipment()
-        assert summary.num_switches == 3
-        assert summary.num_servers == 3
-        assert summary.as_dict()["total_ports"] == 12
-
     def test_server_list_and_hosts(self):
         topo = triangle_topology()
         assert set(topo.server_hosts()) == {0, 1}
@@ -116,8 +110,11 @@ class TestMutation:
             topo.validate()
 
     def test_attach_negative_rejected(self):
+        # A graph-backed topology rejects what its core rejects.
         topo = triangle_topology()
         topo.edit_graph()
         topo.servers[0] = -1
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match="negative server count"):
+            topo.validate()
+        with pytest.raises(TopologyError, match="negative server count"):
             topo.core().validate()
