@@ -60,8 +60,8 @@ def compute_rows(scale: str, seed: int = 0) -> list:
         jellyfish = JellyfishTopology.build(
             num_switches, ports, degree, rng=rng
         )
-        bench_throughput = mean_normalized_throughput(benchmark, trials, k=8, rng=rng)
-        jelly_throughput = mean_normalized_throughput(jellyfish, trials, k=8, rng=rng)
+        bench_throughput = mean_normalized_throughput(benchmark, trials, rng=rng)
+        jelly_throughput = mean_normalized_throughput(jellyfish, trials, rng=rng)
         ratio = jelly_throughput / bench_throughput if bench_throughput else 0.0
         rows.append(
             [

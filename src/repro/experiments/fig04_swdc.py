@@ -70,7 +70,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
             name,
             topology.num_switches,
             topology.num_servers,
-            mean_normalized_throughput(topology, trials, k=8, rng=rng),
+            mean_normalized_throughput(topology, trials, rng=rng),
         ]
         for name, topology in topologies.items()
     ]

@@ -55,8 +55,8 @@ def compute_rows(scale: str, seed: int = 0) -> list:
             [
                 count,
                 count * _SERVERS_PER_SWITCH,
-                mean_normalized_throughput(grown, trials, k=8, rng=rng),
-                mean_normalized_throughput(scratch, trials, k=8, rng=rng),
+                mean_normalized_throughput(grown, trials, rng=rng),
+                mean_normalized_throughput(scratch, trials, rng=rng),
             ]
         )
     return rows

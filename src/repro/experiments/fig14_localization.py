@@ -54,7 +54,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
             rng=rng,
             servers_per_switch=_SERVERS_PER_SWITCH,
         )
-        baseline = mean_normalized_throughput(unrestricted, trials, k=8, rng=rng)
+        baseline = mean_normalized_throughput(unrestricted, trials, rng=rng)
         for fraction in config["fractions"]:
             localized = build_localized_jellyfish(
                 num_containers=containers,
@@ -65,7 +65,7 @@ def compute_rows(scale: str, seed: int = 0) -> list:
                 local_fraction=fraction,
                 rng=rng,
             )
-            value = mean_normalized_throughput(localized, trials, k=8, rng=rng)
+            value = mean_normalized_throughput(localized, trials, rng=rng)
             normalized = value / baseline if baseline else 0.0
             rows.append(
                 [

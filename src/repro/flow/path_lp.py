@@ -35,9 +35,9 @@ share this one solve.
 :func:`path_lp_thetas` evaluates several traffic matrices over one topology
 as one batch: one routing call for the union of their pairs, one structure,
 and the LPs solved concurrently.  HiGHS releases the interpreter lock while
-it solves, so the calling thread and up to one helper thread per further
-CPU (:func:`repro.resources.helper_threads`) solve in parallel.  Each LP is
-the one a serial loop would solve, so every theta is unchanged.
+it solves, so the calling thread and, given a second CPU, one helper
+thread (:func:`repro.resources.helper_threads`) solve in parallel.  Each
+LP is the one a serial loop would solve, so every theta is unchanged.
 """
 
 from __future__ import annotations
@@ -273,7 +273,10 @@ def _solve_concurrently(
     take the LPs from one queue until it is empty, so a batch of one starts
     no thread.  The pool lives for this call only: no thread outlives it in
     a process that the sweep runner may fork workers from.  A solve's
-    error is raised here, on the calling thread.
+    error is raised here, on the calling thread.  A thread whose solve
+    raises (or that is interrupted) empties the queue first, so, as in a
+    serial loop, no LP starts after the error: the other threads finish
+    the one they are solving and stop.
     """
     thetas = [0.0] * len(batch)
     pending: "queue.SimpleQueue[int]" = queue.SimpleQueue()
@@ -281,12 +284,20 @@ def _solve_concurrently(
         pending.put(index)
 
     def drain() -> None:
-        while True:
+        try:
+            while True:
+                try:
+                    index = pending.get_nowait()
+                except queue.Empty:
+                    return
+                thetas[index] = structure.solve(batch[index], path_set)
+        except BaseException:
             try:
-                index = pending.get_nowait()
+                while True:
+                    pending.get_nowait()
             except queue.Empty:
-                return
-            thetas[index] = structure.solve(batch[index], path_set)
+                pass
+            raise
 
     helpers = helper_threads(len(batch))
     if not helpers:

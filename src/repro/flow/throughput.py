@@ -105,20 +105,21 @@ def normalized_throughput(
 
 
 def mean_normalized_throughput(
-    topology: Topology, trials: int, k: int = 8, rng: RngLike = None
+    topology: Topology, trials: int, rng: RngLike = None
 ) -> float:
     """Mean normalized throughput over ``trials`` random permutation matrices.
 
     Equals the mean of ``trials`` calls of ``normalized_throughput(topology,
-    k=k, rng=rng).normalized``, bit for bit, and leaves ``rng`` where they
-    would: every trial's permutation is drawn first, in order, and solving
-    draws nothing.  The trials' LPs are then routed and solved as one batch
+    rng=rng).normalized``, over the same k=8 shortest paths, bit for bit,
+    and leaves ``rng`` where they would: every trial's permutation is drawn
+    first, in order, and solving draws nothing.  The trials' LPs are then
+    routed and solved as one batch
     (:func:`~repro.flow.path_lp.path_lp_thetas`), concurrently where the
     process may use more than one CPU.
     """
     rand = ensure_rng(rng)
     matrices = [random_permutation_traffic(topology, rng=rand) for _ in range(trials)]
-    return mean(min(theta, 1.0) for theta in path_lp_thetas(topology, matrices, k=k))
+    return mean(min(theta, 1.0) for theta in path_lp_thetas(topology, matrices))
 
 
 def degraded_throughput(

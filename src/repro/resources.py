@@ -28,8 +28,8 @@ See ``docs/robustness.md``.
 
 **Helper threads** -- :func:`helper_threads` says how many threads a
 caller may start beside itself for independent work that releases the
-interpreter lock (the LP solves of :mod:`repro.flow.path_lp`): one per
-usable CPU, and none under an address-space cap.
+interpreter lock (the LP solves of :mod:`repro.flow.path_lp`): one, given
+a second usable CPU, and none under an address-space cap.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ MIN_PLANNED_SOURCES = 16
 #: Seed used when a degraded profile demotes an exact kernel to a sampled
 #: estimate -- fixed, so the demotion is a pure function of the graph.
 PROFILE_SAMPLE_SEED = 0
+
+#: Most threads, the caller included, that :func:`helper_threads` lets work
+#: at once.  Each holds one LP solve in memory; two is the configuration
+#: whose time and peak memory were measured (``docs/perf.md``).
+_MAX_WORKING_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -236,8 +241,9 @@ def apply_memory_budget(memory_mb: float) -> Optional[Callable[[], None]]:
 def helper_threads(tasks: int) -> int:
     """Threads to start beside the caller for ``tasks`` independent tasks.
 
-    ``min(tasks, CPUs this process may run on) - 1``: the caller works too,
-    so one task or one CPU starts none.  None start under a finite
+    ``min(tasks, CPUs this process may run on, 2) - 1``: the caller works
+    too, so one task or one CPU starts none, and more CPUs start no more
+    than one (:data:`_MAX_WORKING_THREADS`).  None start under a finite
     ``RLIMIT_AS`` soft limit (a ``--memory-mb`` budget): glibc aborts the
     whole process, exit 127, when it cannot map a new thread's
     thread-local storage, where an allocation over the cap would raise a
@@ -256,4 +262,4 @@ def helper_threads(tasks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - no affinity masks (macOS)
         cpus = os.cpu_count() or 1
-    return min(tasks, cpus) - 1
+    return min(tasks, cpus, _MAX_WORKING_THREADS) - 1
