@@ -49,7 +49,6 @@ from repro.flow.maxmin import max_min_fair_allocation
 from repro.flow.mcf import _assemble_edge_lp
 from repro.flow.path_lp import PathLPStructure
 from repro.flow.throughput import max_servers_at_full_throughput
-from repro.graphs.csr import clear_csr_cache, csr_graph
 from repro.memo import clear_memos
 from repro.routing.paths import build_path_set
 from repro.simulation.capacity import link_capacities
@@ -97,7 +96,7 @@ def _fig13_instance(fattree_k: int, server_factor: float = 1.13, seed: int = 1):
 def _maxmin_case(fattree_k: int, repeats: int, repeats_old=None) -> dict:
     topology, traffic = _fig13_instance(fattree_k)
     path_set = build_path_set(
-        topology.graph, list(traffic.switch_pairs()), scheme="ksp", k=8
+        topology.csr(), list(traffic.switch_pairs()), scheme="ksp", k=8
     )
     config = SimulationConfig(routing="ksp", k=8, congestion_control=TCP_EIGHT_FLOWS)
     specs = _build_flow_specs(traffic, path_set, config, ensure_rng(3))
@@ -150,11 +149,11 @@ def _fluid_case(fattree_k: int, repeats: int, repeats_old=None) -> dict:
 def _path_assembly_case(fattree_k: int, repeats: int) -> dict:
     topology, traffic = _fig13_instance(fattree_k)
     demands = traffic.switch_pairs()
-    path_set = build_path_set(topology.graph, list(demands), scheme="ksp", k=8)
+    path_set = build_path_set(topology.csr(), list(demands), scheme="ksp", k=8)
     old_seconds = _best_of(
         lambda: assemble_path_lp_reference(topology, demands, path_set), repeats
     )
-    arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
+    arrays = traffic.as_switch_array(topology.csr().index_of)
     new_seconds = _best_of(
         lambda: PathLPStructure(link_capacities(topology)).assemble(arrays, path_set),
         repeats,
@@ -188,7 +187,6 @@ def _edge_assembly_case(num_switches: int, ports: int, degree: int, repeats: int
 
 
 def _clear_flow_state() -> None:
-    clear_csr_cache()
     clear_memos()
 
 

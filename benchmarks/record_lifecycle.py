@@ -35,7 +35,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # oracles
 
-from repro.graphs.csr import clear_csr_cache
 from repro.lifecycle import LifecycleConfig, run_lifecycle
 from repro.memo import clear_memos
 from repro.telemetry.manifest import peak_rss_kb
@@ -81,7 +80,6 @@ QUICK_CONFIG = LifecycleConfig(
 
 
 def _clear_shared_state() -> None:
-    clear_csr_cache()
     clear_memos()
 
 

@@ -41,7 +41,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # oracle
 from repro.telemetry.manifest import peak_rss_kb
 from timing import best_of, timed_best_of
 
-from repro.graphs.csr import clear_csr_cache
 from repro.memo import clear_memos
 from repro.routing.paths import build_path_set
 from repro.simulation.aimd import AimdConfig, simulate_aimd
@@ -88,7 +87,7 @@ def _assert_same(new, old) -> None:
 def _round_loop_case(fattree_k: int, repeats: int, repeats_old=None) -> dict:
     topology, traffic = _fig11_instance(fattree_k)
     path_set = build_path_set(
-        topology.graph, list(traffic.switch_pairs()), scheme="ksp", k=8
+        topology.csr(), list(traffic.switch_pairs()), scheme="ksp", k=8
     )
     new_result = simulate_aimd(topology, traffic, CONFIG, rng=5, path_set=path_set)
     old_result = simulate_aimd_reference(
@@ -126,7 +125,6 @@ def _round_loop_case(fattree_k: int, repeats: int, repeats_old=None) -> dict:
 
 
 def _clear_sim_state() -> None:
-    clear_csr_cache()
     clear_memos()
 
 

@@ -12,6 +12,7 @@ reproduction to its own knobs:
 
 import pytest
 
+from repro.graphs.csr import csr_graph
 from repro.graphs.properties import average_path_length
 from repro.graphs.regular import graph_from_rows, regular_rows
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
@@ -57,7 +58,7 @@ def test_bench_ablation_construction_method(benchmark, method):
     """Both RRG constructions give the same path-length profile."""
     def run():
         graph = graph_from_rows(range(60), regular_rows(60, 6, 6, method))
-        return average_path_length(graph)
+        return average_path_length(csr_graph(graph))
 
     value = benchmark.pedantic(run, iterations=1, rounds=1)
     assert 1.5 < value < 3.5

@@ -25,10 +25,11 @@ def test_bench_fattree_construction(benchmark):
 
 def test_bench_yen_k_shortest_paths(benchmark):
     topology = JellyfishTopology.build(100, 10, 6, rng=2)
-    nodes = sorted(topology.graph.nodes)
+    csr = topology.csr()
+    nodes = csr.nodes
 
     def run():
-        return k_shortest_paths(topology.graph, nodes[0], nodes[-1], 8)
+        return k_shortest_paths(csr, nodes[0], nodes[-1], 8)
 
     paths = benchmark(run)
     assert len(paths) == 8

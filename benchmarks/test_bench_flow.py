@@ -9,7 +9,6 @@ import pytest
 
 from repro.flow.maxmin import max_min_fair_allocation
 from repro.flow.path_lp import PathLPStructure
-from repro.graphs.csr import csr_graph
 from repro.routing.paths import build_path_set
 from repro.simulation.capacity import link_capacities
 from repro.simulation.fluid import (
@@ -40,11 +39,11 @@ def fig13_scale_problem():
     )
     traffic = random_permutation_traffic(topology, rng=2)
     demands = traffic.switch_pairs()
-    path_set = build_path_set(topology.graph, list(demands), scheme="ksp", k=8)
+    path_set = build_path_set(topology.csr(), list(demands), scheme="ksp", k=8)
     config = SimulationConfig(routing="ksp", k=8, congestion_control=TCP_EIGHT_FLOWS)
     specs = _build_flow_specs(traffic, path_set, config, ensure_rng(3))
     capacities = link_capacities(topology)
-    arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
+    arrays = traffic.as_switch_array(topology.csr().index_of)
     return topology, demands, path_set, specs, capacities, arrays
 
 

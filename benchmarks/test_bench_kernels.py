@@ -7,7 +7,7 @@ into the committed ``BENCH_kernels.json`` trajectory snapshot.
 
 import pytest
 
-from repro.graphs.csr import clear_csr_cache, csr_graph
+from repro.graphs.csr import csr_graph
 from repro.graphs.properties import average_path_length, diameter
 from repro.memo import clear_memos
 from repro.routing.ksp import k_shortest_paths
@@ -31,9 +31,8 @@ def ksp_graph():
 
 
 def test_bench_batched_bfs_all_pairs(benchmark, fig05_scale_graph):
-    clear_csr_cache()
-    csr_graph(fig05_scale_graph)
-    matrix = benchmark(lambda: csr_graph(fig05_scale_graph).hop_distance_matrix())
+    csr = csr_graph(fig05_scale_graph)
+    matrix = benchmark(csr.hop_distance_matrix)
     assert matrix.shape == (400, 400)
 
 
@@ -46,13 +45,12 @@ def test_bench_reference_bfs_all_pairs(benchmark, fig05_scale_graph):
 
 
 def test_bench_fig05_scale_metrics(benchmark, fig05_scale_graph):
-    """Mean path length + diameter, the exact queries fig05 issues per size."""
-    clear_csr_cache()
+    """View build + mean path length + diameter: fig05's work per size."""
 
     def run():
-        clear_csr_cache()
         clear_memos()
-        return average_path_length(fig05_scale_graph), diameter(fig05_scale_graph)
+        csr = csr_graph(fig05_scale_graph)
+        return average_path_length(csr), diameter(csr)
 
     mean_hops, diam = benchmark(run)
     assert 1.0 < mean_hops < 3.0
@@ -61,9 +59,8 @@ def test_bench_fig05_scale_metrics(benchmark, fig05_scale_graph):
 
 def test_bench_csr_yen_cold(benchmark, ksp_graph):
     nodes = sorted(ksp_graph.nodes)
-    clear_csr_cache()
-    csr_graph(ksp_graph)
-    paths = benchmark(k_shortest_paths, ksp_graph, nodes[0], nodes[-1], 8)
+    csr = csr_graph(ksp_graph)
+    paths = benchmark(k_shortest_paths, csr, nodes[0], nodes[-1], 8)
     assert len(paths) == 8
 
 

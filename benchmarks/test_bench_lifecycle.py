@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.graphs.csr import clear_csr_cache
 from repro.lifecycle import LifecycleConfig, run_lifecycle
 from repro.memo import clear_memos
 from repro.topologies.jellyfish import JellyfishTopology
@@ -38,7 +37,6 @@ QUICK_CONFIG = LifecycleConfig(
 
 
 def _clear_shared_state():
-    clear_csr_cache()
     clear_memos()
 
 

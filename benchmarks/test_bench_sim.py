@@ -28,7 +28,7 @@ def fig11_scale_problem():
     )
     traffic = random_permutation_traffic(topology, rng=2)
     path_set = build_path_set(
-        topology.graph, list(traffic.switch_pairs()), scheme="ksp", k=8
+        topology.csr(), list(traffic.switch_pairs()), scheme="ksp", k=8
     )
     config = AimdConfig(
         routing="ksp", k=8, congestion_control="mptcp", rounds=200, warmup_rounds=50

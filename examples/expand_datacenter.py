@@ -12,7 +12,6 @@ Run with:  python examples/expand_datacenter.py
 
 from repro import JellyfishTopology, normalized_throughput
 from repro.expansion.cost import CostModel
-from repro.graphs.properties import average_path_length, diameter
 
 
 def main() -> None:
@@ -47,8 +46,8 @@ def main() -> None:
         if step % 4 == 0:
             throughput = normalized_throughput(topology, k=8, rng=step).normalized
             print(f"{topology.num_switches:>6} {topology.num_servers:>8} "
-                  f"{average_path_length(topology.graph):>10.2f} "
-                  f"{diameter(topology.graph):>9} "
+                  f"{topology.switch_average_path_length():>10.2f} "
+                  f"{topology.switch_diameter():>9} "
                   f"{throughput:>11.3f} {step_cost:>12.0f}")
 
     print(f"\ngrew from 80 to {topology.num_servers} servers for "

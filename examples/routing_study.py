@@ -27,7 +27,7 @@ def main() -> None:
     for label, scheme, width in [("8-way ECMP", "ecmp", 8),
                                  ("64-way ECMP", "ecmp", 64),
                                  ("8-shortest paths", "ksp", 8)]:
-        path_set = build_path_set(topology.graph, pairs, scheme=scheme, k=width)
+        path_set = build_path_set(topology.csr(), pairs, scheme=scheme, k=width)
         counts = link_path_counts(
             path for options in path_set.paths.values() for path in options
         )

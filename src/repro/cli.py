@@ -115,6 +115,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def build_sweep_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jellyfish-repro sweep",
@@ -167,7 +174,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="execution attempts per point before quarantine (default 3)",
@@ -561,7 +568,7 @@ def build_stats_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--limit",
-        type=int,
+        type=_nonnegative_int,
         default=15,
         help="rows in the phase table (0 = unlimited)",
     )
@@ -930,7 +937,7 @@ def build_lifecycle_parser() -> argparse.ArgumentParser:
     execution.add_argument("--seed", type=int, default=0, help="lifecycle event-stream seed")
     execution.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="evaluation attempts per epoch before it is marked failed (default 3)",

@@ -68,10 +68,10 @@ def compute_scaling(
         rows.append(
             [
                 count * servers_per_switch,
-                average_path_length(scratch.graph),
-                diameter(scratch.graph),
-                average_path_length(grown.graph),
-                diameter(grown.graph),
+                average_path_length(scratch.csr()),
+                diameter(scratch.csr()),
+                average_path_length(grown.csr()),
+                diameter(grown.csr()),
             ]
         )
     return {"rows": rows}

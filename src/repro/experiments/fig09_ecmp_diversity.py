@@ -42,8 +42,9 @@ def compute_rows(scale: str, seed: int = 0) -> list:
     total_directed_links = 2 * jellyfish.num_links
 
     rows = []
+    csr = jellyfish.csr()
     for label, scheme, width in _SCHEMES:
-        path_set = build_path_set(jellyfish.graph, pairs, scheme=scheme, k=width)
+        path_set = build_path_set(csr, pairs, scheme=scheme, k=width)
         all_paths = [path for options in path_set.paths.values() for path in options]
         counts = link_path_counts(all_paths)
         fraction = fraction_links_at_or_below(counts, 2, total_directed_links)

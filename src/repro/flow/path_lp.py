@@ -51,7 +51,6 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from repro.flow.mcf import FlowSolverError
-from repro.graphs.csr import csr_graph
 from repro.resources import helper_threads
 from repro.simulation.capacity import DirectedLink, link_capacities
 from repro.telemetry import in_current_span, trace
@@ -251,14 +250,14 @@ def path_lp_thetas(
     :class:`PathLPStructure` serves every matrix, and the LPs are solved
     concurrently (:func:`_solve_concurrently`).
     """
-    index_of = csr_graph(topology.graph).index_of
-    batch = [traffic.as_switch_array(index_of) for traffic in matrices]
+    csr = topology.csr()
+    batch = [traffic.as_switch_array(csr.index_of) for traffic in matrices]
     demanded = [arrays for arrays in batch if arrays.pairs]
     if not demanded:
         return [float("inf")] * len(batch)
     if path_set is None:
         pairs = list(dict.fromkeys(pair for arrays in demanded for pair in arrays.pairs))
-        path_set = shared_path_set(topology.graph, pairs, scheme="ksp", k=k)
+        path_set = shared_path_set(csr, pairs, scheme="ksp", k=k)
     structure = shared_path_lp_structure(link_capacities(topology))
     solved = iter(_solve_concurrently(structure, demanded, path_set))
     return [next(solved) if arrays.pairs else float("inf") for arrays in batch]

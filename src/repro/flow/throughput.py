@@ -44,7 +44,7 @@ from repro.flow.path_lp import (
     path_lp_thetas,
     shared_path_lp_structure,
 )
-from repro.graphs.csr import CSRGraph, csr_graph
+from repro.graphs.csr import CSRGraph
 from repro.graphs.properties import csr_component_labels
 from repro.routing.paths import shared_path_set
 from repro.simulation.capacity import DirectedLink, link_capacities
@@ -252,7 +252,7 @@ def _supports_matrix(topology: Topology, traffic: TrafficMatrix, k: int) -> bool
     if len(traffic) == 0:
         return True
     with trace("throughput.screen", flows=len(traffic)):
-        csr = csr_graph(topology.graph)
+        csr = topology.csr()
         arrays = traffic.as_switch_array(csr.index_of)
         capacities = link_capacities(topology)
         screened = _throughput_upper_bound(csr, arrays, capacities) < 1.0 - _SCREEN_MARGIN
@@ -263,7 +263,7 @@ def _supports_matrix(topology: Topology, traffic: TrafficMatrix, k: int) -> bool
         return True
     with trace("throughput.decide", pairs=len(arrays.pairs)):
         structure = shared_path_lp_structure(capacities)
-        path_set = shared_path_set(topology.graph, arrays.pairs, scheme="ksp", k=k)
+        path_set = shared_path_set(csr, arrays.pairs, scheme="ksp", k=k)
         theta = structure.solve_decision(arrays, path_set)
     return theta >= FULL_RATE_THETA
 

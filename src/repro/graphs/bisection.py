@@ -20,7 +20,7 @@ from typing import Optional, Set, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import csr_graph
+from repro.graphs.csr import CSRGraph, csr_graph
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -38,14 +38,12 @@ def bollobas_bisection_lower_bound(num_nodes: int, degree: int) -> float:
     return max(0.0, bound)
 
 
-def cut_size(graph: nx.Graph, partition: Set) -> int:
+def cut_size(csr: CSRGraph, partition: Set) -> int:
     """Number of edges with exactly one endpoint inside ``partition``.
 
-    Evaluated on the cached CSR view: a boolean side vector indexed by the
-    directed edge arrays counts mismatched endpoints in one vectorized
-    pass.
+    A boolean side vector indexed by the view's directed edge arrays counts
+    mismatched endpoints in one vectorized pass.
     """
-    csr = csr_graph(graph)
     if csr.num_edges == 0:
         return 0
     side = np.zeros(csr.num_nodes, dtype=bool)
@@ -55,8 +53,9 @@ def cut_size(graph: nx.Graph, partition: Set) -> int:
     return int(crossings) // 2
 
 
-def _kernighan_lin_once(graph: nx.Graph, rng) -> Tuple[Set, int]:
-    """One randomized Kernighan–Lin bisection refinement pass."""
+def _kernighan_lin_once(graph: nx.Graph, csr: CSRGraph, rng) -> Tuple[Set, int]:
+    """One randomized Kernighan–Lin bisection refinement pass (``csr`` is
+    ``graph``'s view, for the cut count)."""
     nodes = list(graph.nodes)
     rng.shuffle(nodes)
     half = len(nodes) // 2
@@ -65,7 +64,7 @@ def _kernighan_lin_once(graph: nx.Graph, rng) -> Tuple[Set, int]:
         graph, partition=(side_a, set(nodes[half:])), seed=rng.randrange(2**32)
     )
     best_side = set(partition[0])
-    return best_side, cut_size(graph, best_side)
+    return best_side, cut_size(csr, best_side)
 
 
 def estimate_bisection_bandwidth(
@@ -84,9 +83,10 @@ def estimate_bisection_bandwidth(
     if graph.number_of_nodes() < 2:
         return 0.0
     rand = ensure_rng(rng)
+    csr = csr_graph(graph)
     best: Optional[int] = None
     for _ in range(trials):
-        _, size = _kernighan_lin_once(graph, rand)
+        _, size = _kernighan_lin_once(graph, csr, rand)
         if best is None or size < best:
             best = size
     return float(best) * weight_per_edge if best is not None else 0.0

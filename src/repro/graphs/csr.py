@@ -3,12 +3,11 @@
 Every figure in the paper reduces to two primitives — all-pairs hop
 distances (Figs 1c and 5) and k-shortest-path enumeration (Table 1, Fig 9).
 This module provides both as kernels over an immutable compressed-sparse-row
-(:class:`CSRGraph`) view of a ``networkx`` graph:
+(:class:`CSRGraph`) view of a switch graph:
 
-* :func:`csr_graph` builds (and weakly caches) a :class:`CSRGraph` per
-  ``nx.Graph`` object, revalidated against an order-insensitive structural
-  fingerprint so in-place mutations (including edge-count-preserving
-  rewires) are detected.
+* :func:`csr_graph` builds a view of an ``nx.Graph``, uncached: a topology
+  keeps its own view (:meth:`repro.topologies.base.Topology.csr`), and
+  code that holds a bare graph builds the view once and passes it on.
 * :meth:`CSRGraph.hop_distance_matrix` runs a frontier-synchronous
   multi-source BFS where the per-source frontier and visited sets are
   bit-packed into ``uint64`` words, so one numpy pass over the edge array
@@ -32,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import sys
-import weakref
+from itertools import chain
 from operator import attrgetter
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -102,8 +101,6 @@ def index_dtype(num_nodes: int, num_directed_edges: int) -> np.dtype:
         return np.dtype(np.int64)
     return np.dtype(np.int32)
 
-#: Stand-in hash for node ``-1`` (CPython hashes -1 and -2 identically).
-_MINUS_ONE_SURROGATE = 0x2545F4914F6CDD1D
 
 #: Per-source distance rows are memoized only for graphs at most this
 #: large; beyond it the all-pairs table would dominate memory (paper-scale
@@ -129,55 +126,8 @@ def distance_memo_stats() -> Dict[str, int]:
     return memo_stats()["graphs.dist_rows"]
 
 
-def _graph_fingerprint(graph: nx.Graph) -> Tuple[int, int, int, int]:
-    """Cheap, exact-in-practice structural fingerprint of an ``nx.Graph``.
-
-    Order- and orientation-insensitive: a commutative hash over node hashes
-    and two per-node neighbor terms — one bilinear (node hash times
-    neighbor-hash sum), one nonlinear (node hash times the square of that
-    sum) — accumulated in one pass over the adjacency dicts with the inner
-    loops in C, unlike the frozenset-of-frozensets signature it replaces.
-
-    The check is probabilistic, not exact: it distinguishes every single
-    edge swap and, thanks to the nonlinear term, generic degree-preserving
-    double swaps (a bilinear form alone cancels on those), but a contrived
-    combination of node hash values can still collide.  Realistic mutations
-    in this codebase (failure injection works on copies, expansion changes
-    the node count) sit far from that surface.
-    """
-    adjacency = graph._adj
-    node_acc = 0
-    edge_acc = 0
-    directed_degree = 0
-    hash_ = hash
-    sum_ = sum
-    map_ = map
-    if -1 in adjacency:
-        # hash(-1) == hash(-2) in CPython, the one systematic collision a
-        # commutative hash cannot see through; remap -1 to a surrogate so
-        # rewires swapping -1 and -2 endpoints still change the fingerprint.
-        def hash_(node, _h=hash):
-            return _MINUS_ONE_SURROGATE if node == -1 else _h(node)
-
-    square_acc = 0
-    for u, neighbors in adjacency.items():
-        hu = hash_(u) * 3 + 1
-        node_acc ^= hu
-        degree = len(neighbors)
-        directed_degree += degree
-        row_sum = 3 * sum_(map_(hash_, neighbors)) + degree
-        edge_acc += hu * row_sum
-        square_acc += hu * row_sum * row_sum
-    return (
-        len(adjacency),
-        directed_degree,
-        node_acc & 0xFFFFFFFFFFFFFFFF,
-        (edge_acc ^ (square_acc * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF,
-    )
-
-
 class CSRGraph:
-    """Immutable CSR view of an undirected ``nx.Graph``.
+    """Immutable CSR view of an undirected switch graph.
 
     ``indptr``/``indices`` are ``int32`` arrays storing both directions of
     every edge; ``nodes[i]`` maps index ``i`` back to the native node and
@@ -186,6 +136,8 @@ class CSRGraph:
     structure — computed lazily on first access and cached for the view's
     lifetime, for callers that need a durable structural key (e.g. result
     stores or bench snapshots) without rehashing the edge set per use.
+    Views are built by :meth:`from_arrays` only (:func:`csr_graph` and
+    :meth:`repro.topologies.core.TopologyCore.csr` go through it).
     """
 
     __slots__ = (
@@ -196,47 +148,10 @@ class CSRGraph:
         "num_nodes",
         "num_edges",
         "_content_hash",
-        "fingerprint",
         "_adj_lists",
         "_edge_src",
         "_adj_padded",
-        "__weakref__",
     )
-
-    def __init__(self, graph: nx.Graph, fingerprint=None):
-        try:
-            nodes = sorted(graph.nodes)
-        except TypeError:  # mixed unorderable node types: keep insertion order
-            nodes = list(graph.nodes)
-        index_of: Dict[Hashable, int] = {node: i for i, node in enumerate(nodes)}
-        n = len(nodes)
-        dtype = index_dtype(n, 2 * graph.number_of_edges())
-        indptr = np.zeros(n + 1, dtype=dtype)
-        flat: List[int] = []
-        adjacency = graph.adj
-        for i, node in enumerate(nodes):
-            row = [index_of[neighbor] for neighbor in adjacency[node]]
-            flat.extend(row)
-            indptr[i + 1] = indptr[i] + len(row)
-        self.indptr = indptr
-        self.indices = np.asarray(flat, dtype=dtype)
-        self.nodes = nodes
-        self.index_of = index_of
-        self.num_nodes = n
-        self.num_edges = graph.number_of_edges()
-        self.fingerprint = (
-            fingerprint if fingerprint is not None else _graph_fingerprint(graph)
-        )
-        self._content_hash: Optional[str] = None
-        self._init_caches()
-
-    def _init_caches(self) -> None:
-        # Lazily built adjacency forms.  They live and die with this view,
-        # so a graph mutation, which forces a rebuild via the fingerprint,
-        # drops them with it.
-        self._adj_lists: Optional[List[List[int]]] = None
-        self._edge_src: Optional[np.ndarray] = None
-        self._adj_padded: Optional[np.ndarray] = None
 
     @classmethod
     def from_arrays(
@@ -245,19 +160,14 @@ class CSRGraph:
         index_of: Dict[Hashable, int],
         indptr: np.ndarray,
         indices: np.ndarray,
-        fingerprint=None,
     ) -> "CSRGraph":
-        """Build a view directly from CSR arrays, with no ``nx.Graph``.
+        """Build a view from CSR arrays: the one constructor.
 
-        The zero-copy bridge from :class:`repro.topologies.core.TopologyCore`:
-        callers hand over ownership of ``nodes``/``indptr``/``indices`` (they
-        are not copied).  ``nodes`` must already follow this class's node
-        ordering contract (sorted when orderable, insertion order otherwise)
-        and ``indices`` must preserve per-row adjacency insertion order so
-        tie-breaking matches a graph-built view.  ``fingerprint`` may be
-        ``None`` for views that are never registered in the per-graph cache;
-        :func:`adopt_csr_view` fills it in when a materialized graph adopts
-        the view.
+        Callers hand over ownership of ``nodes``/``indptr``/``indices``
+        (they are not copied).  ``nodes`` must already follow this class's
+        node ordering contract (sorted when orderable, insertion order
+        otherwise) and ``indices`` must preserve per-row adjacency insertion
+        order, so every view tie-breaks like one from :func:`csr_graph`.
 
         The arrays are validated against silent ``int32`` overflow: both are
         promoted to the dtype :func:`index_dtype` selects for the edge
@@ -286,9 +196,11 @@ class CSRGraph:
                 f"{len(view.indices)} adjacency entries (int32 overflow in "
                 "the builder?)"
             )
-        view.fingerprint = fingerprint
         view._content_hash = None
-        view._init_caches()
+        # Lazily built adjacency forms; they live and die with this view.
+        view._adj_lists = None
+        view._edge_src = None
+        view._adj_padded = None
         return view
 
     @property
@@ -765,50 +677,17 @@ def all_shortest_path_indices(csr: CSRGraph, source: int, target: int) -> List[I
     return results
 
 
-# ---------------------------------------------------------------------------
-# Per-graph cache
-# ---------------------------------------------------------------------------
-
-_csr_cache: "weakref.WeakKeyDictionary[nx.Graph, CSRGraph]" = weakref.WeakKeyDictionary()
-
-
 def csr_graph(graph: nx.Graph) -> CSRGraph:
-    """CSR view of ``graph``, cached per graph object (weakly referenced).
-
-    A cached entry is revalidated against :func:`_graph_fingerprint`, so
-    mutating the graph in place — even preserving node and edge counts —
-    triggers a rebuild.  Graph types that do not support weak references are
-    rebuilt on every call.
-    """
-    fingerprint = _graph_fingerprint(graph)
+    """A new CSR view of ``graph`` (not cached; see the module docstring)."""
     try:
-        entry = _csr_cache.get(graph)
-    except TypeError:
-        return CSRGraph(graph, fingerprint)
-    if entry is not None and entry.fingerprint == fingerprint:
-        return entry
-    csr = CSRGraph(graph, fingerprint)
-    _csr_cache[graph] = csr
-    return csr
-
-
-def adopt_csr_view(graph: nx.Graph, view: CSRGraph) -> None:
-    """Register ``view`` as the cached CSR of ``graph``.
-
-    Used when a graph is materialized *from* array form (the
-    ``TopologyCore`` bridge): the already-built view is stamped with the
-    graph's structural fingerprint and seeded into the per-graph cache, so
-    the first ``csr_graph(graph)`` call finds it instead of re-walking the
-    adjacency dicts.  The caller guarantees the view describes ``graph``
-    exactly (same node order contract, same per-row adjacency order).
-    """
-    view.fingerprint = _graph_fingerprint(graph)
-    try:
-        _csr_cache[graph] = view
-    except TypeError:  # graph type without weakref support: nothing to seed
-        pass
-
-
-def clear_csr_cache() -> None:
-    """Drop every cached CSR view (memos are emptied by ``clear_memos``)."""
-    _csr_cache.clear()
+        nodes = sorted(graph.nodes)
+    except TypeError:  # mixed unorderable node types: keep insertion order
+        nodes = list(graph.nodes)
+    index_of: Dict[Hashable, int] = {node: i for i, node in enumerate(nodes)}
+    adjacency = graph.adj
+    rows = [[index_of[neighbor] for neighbor in adjacency[node]] for node in nodes]
+    dtype = index_dtype(len(nodes), 2 * graph.number_of_edges())
+    indptr = np.zeros(len(nodes) + 1, dtype=dtype)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=int(indptr[-1]))
+    return CSRGraph.from_arrays(nodes, index_of, indptr, indices)

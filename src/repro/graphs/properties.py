@@ -6,38 +6,23 @@ so everything reduces to BFS hop distances; the heavy lifting runs on the
 bit-parallel batched BFS kernel in :mod:`repro.graphs.csr` and pairwise
 histograms are reduced with ``numpy`` straight from the distance matrix.
 
-Per-source distance rows are memoized in
-:data:`~repro.graphs.csr.DIST_ROW_MEMO`, keyed by the CSR content hash, so
-one BFS sweep is shared by :func:`average_path_length`, :func:`diameter`
-and the server path-length CDF.  The CSR view is revalidated against its
-structural fingerprint, so in-place mutations — including
-edge-count-preserving rewires such as failure injection followed by repair
-— produce a new content hash and fresh rows.
+Every metric takes a :class:`~repro.graphs.csr.CSRGraph`: a topology's
+own view (:meth:`repro.topologies.base.Topology.csr`) or one built from a
+bare graph with :func:`~repro.graphs.csr.csr_graph`.  Per-source distance
+rows are memoized in :data:`~repro.graphs.csr.DIST_ROW_MEMO`, keyed by the
+view's content hash, so one BFS sweep is shared by
+:func:`average_path_length`, :func:`diameter` and the server path-length
+CDF, and a changed graph -- whose view is new -- gets fresh rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
-import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import (
-    DIST_ROW_MEMO,
-    DIST_ROW_MEMO_NODE_LIMIT,
-    CSRGraph,
-    csr_graph,
-)
-from repro.resources import PROFILE_SAMPLE_SEED, active_profile
-
-
-def _indices_of(csr: CSRGraph, nodes: Iterable) -> List[int]:
-    """Resolve nodes to CSR indices, raising ``NodeNotFound`` on a miss."""
-    try:
-        return [csr.index_of[node] for node in nodes]
-    except KeyError as error:
-        raise nx.NodeNotFound(f"node {error.args[0]!r} not in graph") from None
+from repro.graphs.csr import DIST_ROW_MEMO, DIST_ROW_MEMO_NODE_LIMIT, CSRGraph
 
 
 def _bfs_matrix(csr: CSRGraph, source_indices: List[int]) -> np.ndarray:
@@ -78,39 +63,16 @@ def _rows_for_indices(csr: CSRGraph, wanted: List[int]) -> List[np.ndarray]:
     return list(_bfs_matrix(csr, wanted))
 
 
-def path_length_distribution(
-    graph: nx.Graph, nodes: Optional[Iterable] = None
-) -> Counter:
+def path_length_distribution(csr: CSRGraph) -> Counter:
     """Histogram of pairwise shortest-path lengths between distinct nodes.
 
-    ``nodes`` restricts the computation to ordered pairs drawn from that
-    subset (e.g. only ToR switches that host servers).  Unreachable pairs are
-    ignored.  Each unordered pair is counted once.
+    Unreachable pairs are ignored; each unordered pair is counted once.
     """
-    csr = csr_graph(graph)
-    if nodes is None:
-        target_indices = None
-    else:
-        target_indices = sorted(set(_indices_of(csr, nodes)))
-    return path_length_distribution_csr(csr, target_indices)
-
-
-def path_length_distribution_csr(
-    csr: CSRGraph, target_indices: Optional[List[int]] = None
-) -> Counter:
-    """:func:`path_length_distribution` on a CSR view directly.
-
-    The array-native entry point used by :meth:`repro.topologies.base.Topology`
-    metrics so core-built topologies never materialize a ``networkx`` graph
-    for path statistics.  ``target_indices`` must be sorted and duplicate-free.
-    """
-    if target_indices is None:
-        target_indices = list(range(csr.num_nodes))
-    if len(target_indices) < 2:
+    n = csr.num_nodes
+    if n < 2:
         return Counter()
-    rows = _rows_for_indices(csr, target_indices)
-    submatrix = np.stack(rows)[:, target_indices]
-    upper = submatrix[np.triu_indices(len(target_indices), k=1)]
+    matrix = np.stack(_rows_for_indices(csr, list(range(n))))
+    upper = matrix[np.triu_indices(n, k=1)]
     upper = upper[upper > 0]  # drops unreachable (-1); 0 only occurs on the diagonal
     counts = np.bincount(upper)
     return Counter(
@@ -172,38 +134,20 @@ def histogram_cdf(histogram: Mapping[int, int]) -> Dict[int, float]:
     return cdf
 
 
-def average_path_length_csr(csr: CSRGraph) -> float:
-    """Mean shortest-path length over distinct reachable pairs (CSR entry).
-
-    Under a ``sampled`` execution profile (degradation-ladder rung 2+, see
-    :mod:`repro.resources`) this delegates to the source-sampled streaming
-    estimator with a fixed seed -- a deterministic, memory-bounded estimate
-    instead of the all-pairs reduction.  Tiny graphs, where the planner
-    cannot demote below "all sources", stay exact.
-    """
-    profile = active_profile()
-    if profile.sampled:
-        from repro.graphs.sampling import sampled_path_length_stats
-
-        stats = sampled_path_length_stats(
-            csr,
-            num_sources=profile.plan_sources(csr.num_nodes, None),
-            seed=PROFILE_SAMPLE_SEED,
-        )
-        if not stats.exact:
-            return stats.mean
-    return histogram_mean(path_length_distribution_csr(csr))
+def average_path_length(csr: CSRGraph) -> float:
+    """Mean shortest-path length over distinct reachable pairs (exact)."""
+    return histogram_mean(path_length_distribution(csr))
 
 
-def diameter_csr(csr: CSRGraph) -> int:
-    """Longest shortest path over a CSR view (must connect some pair)."""
-    histogram = path_length_distribution_csr(csr)
+def diameter(csr: CSRGraph) -> int:
+    """Longest shortest path (the graph must connect some pair)."""
+    histogram = path_length_distribution(csr)
     if not histogram:
         raise ValueError(_NO_CONNECTED_PAIR)
     return max(histogram)
 
 
-def server_path_length_cdf_csr(csr: CSRGraph, server_counts) -> Dict[int, float]:
+def server_path_length_cdf(csr: CSRGraph, server_counts) -> Dict[int, float]:
     """Server-to-server path-length CDF computed at the switch level.
 
     Equivalent to building the combined host graph (servers as leaves) and
@@ -240,15 +184,3 @@ def server_path_length_cdf_csr(csr: CSRGraph, server_counts) -> Dict[int, float]
                     histogram[hops] += int(weight)
     return histogram_cdf(histogram)
 
-
-def average_path_length(graph: nx.Graph, nodes: Optional[Iterable] = None) -> float:
-    """Mean shortest-path length over distinct reachable node pairs."""
-    return histogram_mean(path_length_distribution(graph, nodes))
-
-
-def diameter(graph: nx.Graph, nodes: Optional[Iterable] = None) -> int:
-    """Longest shortest path among the requested nodes (graph must connect them)."""
-    histogram = path_length_distribution(graph, nodes)
-    if not histogram:
-        raise ValueError(_NO_CONNECTED_PAIR)
-    return max(histogram)

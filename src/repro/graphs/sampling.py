@@ -62,7 +62,7 @@ class SampledPathStats:
     reachable pairs; ``[ci_low, ci_high]`` is the ``confidence``-level
     normal interval from the between-source variance.  ``exact`` is True
     when every node was sampled, in which case ``mean`` equals
-    :func:`repro.graphs.properties.average_path_length_csr` bit-for-bit
+    :func:`repro.graphs.properties.average_path_length` bit-for-bit
     and the interval collapses to the point.  ``diameter_lower_bound`` is
     the largest distance observed (equal to the diameter when exact);
     ``histogram`` counts sampled *ordered* pairs per hop count.
@@ -150,7 +150,7 @@ def sampled_path_length_stats(
         raise ValueError("no sampled source reaches any other node")
     if exact:
         # Reduce from the integer histogram exactly like
-        # average_path_length_csr does (the ordered histogram is 2x the
+        # average_path_length does (the ordered histogram is 2x the
         # unordered one, so the ratio is bit-identical).
         weighted = sum(hops * int(count) for hops, count in enumerate(hist.tolist()))
         mean = weighted / num_pairs

@@ -13,25 +13,18 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import networkx as nx
 
-from repro.graphs.csr import all_shortest_path_indices, csr_graph
+from repro.graphs.csr import CSRGraph, all_shortest_path_indices
 from repro.routing.ksp import Path
 from repro.utils.rng import RngLike, ensure_rng
 
 
-def all_shortest_paths(
-    graph: nx.Graph, source: Hashable, target: Hashable, csr=None
-) -> List[Path]:
+def all_shortest_paths(csr: CSRGraph, source: Hashable, target: Hashable) -> List[Path]:
     """All shortest paths between two nodes, deterministically ordered.
 
     Enumerated over the CSR kernel: two BFS distance rows (from source and
     target) classify which edges lie on a shortest path, and a DFS walks
     exactly those.  Paths are ordered by native node sequence.
-
-    ``csr`` lets batch callers pass the validated CSR view once instead of
-    paying the fingerprint revalidation per pair.
     """
-    if csr is None:
-        csr = csr_graph(graph)
     try:
         source_index = csr.index_of[source]
         target_index = csr.index_of[target]
@@ -45,12 +38,12 @@ def all_shortest_paths(
 
 
 def ecmp_paths(
-    graph: nx.Graph, source: Hashable, target: Hashable, width: int = 8, csr=None
+    csr: CSRGraph, source: Hashable, target: Hashable, width: int = 8
 ) -> List[Path]:
     """The path set w-way ECMP can use: up to ``width`` shortest paths."""
     if width <= 0:
         raise ValueError("width must be positive")
-    return all_shortest_paths(graph, source, target, csr=csr)[:width]
+    return all_shortest_paths(csr, source, target)[:width]
 
 
 def ecmp_route_flows(

@@ -21,7 +21,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 import networkx as nx
 
 from repro.graphs.csr import (
-    csr_graph,
+    CSRGraph,
     k_shortest_path_indices,
     k_shortest_path_table,
     path_from_parent_tree,
@@ -31,7 +31,7 @@ Path = Tuple[Hashable, ...]
 
 
 def k_shortest_paths(
-    graph: nx.Graph, source: Hashable, target: Hashable, k: int
+    csr: CSRGraph, source: Hashable, target: Hashable, k: int
 ) -> List[Path]:
     """Return up to ``k`` loopless shortest paths from ``source`` to ``target``.
 
@@ -40,7 +40,6 @@ def k_shortest_paths(
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    csr = csr_graph(graph)
     try:
         source_index = csr.index_of[source]
         target_index = csr.index_of[target]
@@ -54,7 +53,7 @@ def k_shortest_paths(
 
 
 def all_pairs_k_shortest_paths(
-    graph: nx.Graph, pairs: Sequence[Tuple[Hashable, Hashable]], k: int
+    csr: CSRGraph, pairs: Sequence[Tuple[Hashable, Hashable]], k: int
 ) -> Dict[Tuple[Hashable, Hashable], List[Path]]:
     """Compute k-shortest paths for a collection of (source, target) pairs.
 
@@ -64,13 +63,12 @@ def all_pairs_k_shortest_paths(
     """
     if k <= 0:
         raise ValueError("k must be positive")
+    index_of = csr.index_of
     for source, target in pairs:
-        if source not in graph or target not in graph:
+        if source not in index_of or target not in index_of:
             raise nx.NodeNotFound(
                 f"source {source!r} or target {target!r} not in graph"
             )
-    csr = csr_graph(graph)
-    index_of = csr.index_of
     unique = list(dict.fromkeys(pairs))
     trees: Dict[int, List[int]] = {}
     first_paths = []

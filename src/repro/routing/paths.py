@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-import networkx as nx
-
-from repro.graphs.csr import csr_graph
+from repro.graphs.csr import CSRGraph
 from repro.memo import Memo
 from repro.routing.ecmp import ecmp_paths
 from repro.routing.ksp import Path, all_pairs_k_shortest_paths
@@ -56,7 +54,7 @@ class PathSet:
 
 
 def build_path_set(
-    graph: nx.Graph,
+    csr: CSRGraph,
     pairs: Sequence[Pair],
     scheme: str = "ksp",
     k: int = 8,
@@ -66,9 +64,10 @@ def build_path_set(
 
     ``scheme`` is ``"ksp"`` for Yen's k-shortest paths or ``"ecmp"`` for
     w-way equal-cost shortest paths (``k`` doubles as the ECMP width).
-    KSP queries go through :func:`~repro.routing.ksp.all_pairs_k_shortest_paths`,
-    which validates the graph's CSR view once for the whole batch and
-    shares one BFS tree across the targets of each source.
+    ``csr`` is the switch graph's view (a topology's
+    :meth:`~repro.topologies.base.Topology.csr`).  KSP queries go through
+    :func:`~repro.routing.ksp.all_pairs_k_shortest_paths`, which shares one
+    BFS tree across the targets of each source.
 
     ``on_unreachable`` selects the degradation semantics for pairs with no
     path (a partitioned graph): ``"raise"`` (historical default) raises
@@ -80,12 +79,12 @@ def build_path_set(
         raise ValueError(f"unknown routing scheme {scheme!r}")
     distinct = [(source, target) for source, target in pairs if source != target]
     table: Dict[Pair, List[Path]] = {}
-    _extend_table(graph, table, distinct, scheme, k, on_unreachable)
+    _extend_table(csr, table, distinct, scheme, k, on_unreachable)
     return PathSet(paths=table, kind=f"{scheme}-{k}")
 
 
 def _extend_table(
-    graph: nx.Graph,
+    csr: CSRGraph,
     table: Dict[Pair, List[Path]],
     pending: Sequence[Pair],
     scheme: str,
@@ -103,7 +102,7 @@ def _extend_table(
             f"on_unreachable must be 'raise' or 'skip', got {on_unreachable!r}"
         )
     if scheme == "ksp":
-        computed = all_pairs_k_shortest_paths(graph, pending, k)
+        computed = all_pairs_k_shortest_paths(csr, pending, k)
         for pair in pending:
             options = computed[pair]
             if not options:
@@ -112,9 +111,8 @@ def _extend_table(
                 raise ValueError(f"no path between {pair[0]!r} and {pair[1]!r}")
             table[pair] = options
     else:
-        csr = csr_graph(graph) if pending else None
         for source, target in pending:
-            options = ecmp_paths(graph, source, target, width=k, csr=csr)
+            options = ecmp_paths(csr, source, target, width=k)
             if not options:
                 if on_unreachable == "skip":
                     continue
@@ -123,7 +121,7 @@ def _extend_table(
 
 
 def shared_path_set(
-    graph: nx.Graph,
+    csr: CSRGraph,
     pairs: Sequence[Pair],
     scheme: str = "ksp",
     k: int = 8,
@@ -131,17 +129,18 @@ def shared_path_set(
 ) -> PathSet:
     """A :class:`PathSet` shared across calls for structurally equal graphs.
 
-    Tables are cached in a small LRU keyed by the graph's CSR
-    ``content_hash`` plus ``(scheme, k)`` — the same content-addressing
-    discipline as the engine's result cache — and extended lazily: only
-    pairs not yet present are routed.  Because paths are a pure function of
-    the graph structure, a throughput sweep that evaluates several traffic
-    matrices (or re-solves an identical topology) pays for each pair's
-    route enumeration once instead of once per matrix.
+    ``csr`` is the switch graph's view (a topology's
+    :meth:`~repro.topologies.base.Topology.csr`).  Tables are cached in a
+    small LRU keyed by its ``content_hash`` plus ``(scheme, k)`` — the same
+    content-addressing discipline as the engine's result cache — and
+    extended lazily: only pairs not yet present are routed.  Because paths
+    are a pure function of the graph structure, a throughput sweep that
+    evaluates several traffic matrices (or re-solves an identical topology)
+    pays for each pair's route enumeration once instead of once per matrix.
 
     The returned table is shared state: callers must treat it as read-only.
-    In-place graph mutations change the content hash (via the CSR
-    fingerprint revalidation), so a stale table is never returned.
+    A changed topology has a new view with a new content hash, so a stale
+    table is never returned.
 
     ``on_unreachable="skip"`` applies the degradation semantics of
     :func:`build_path_set`: unreachable pairs are left out of the table
@@ -150,7 +149,7 @@ def shared_path_set(
     """
     if scheme not in ("ksp", "ecmp"):
         raise ValueError(f"unknown routing scheme {scheme!r}")
-    key = (csr_graph(graph).content_hash, scheme, k)
+    key = (csr.content_hash, scheme, k)
     entry = _SHARED_PATH_SETS.get(key)
     table = PathSet(paths={}, kind=f"{scheme}-{k}") if entry is None else entry[0]
     pending = [
@@ -159,7 +158,7 @@ def shared_path_set(
         if source != target and (source, target) not in table.paths
     ]
     if pending:
-        _extend_table(graph, table.paths, pending, scheme, k, on_unreachable)
+        _extend_table(csr, table.paths, pending, scheme, k, on_unreachable)
     if entry is None or pending:
         stored = sum(len(options) for options in table.paths.values())
         _SHARED_PATH_SETS.put(key, (table, stored))

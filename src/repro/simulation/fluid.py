@@ -93,7 +93,7 @@ def route_demands(topology: Topology, traffic: TrafficMatrix, config) -> PathSet
     topology route each switch pair once; unreachable pairs are left out.
     """
     return shared_path_set(
-        topology.graph,
+        topology.csr(),
         list(traffic.switch_pairs()),
         scheme=config.routing,
         k=config.k,

@@ -11,12 +11,15 @@ historical representation, still the construction path for the structured
 baselines) or an array-native :class:`~repro.topologies.core.TopologyCore`
 (the path the random-graph constructors use).
 ``Topology.graph`` stays the public API: core-backed topologies materialize
-the graph lazily on first access -- with adjacency insertion order
-bit-identical to the historical construction, and the core's CSR view
-adopted by the new graph so kernels never rebuild adjacency.  Metric
-helpers (:meth:`Topology.csr` and everything built on it) work directly on
-the CSR bridge, so path statistics never require the ``networkx`` view at
-all.
+the graph lazily on first access, with adjacency insertion order
+bit-identical to the historical construction.
+
+A topology owns its CSR view: :meth:`Topology.csr` is its core's view, and
+the core is built from the graph on first use and kept until
+:meth:`Topology.edit_graph` (the door every in-place change goes through)
+or an assignment to :attr:`Topology.graph` drops it.  The graph kernels
+(routing, path statistics) take that view, so path statistics never
+require the ``networkx`` graph at all.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.graphs.csr import CSRGraph, _graph_fingerprint, csr_graph
+from repro.graphs.csr import CSRGraph
 from repro.graphs.properties import (
-    average_path_length_csr,
+    average_path_length,
     csr_is_connected,
-    diameter_csr,
-    server_path_length_cdf_csr,
+    diameter,
+    server_path_length_cdf,
 )
+from repro.graphs.sampling import sampled_path_length_stats
+from repro.resources import PROFILE_SAMPLE_SEED, active_profile
 from repro.topologies.core import TopologyCore, TopologyError
 
 __all__ = ["Topology", "TopologyError"]
@@ -91,7 +96,6 @@ class Topology:
         topology = cls.__new__(cls)
         topology._graph = None
         topology._core = core
-        topology._core_fingerprint = None
         topology.ports = dict(zip(core.labels, core.ports.tolist()))
         topology.servers = dict(zip(core.labels, core.servers.tolist()))
         topology.name = name
@@ -102,45 +106,27 @@ class Topology:
     def graph(self) -> nx.Graph:
         if self._graph is None:
             self._graph = self._core.to_networkx()
-            # The freshly materialized graph matches the core exactly;
-            # recording its fingerprint keeps core() from rebuilding.
-            self._core_fingerprint = _graph_fingerprint(self._graph)
         return self._graph
 
     @graph.setter
     def graph(self, value: nx.Graph) -> None:
         self._graph = value
         self._core = None
-        self._core_fingerprint = None
 
     def core(self) -> TopologyCore:
         """The array-native core describing the current structure.
 
         For core-backed topologies this is the backing object.  For
-        graph-backed topologies a core is derived from the live graph and
-        cached, revalidated against the graph's structural fingerprint so
-        in-place mutations (failure injection, expansion) are detected and
-        trigger a rebuild rather than returning stale arrays.
+        graph-backed topologies it is derived from the graph on first use
+        and kept until :meth:`edit_graph` or a new :attr:`graph` drops it.
         """
-        if self._graph is None and self._core is not None:
-            return self._core
-        fingerprint = _graph_fingerprint(self.graph)
-        if self._core is not None and self._core_fingerprint == fingerprint:
-            return self._core
-        self._core = TopologyCore.from_graph(self.graph, self.ports, self.servers)
-        self._core_fingerprint = fingerprint
+        if self._core is None:
+            self._core = TopologyCore.from_graph(self.graph, self.ports, self.servers)
         return self._core
 
     def csr(self) -> CSRGraph:
-        """CSR view of the switch graph (array bridge; no graph required).
-
-        Core-backed topologies get the core's view; materialized topologies
-        go through the fingerprint-revalidated per-graph cache, which the
-        core's view seeds at materialization time.
-        """
-        if self._graph is None and self._core is not None:
-            return self._core.csr()
-        return csr_graph(self.graph)
+        """The CSR view of the switch graph: the core's, built once per core."""
+        return self.core().csr()
 
     # ------------------------------------------------------------------ #
     # Invariants and accounting
@@ -217,10 +203,28 @@ class Topology:
         return csr_is_connected(self.csr())
 
     def switch_average_path_length(self) -> float:
-        return average_path_length_csr(self.csr())
+        """Mean switch-to-switch path length over reachable pairs.
+
+        Under a ``sampled`` execution profile (degradation-ladder rung 2+,
+        see :mod:`repro.resources`) this is the source-sampled streaming
+        estimate with a fixed seed -- deterministic and memory-bounded --
+        instead of the all-pairs reduction.  Tiny graphs, where the planner
+        cannot demote below "all sources", stay exact.
+        """
+        csr = self.csr()
+        profile = active_profile()
+        if profile.sampled:
+            stats = sampled_path_length_stats(
+                csr,
+                num_sources=profile.plan_sources(csr.num_nodes, None),
+                seed=PROFILE_SAMPLE_SEED,
+            )
+            if not stats.exact:
+                return stats.mean
+        return average_path_length(csr)
 
     def switch_diameter(self) -> int:
-        return diameter_csr(self.csr())
+        return diameter(self.csr())
 
     def server_path_length_cdf(self) -> Dict[int, float]:
         """CDF of server-to-server path lengths (Fig 1(c)).
@@ -232,7 +236,7 @@ class Topology:
         """
         csr = self.csr()
         counts = [self.servers.get(node, 0) for node in csr.nodes]
-        return server_path_length_cdf_csr(csr, counts)
+        return server_path_length_cdf(csr, counts)
 
     # ------------------------------------------------------------------ #
     # Mutation helpers
@@ -256,8 +260,8 @@ class Topology:
     def edit_graph(self) -> nx.Graph:
         """The graph, for an in-place change: drops the core it invalidates.
 
-        Every change to a topology goes through here, so :meth:`core`
-        rebuilds from the changed graph, ports and servers.
+        Every change to a topology goes through here, so :meth:`core` and
+        :meth:`csr` rebuild from the changed graph, ports and servers.
         """
         graph = self.graph
         self._core = None

@@ -3,9 +3,9 @@
 A :class:`TopologyCore` is the columnar representation of a switch-level
 topology: a node-label list, insertion-ordered adjacency rows in index
 space, and aligned ``int32`` port/server vectors.  It is what the
-constructors in :mod:`repro.graphs.regular` produce natively and what
-bridges straight into the CSR kernels (:meth:`TopologyCore.csr`) without
-ever materializing a ``networkx`` graph.
+constructors in :mod:`repro.graphs.regular` produce natively, and it holds
+its topology's CSR view (:meth:`TopologyCore.csr`, built from the rows on
+first use), so the graph kernels never need a ``networkx`` graph.
 
 Invariants (also documented in ``docs/engine.md``):
 
@@ -22,10 +22,11 @@ Invariants (also documented in ``docs/engine.md``):
   structure (which nodes, which edges, which port/server counts), not on
   construction history or adjacency order, so two cores describing the
   same topology hash identically even when their tie-break orders differ.
-* A core is built once and then only read.  Every change to a topology is
-  a :class:`~repro.topologies.base.Topology` method that edits the
-  ``networkx`` graph and drops the core; :meth:`Topology.core` derives a
-  fresh one from the changed graph.
+* A core is built once and then only read, so its CSR view never goes
+  stale.  Every change to a topology is a
+  :class:`~repro.topologies.base.Topology` method that edits the
+  ``networkx`` graph and drops the core with its view;
+  :meth:`Topology.core` derives a fresh one from the changed graph.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import CSRGraph, adopt_csr_view, index_dtype
+from repro.graphs.csr import CSRGraph, index_dtype
 from repro.graphs.regular import graph_from_rows
 
 
@@ -198,17 +199,15 @@ class TopologyCore:
             return np.empty((0, 2), dtype=np.int32)
         return np.asarray(pairs, dtype=np.int32)
 
-    def csr(self, build: bool = True) -> Optional[CSRGraph]:
+    def csr(self) -> CSRGraph:
         """The :class:`CSRGraph` view of this core (built once, cached).
 
         Node order follows the CSR contract (sorted labels when orderable,
         insertion order otherwise); per-row adjacency order is taken from
-        ``rows`` verbatim, so kernels tie-break exactly as they would on the
-        materialized graph.
+        ``rows`` verbatim, so the view equals ``csr_graph`` of the
+        materialized graph and kernels tie-break exactly as on it.
         """
         if self._csr is None:
-            if not build:
-                return None
             self._csr = self._build_csr()
         return self._csr
 
@@ -248,16 +247,8 @@ class TopologyCore:
         return CSRGraph.from_arrays(nodes, index_of, indptr, indices)
 
     def to_networkx(self) -> nx.Graph:
-        """Materialize the equivalent ``nx.Graph`` (exact adjacency order).
-
-        If this core's CSR view was already built, the new graph adopts it
-        (see :func:`repro.graphs.csr.adopt_csr_view`), so downstream
-        ``csr_graph(graph)`` calls skip the rebuild.
-        """
-        graph = graph_from_rows(self.labels, self.rows)
-        if self._csr is not None:
-            adopt_csr_view(graph, self._csr)
-        return graph
+        """Materialize the equivalent ``nx.Graph`` (exact adjacency order)."""
+        return graph_from_rows(self.labels, self.rows)
 
     # ------------------------------------------------------------------ #
     # Content addressing

@@ -24,7 +24,12 @@ from typing import Optional, Tuple
 
 import networkx as nx
 
-from repro.graphs.properties import average_path_length, diameter
+from repro.graphs.csr import CSRGraph, csr_graph
+from repro.graphs.properties import (
+    csr_is_connected,
+    histogram_mean,
+    path_length_distribution,
+)
 from repro.graphs.regular import random_regular_graph
 from repro.topologies.base import Topology
 from repro.topologies.jellyfish import rrg_budget
@@ -65,6 +70,12 @@ def _swap_edges(graph: nx.Graph, e1, e2) -> Optional[Tuple]:
     return (a, c), (b, d)
 
 
+def _score(csr: CSRGraph) -> Tuple[float, int]:
+    """(average path length, diameter) over reachable pairs, from one histogram."""
+    histogram = path_length_distribution(csr)
+    return histogram_mean(histogram), max(histogram)
+
+
 def optimized_low_diameter_graph(
     num_nodes: int,
     degree: int,
@@ -84,7 +95,7 @@ def optimized_low_diameter_graph(
     if graph.number_of_edges() < 2:
         return graph
 
-    best_score = (average_path_length(graph), diameter(graph))
+    best_score = _score(csr_graph(graph))
     for _ in range(iterations):
         edges = list(graph.edges)
         e1 = edges[rand.randrange(len(edges))]
@@ -92,10 +103,9 @@ def optimized_low_diameter_graph(
         swapped = _swap_edges(graph, e1, e2)
         if swapped is None:
             continue
-        if not nx.is_connected(graph):
-            score = None
-        else:
-            score = (average_path_length(graph), diameter(graph))
+        # One view per candidate: connectivity and score share its rows.
+        csr = csr_graph(graph)
+        score = _score(csr) if csr_is_connected(csr) else None
         if score is not None and score < best_score:
             best_score = score
             continue

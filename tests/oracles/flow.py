@@ -295,7 +295,7 @@ def max_concurrent_flow_path_lp_reference(
         return float("inf")
 
     if path_set is None:
-        path_set = build_path_set(topology.graph, list(demands), scheme="ksp", k=k)
+        path_set = build_path_set(topology.csr(), list(demands), scheme="ksp", k=k)
 
     a_eq, b_eq, a_ub, b_ub, num_vars = assemble_path_lp_reference(
         topology, demands, path_set

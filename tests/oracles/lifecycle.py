@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.graphs.csr import clear_csr_cache
 from repro.graphs.properties import csr_component_labels
 from repro.lifecycle.metrics import component_summary, evaluate_epoch
 from repro.lifecycle.state import LifecycleState, _node_key
@@ -68,7 +67,6 @@ class ColdMetrics:
     def epoch(self, epoch_index: int) -> Dict[str, float]:
         # Cold semantics: no warm routing state survives into an epoch.
         clear_memos()
-        clear_csr_cache()
         topology = self.state.materialize()
         return evaluate_epoch(
             topology,

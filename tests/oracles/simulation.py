@@ -110,7 +110,7 @@ def simulate_aimd_reference(
     pairs = list(traffic.switch_pairs())
     if path_set is None:
         path_set = build_path_set(
-            topology.graph,
+            topology.csr(),
             pairs,
             scheme=config.routing,
             k=config.k,

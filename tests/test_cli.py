@@ -393,6 +393,28 @@ class TestLifecycleCli:
         assert "duration_hours" in capsys.readouterr().err
 
 
+class TestCountFlags:
+    """A count flag out of range is a usage error at parse time: exit 2,
+    and nothing is written (no manifest, journal or cache entry)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "run", "fig01", "--max-attempts", "0", "--cache-dir"],
+            ["lifecycle", "run", "--switches", "12", "--ports", "6",
+             "--servers", "24", "--max-attempts", "0", "--runs-dir"],
+            ["stats", "--limit", "-1", "--runs-dir"],
+        ],
+        ids=["sweep-max-attempts", "lifecycle-max-attempts", "stats-limit"],
+    )
+    def test_rejected_before_anything_is_written(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestSweepRobustnessSignals:
     def test_sigterm_flushes_manifest_and_exits_143(self, tmp_path):
         import json

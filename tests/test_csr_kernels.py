@@ -8,7 +8,7 @@ pure-Python implementations (:mod:`oracles.routing`):
 * shortest-path enumeration vs ``nx.all_shortest_paths``
 
 on random Jellyfish/fat-tree-style graphs, including disconnected graphs
-and degree-0 corners, plus direct tests of the CSRGraph cache lifecycle.
+and degree-0 corners, plus tests of the view a topology keeps until an edit.
 """
 
 import networkx as nx
@@ -17,17 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import (
-    CSRGraph,
-    bfs_source_chunk,
-    clear_csr_cache,
-    csr_graph,
-)
-from repro.graphs.properties import path_length_distribution
+from repro.graphs.csr import bfs_source_chunk, csr_graph
 from repro.graphs.regular import random_regular_graph
 from repro.resources import ExecutionProfile, activate_profile
 from repro.routing.ecmp import all_shortest_paths
 from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
+from repro.topologies.base import Topology
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
 
@@ -73,7 +68,6 @@ class TestBatchedBfsParity:
     @COMMON_SETTINGS
     @given(jellyfish_like_graphs())
     def test_matches_networkx_single_source(self, graph):
-        clear_csr_cache()
         csr = csr_graph(graph)
         matrix = csr.hop_distance_matrix()
         for source in graph.nodes:
@@ -122,9 +116,9 @@ class TestBatchedBfsParity:
         assert (matrix.sum(axis=1) == -2).all()  # every off-diagonal is -1
 
     def test_missing_source_raises(self):
-        graph = nx.path_graph(3)
+        csr = csr_graph(nx.path_graph(3))
         with pytest.raises(nx.NodeNotFound):
-            path_length_distribution(graph, [0, 99])
+            all_pairs_k_shortest_paths(csr, [(0, 2), (0, 99)], 2)
 
 
 class TestYenParity:
@@ -133,10 +127,9 @@ class TestYenParity:
     @COMMON_SETTINGS
     @given(jellyfish_like_graphs(), st.integers(min_value=1, max_value=8))
     def test_matches_reference_exactly(self, graph, k):
-        clear_csr_cache()
         nodes = sorted(graph.nodes)
         source, target = nodes[0], nodes[-1]
-        ours = k_shortest_paths(graph, source, target, k)
+        ours = k_shortest_paths(csr_graph(graph), source, target, k)
         reference = k_shortest_paths_reference(graph, source, target, k)
         assert ours == reference
 
@@ -148,13 +141,12 @@ class TestYenParity:
         Batches of 1-150 pairs over many sources, adjacent pairs included;
         the graphs may be disconnected, so some pairs are unreachable.
         """
-        clear_csr_cache()
         nodes = sorted(graph.nodes)
         node = st.sampled_from(nodes)
         pair = st.one_of(st.tuples(node, node), st.sampled_from(sorted(graph.edges)))
         size = data.draw(st.integers(min_value=1, max_value=150))
         pairs = data.draw(st.lists(pair, min_size=size, max_size=size))
-        table = all_pairs_k_shortest_paths(graph, pairs, k)
+        table = all_pairs_k_shortest_paths(csr_graph(graph), pairs, k)
         assert set(table) == set(pairs)
         for pair in set(pairs):
             assert table[pair] == k_shortest_paths_reference(graph, *pair, k)
@@ -167,12 +159,11 @@ class TestYenParity:
         pairs = [(source, target) for source in nodes[:4] for target in nodes if target != source]
         # Round one has a spur query per hop of every pair's first path.
         assert len(pairs) > 64
-        clear_csr_cache()
+        csr = csr_graph(graph)
         with activate_profile(ExecutionProfile(memory_scale=memory_scale)):
-            csr = csr_graph(graph)
             chunk = bfs_source_chunk(csr.num_nodes, len(csr.indices))
             assert chunk == (64 if memory_scale < 1 else 4096)
-            table = all_pairs_k_shortest_paths(graph, pairs, 8)
+            table = all_pairs_k_shortest_paths(csr, pairs, 8)
         for pair in pairs:
             assert table[pair] == k_shortest_paths_reference(graph, *pair, 8)
 
@@ -182,15 +173,16 @@ class TestYenParity:
         nodes = sorted(graph.nodes)
         for i in range(0, 28, 3):
             pair = (nodes[i], nodes[i + 2])
-            assert k_shortest_paths(graph, *pair, 8) == k_shortest_paths_reference(
+            assert k_shortest_paths(topology.csr(), *pair, 8) == k_shortest_paths_reference(
                 graph, *pair, 8
             )
 
     def test_fattree_pairs(self):
-        graph = FatTreeTopology.build(4).graph
+        topology = FatTreeTopology.build(4)
+        graph = topology.graph
         nodes = sorted(graph.nodes)
         pair = (nodes[0], nodes[-1])
-        assert k_shortest_paths(graph, *pair, 6) == k_shortest_paths_reference(
+        assert k_shortest_paths(topology.csr(), *pair, 6) == k_shortest_paths_reference(
             graph, *pair, 6
         )
 
@@ -199,10 +191,9 @@ class TestAllShortestPathsParity:
     @COMMON_SETTINGS
     @given(jellyfish_like_graphs())
     def test_matches_networkx_set(self, graph):
-        clear_csr_cache()
         nodes = sorted(graph.nodes)
         source, target = nodes[0], nodes[-1]
-        ours = all_shortest_paths(graph, source, target)
+        ours = all_shortest_paths(csr_graph(graph), source, target)
         try:
             expected = sorted(tuple(p) for p in nx.all_shortest_paths(graph, source, target))
         except nx.NetworkXNoPath:
@@ -210,50 +201,46 @@ class TestAllShortestPathsParity:
         assert ours == expected
 
 
+def _ring(size: int) -> Topology:
+    """A ring of ``size`` 4-port switches, one server each."""
+    graph = nx.cycle_graph(size)
+    return Topology(graph, {node: 4 for node in graph}, {node: 1 for node in graph})
+
+
 class TestCsrGraphCache:
-    def setup_method(self):
-        clear_csr_cache()
-
-    def test_same_object_is_reused(self):
-        graph = nx.cycle_graph(10)
-        assert csr_graph(graph) is csr_graph(graph)
-
-    def test_mutation_rebuilds(self):
-        graph = nx.cycle_graph(10)
-        before = csr_graph(graph)
-        graph.remove_edge(0, 1)
-        after = csr_graph(graph)
-        assert after is not before
-        assert after.num_edges == before.num_edges - 1
+    """A topology keeps its view until an edit (see also
+    ``test_topology_core.TestTopologyOwnsItsView``)."""
 
     def test_count_preserving_rewire_rebuilds(self):
-        graph = nx.cycle_graph(8)
-        before = csr_graph(graph)
+        topology = _ring(8)
+        before = topology.csr()
+        graph = topology.edit_graph()
         graph.remove_edge(0, 1)
         graph.add_edge(0, 4)
-        after = csr_graph(graph)
+        after = topology.csr()
         assert after is not before
+        assert after.num_edges == before.num_edges
         assert after.content_hash != before.content_hash
 
     def test_content_hash_is_structural(self):
         first = csr_graph(nx.cycle_graph(12))
-        second = CSRGraph(nx.cycle_graph(12))
+        second = _ring(12).csr()
+        assert first is not second
         assert first.content_hash == second.content_hash
 
     def test_mutation_reroutes(self):
-        graph = nx.cycle_graph(8)
-        paths = k_shortest_paths(graph, 0, 4, 2)
+        topology = _ring(8)
+        paths = k_shortest_paths(topology.csr(), 0, 4, 2)
         assert len(paths) == 2
-        graph.remove_edge(0, 1)
-        rerouted = k_shortest_paths(graph, 0, 4, 2)
-        assert rerouted == k_shortest_paths_reference(graph, 0, 4, 2)
+        topology.remove_links([(0, 1)])
+        rerouted = k_shortest_paths(topology.csr(), 0, 4, 2)
+        assert rerouted == k_shortest_paths_reference(topology.graph, 0, 4, 2)
         assert rerouted != paths
 
     def test_repeated_queries_return_equal_fresh_lists(self):
-        topology = JellyfishTopology.build(20, 6, 4, rng=3)
-        graph = topology.graph
-        nodes = sorted(graph.nodes)
-        first = k_shortest_paths(graph, nodes[0], nodes[-1], 4)
-        again = k_shortest_paths(graph, nodes[0], nodes[-1], 4)
+        csr = JellyfishTopology.build(20, 6, 4, rng=3).csr()
+        nodes = csr.nodes
+        first = k_shortest_paths(csr, nodes[0], nodes[-1], 4)
+        again = k_shortest_paths(csr, nodes[0], nodes[-1], 4)
         assert first == again
         assert first is not again  # callers get their own list

@@ -22,12 +22,11 @@ from repro.graphs.csr import (
     DIST_ROW_MEMO,
     CSRGraph,
     bfs_source_chunk,
-    clear_csr_cache,
     csr_graph,
     distance_memo_stats,
     index_dtype,
 )
-from repro.graphs.properties import average_path_length_csr
+from repro.graphs.properties import average_path_length
 from repro.memo import clear_memos, memo_stats
 from repro.resources import ExecutionProfile, activate_profile
 from repro.routing.paths import shared_path_set
@@ -37,10 +36,8 @@ from repro.topologies.jellyfish import JellyfishTopology
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    clear_csr_cache()
     clear_memos()
     yield
-    clear_csr_cache()
     clear_memos()
 
 
@@ -155,7 +152,7 @@ def test_distance_memo_accounts_the_bytes_it_holds():
     csr = single_rrg_core(1200, 12, 9, seed=5).csr()
     row_bytes = 4 * csr.num_nodes
     with activate_profile(_memory_scale_for(2 * row_bytes, DEFAULT_DIST_MEMO_BYTES)):
-        average_path_length_csr(csr)  # one batched all-pairs BFS
+        average_path_length(csr)  # one batched all-pairs BFS
     stats = distance_memo_stats()
     assert stats["evictions"] == csr.num_nodes - 2
     # A stored row that were a view would pin its whole distance matrix.
@@ -169,7 +166,7 @@ def test_distance_memo_accounts_the_bytes_it_holds():
 def test_structurally_equal_graphs_share_memo_rows():
     topo_a = JellyfishTopology.build(30, 8, 5, rng=7)
     topo_b = JellyfishTopology.build(30, 8, 5, rng=7)
-    csr_a = csr_graph(topo_a.graph)
+    csr_a = topo_a.csr()
     csr_b = csr_graph(topo_b.graph)
     assert csr_a.content_hash == csr_b.content_hash
     csr_a.distance_row(3)
@@ -190,7 +187,7 @@ def test_pathset_budget_evicts_lru_tables(monkeypatch):
     topologies = [JellyfishTopology.build(12, 6, 3, rng=seed) for seed in range(4)]
     pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
     for topology in topologies:
-        shared_path_set(topology.graph, pairs, scheme="ksp", k=2)
+        shared_path_set(topology.csr(), pairs, scheme="ksp", k=2)
     stats = memo_stats()["routing.path_sets"]
     assert stats["evictions"] >= 1
     assert stats["entries"] < 4
@@ -203,8 +200,8 @@ def test_pathset_never_evicts_current_table(monkeypatch):
     monkeypatch.setattr(paths_module._SHARED_PATH_SETS, "budget", 1)
     topology = JellyfishTopology.build(12, 6, 3, rng=0)
     pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
-    shared_path_set(topology.graph, pairs[:4], scheme="ksp", k=2)
-    table = shared_path_set(topology.graph, pairs, scheme="ksp", k=2)
+    shared_path_set(topology.csr(), pairs[:4], scheme="ksp", k=2)
+    table = shared_path_set(topology.csr(), pairs, scheme="ksp", k=2)
     assert len(table) == len(pairs)
     stats = memo_stats()["routing.path_sets"]
     assert stats["entries"] == 1  # one oversized table survives alone

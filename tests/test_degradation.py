@@ -102,7 +102,7 @@ class TestRoutingUnderPartition:
             pair for pair in traffic.switch_pairs() if pair[0] != pair[1]
         ]
         path_set = build_path_set(
-            damaged.graph, pairs, scheme=scheme, k=4, on_unreachable="skip"
+            damaged.csr(), pairs, scheme=scheme, k=4, on_unreachable="skip"
         )
         assert_valid_path_set(path_set, damaged.graph)
         labels = component_labels(damaged)

@@ -38,7 +38,6 @@ from repro.flow.path_lp import (
     PathLPStructure,
     max_concurrent_flow_path_lp,
 )
-from repro.graphs.csr import csr_graph
 from repro.memo import clear_memos
 from repro.routing.paths import build_path_set, shared_path_set
 from repro.simulation.capacity import link_capacities
@@ -161,7 +160,7 @@ class TestMaxMinParity:
             routing="ksp", k=8, congestion_control=TCP_EIGHT_FLOWS
         )
         path_set = build_path_set(
-            equipment_jellyfish.graph, list(traffic.switch_pairs()), scheme="ksp", k=8
+            equipment_jellyfish.csr(), list(traffic.switch_pairs()), scheme="ksp", k=8
         )
         specs = _build_flow_specs(traffic, path_set, config, ensure_rng(11))
         capacities = link_capacities(equipment_jellyfish)
@@ -209,9 +208,9 @@ class TestLpAssemblyParity:
         topology = JellyfishTopology.build(10, 7, 4, rng=seed)
         traffic = random_permutation_traffic(topology, rng=seed)
         demands = traffic.switch_pairs()
-        path_set = build_path_set(topology.graph, list(demands), scheme="ksp", k=8)
+        path_set = build_path_set(topology.csr(), list(demands), scheme="ksp", k=8)
         structure = PathLPStructure(link_capacities(topology))
-        arrays = traffic.as_switch_array(csr_graph(topology.graph).index_of)
+        arrays = traffic.as_switch_array(topology.csr().index_of)
         _assert_same_matrices(
             structure.assemble(arrays, path_set),
             assemble_path_lp_reference(topology, demands, path_set),
@@ -349,7 +348,7 @@ class TestDecisionPathParity:
         inputs += [(trunked_leaf_spine(), seed) for seed in range(3)]
         for topology, traffic_seed in inputs:
             traffic = random_permutation_traffic(topology, rng=traffic_seed)
-            csr = csr_graph(topology.graph)
+            csr = topology.csr()
             arrays = traffic.as_switch_array(csr.index_of)
             bound = _throughput_upper_bound(csr, arrays, link_capacities(topology))
             theta = max_concurrent_flow_edge_lp(topology, traffic)
@@ -393,10 +392,10 @@ class TestSharedState:
         clear_memos()
         topology = JellyfishTopology.build(10, 6, 3, rng=5)
         nodes = sorted(topology.graph.nodes)
-        table = shared_path_set(topology.graph, [(nodes[0], nodes[1])], k=4)
+        table = shared_path_set(topology.csr(), [(nodes[0], nodes[1])], k=4)
         assert len(table) == 1
         again = shared_path_set(
-            topology.graph, [(nodes[0], nodes[1]), (nodes[1], nodes[2])], k=4
+            topology.csr(), [(nodes[0], nodes[1]), (nodes[1], nodes[2])], k=4
         )
         assert again is table
         assert len(table) == 2
@@ -406,7 +405,7 @@ class TestSharedState:
         topology = JellyfishTopology.build(12, 6, 4, rng=6)
         nodes = sorted(topology.graph.nodes)
         pairs = [(a, b) for a in nodes[:4] for b in nodes[:4] if a != b]
-        shared = shared_path_set(topology.graph, pairs, scheme="ksp", k=6)
-        built = build_path_set(topology.graph, pairs, scheme="ksp", k=6)
+        shared = shared_path_set(topology.csr(), pairs, scheme="ksp", k=6)
+        built = build_path_set(topology.csr(), pairs, scheme="ksp", k=6)
         for pair in pairs:
             assert shared.get(pair) == built.get(pair)

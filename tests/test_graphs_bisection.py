@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.experiments.fig02a_bisection import jellyfish_curve_point
+from repro.graphs.csr import csr_graph
 from repro.graphs.bisection import (
     bollobas_bisection_lower_bound,
     cut_size,
@@ -39,8 +40,8 @@ class TestBollobasBound:
 class TestCutAndExact:
     def test_cut_size_path(self):
         graph = nx.path_graph(4)
-        assert cut_size(graph, {0, 1}) == 1
-        assert cut_size(graph, {0, 2}) == 3
+        assert cut_size(csr_graph(graph), {0, 1}) == 1
+        assert cut_size(csr_graph(graph), {0, 2}) == 3
 
     def test_exact_on_complete_graph(self):
         graph = nx.complete_graph(6)

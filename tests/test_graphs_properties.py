@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 import repro.graphs.properties as properties
-from repro.graphs.csr import clear_csr_cache, csr_graph
+from repro.graphs.csr import csr_graph
 from repro.graphs.properties import (
     average_path_length,
     csr_is_connected,
     diameter,
     histogram_cdf,
     path_length_distribution,
+    server_path_length_cdf,
 )
 from repro.memo import clear_memos
+from repro.topologies.base import Topology
 
 from oracles.routing import bfs_distances
 
@@ -34,53 +36,59 @@ class TestBfsDistances:
 
 class TestPathLengthDistribution:
     def test_triangle(self):
-        histogram = path_length_distribution(nx.complete_graph(3))
+        histogram = path_length_distribution(csr_graph(nx.complete_graph(3)))
         assert histogram == {1: 3}
 
     def test_path_graph_counts(self):
-        histogram = path_length_distribution(nx.path_graph(4))
+        histogram = path_length_distribution(csr_graph(nx.path_graph(4)))
         assert histogram[1] == 3
         assert histogram[2] == 2
         assert histogram[3] == 1
 
     def test_restricted_node_subset(self):
-        graph = nx.path_graph(5)
-        histogram = path_length_distribution(graph, nodes=[0, 4])
-        assert histogram == {4: 1}
+        # The switch pairs of a server CDF are the hosting switches' pairs only.
+        csr = csr_graph(nx.path_graph(5))
+        assert server_path_length_cdf(csr, [1, 0, 0, 0, 1]) == {6: 1.0}
 
 
 class TestAveragePathLengthAndDiameter:
     def test_cycle(self):
-        graph = nx.cycle_graph(6)
-        assert diameter(graph) == 3
-        assert average_path_length(graph) == pytest.approx((1 * 6 + 2 * 6 + 3 * 3) / 15)
+        csr = csr_graph(nx.cycle_graph(6))
+        assert diameter(csr) == 3
+        assert average_path_length(csr) == pytest.approx((1 * 6 + 2 * 6 + 3 * 3) / 15)
 
     def test_complete_graph(self):
-        graph = nx.complete_graph(5)
-        assert diameter(graph) == 1
-        assert average_path_length(graph) == pytest.approx(1.0)
+        csr = csr_graph(nx.complete_graph(5))
+        assert diameter(csr) == 1
+        assert average_path_length(csr) == pytest.approx(1.0)
 
     def test_disconnected_raises(self):
         graph = nx.Graph()
         graph.add_nodes_from([0, 1])
         with pytest.raises(ValueError):
-            average_path_length(graph)
+            average_path_length(csr_graph(graph))
 
     def test_matches_networkx(self):
         graph = nx.random_regular_graph(3, 20, seed=1)
-        assert average_path_length(graph) == pytest.approx(
+        assert average_path_length(csr_graph(graph)) == pytest.approx(
             nx.average_shortest_path_length(graph)
         )
-        assert diameter(graph) == nx.diameter(graph)
+        assert diameter(csr_graph(graph)) == nx.diameter(graph)
 
 
 class TestPathLengthCdf:
     def test_monotone_and_ends_at_one(self):
         graph = nx.random_regular_graph(3, 16, seed=2)
-        cdf = histogram_cdf(path_length_distribution(graph))
+        cdf = histogram_cdf(path_length_distribution(csr_graph(graph)))
         values = [cdf[h] for h in sorted(cdf)]
         assert values == sorted(values)
         assert values[-1] == pytest.approx(1.0)
+
+
+def _ring(size: int) -> Topology:
+    """A ring of ``size`` 4-port switches, one server each."""
+    graph = nx.cycle_graph(size)
+    return Topology(graph, {node: 4 for node in graph}, {node: 1 for node in graph})
 
 
 class TestAllPairsMemoization:
@@ -93,10 +101,8 @@ class TestAllPairsMemoization:
 
     @pytest.fixture(autouse=True)
     def _fresh_memo(self):
-        clear_csr_cache()
         clear_memos()
         yield
-        clear_csr_cache()
         clear_memos()
 
     @pytest.fixture()
@@ -120,42 +126,46 @@ class TestAllPairsMemoization:
             assert reachable == bfs_distances(graph, source)
 
     def test_metric_queries_share_one_sweep(self, bfs_counter):
-        graph = nx.random_regular_graph(3, 20, seed=6)
-        average_path_length(graph)
+        csr = csr_graph(nx.random_regular_graph(3, 20, seed=6))
+        average_path_length(csr)
         assert len(bfs_counter) == 20
-        diameter(graph)
-        path_length_distribution(graph)
+        diameter(csr)
+        path_length_distribution(csr)
         assert len(bfs_counter) == 20  # no additional BFS for the later queries
 
     def test_subset_queries_reuse_sources(self, bfs_counter):
-        graph = nx.path_graph(10)
-        path_length_distribution(graph, nodes=[0, 4])
+        csr = csr_graph(nx.path_graph(10))
+        hosts = np.zeros(10, dtype=int)
+        hosts[[0, 4]] = 1
+        server_path_length_cdf(csr, hosts)
         assert len(bfs_counter) == 2
-        path_length_distribution(graph, nodes=[0, 4, 9])
+        hosts[9] = 1
+        server_path_length_cdf(csr, hosts)
         assert len(bfs_counter) == 3  # only the new source runs BFS
 
     def test_mutation_invalidates_memo(self, bfs_counter):
-        graph = nx.cycle_graph(8)
-        before = diameter(graph)
-        graph.remove_edge(0, 1)
-        after = diameter(graph)
+        topology = _ring(8)
+        before = topology.switch_diameter()
+        topology.remove_links([(0, 1)])
+        after = topology.switch_diameter()
         assert after > before
         assert len(bfs_counter) == 16
 
     def test_swap_preserving_edge_count_invalidates(self, bfs_counter):
-        graph = nx.cycle_graph(8)
-        diameter(graph)
+        topology = _ring(8)
+        topology.switch_diameter()
+        graph = topology.edit_graph()
         graph.remove_edge(0, 1)
         graph.add_edge(0, 4)  # same node and edge counts, different structure
-        mutated = diameter(graph)
+        mutated = topology.switch_diameter()
         assert len(bfs_counter) == 16  # the stale entry was not reused
-        assert mutated == diameter(graph.copy())
+        assert mutated == diameter(csr_graph(graph.copy()))
 
     def test_large_graphs_skip_the_memo(self, bfs_counter, monkeypatch):
         monkeypatch.setattr(properties, "DIST_ROW_MEMO_NODE_LIMIT", 10)
-        graph = nx.cycle_graph(12)
-        path_length_distribution(graph)
-        path_length_distribution(graph)
+        csr = csr_graph(nx.cycle_graph(12))
+        path_length_distribution(csr)
+        path_length_distribution(csr)
         assert len(bfs_counter) == 24  # recomputed both times, nothing stored
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.flow.mcf import max_concurrent_flow_edge_lp
 from repro.flow.path_lp import max_concurrent_flow_path_lp
 from repro.flow.throughput import normalized_throughput, supports_full_throughput
-from repro.graphs.properties import average_path_length
 from repro.routing.paths import build_path_set
 from repro.simulation.fluid import MPTCP, SimulationConfig, simulate_fluid
 from repro.topologies.fattree import FatTreeTopology
@@ -24,8 +23,8 @@ class TestJellyfishVersusFatTree:
             medium_fattree.num_switches, 6, medium_fattree.num_servers, rng=1
         )
         assert (
-            average_path_length(jellyfish.graph)
-            < average_path_length(medium_fattree.graph)
+            jellyfish.switch_average_path_length()
+            < medium_fattree.switch_average_path_length()
         )
 
     def test_diameter_no_worse_than_fattree(self, medium_fattree):
@@ -82,7 +81,7 @@ class TestRoutingAndCongestionControl:
     def test_path_sets_reused_across_engines(self, equipment_jellyfish):
         traffic = random_permutation_traffic(equipment_jellyfish, rng=9)
         pairs = list(traffic.switch_pairs())
-        path_set = build_path_set(equipment_jellyfish.graph, pairs, scheme="ksp", k=8)
+        path_set = build_path_set(equipment_jellyfish.csr(), pairs, scheme="ksp", k=8)
         assert_valid_path_set(path_set, equipment_jellyfish.graph)
         via_lp = max_concurrent_flow_path_lp(
             equipment_jellyfish, traffic, path_set=path_set

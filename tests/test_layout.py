@@ -19,7 +19,6 @@ _TARGET = re.compile(r"^[\w.]+:(?:\w+\.)*(\w+)$")
 #: Kept although no program path reads them by name, and why.
 EXEMPT = {
     "clear_memos": "tests empty every memo with it, so each starts cold",
-    "clear_csr_cache": "tests drop every cached CSR view with it, so each starts cold",
     "_close_at_exit": "its own @atexit.register decorator registers it at import",
 }
 

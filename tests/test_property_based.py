@@ -11,7 +11,8 @@ from repro.flow.maxmin import FlowSpec, max_min_fair_allocation
 from repro.flow.mcf import max_concurrent_flow_edge_lp
 from repro.flow.path_lp import max_concurrent_flow_path_lp
 from repro.graphs.bisection import bollobas_bisection_lower_bound, cut_size
-from repro.graphs.properties import average_path_length, diameter, path_length_distribution
+from repro.graphs.csr import csr_graph
+from repro.graphs.properties import diameter
 from repro.graphs.regular import random_regular_graph
 from repro.routing.ksp import k_shortest_paths
 from repro.routing.paths import build_path_set
@@ -68,7 +69,7 @@ class TestRandomRegularGraphProperties:
         graph = random_regular_graph(num_nodes, degree, rng=seed)
         if not nx.is_connected(graph) or degree < 3:
             return
-        d = diameter(graph)
+        d = diameter(csr_graph(graph))
         moore = 1 + degree * ((degree - 1) ** d - 1) / (degree - 2)
         assert moore >= num_nodes
 
@@ -126,7 +127,7 @@ class TestKShortestPathProperties:
         source, target = nodes[0], nodes[-1]
         if not nx.has_path(graph, source, target):
             return
-        paths = k_shortest_paths(graph, source, target, k)
+        paths = k_shortest_paths(csr_graph(graph), source, target, k)
         assert 1 <= len(paths) <= k
         assert len(set(paths)) == len(paths)
         lengths = [len(p) for p in paths]
@@ -184,7 +185,7 @@ def _jellyfish_with_permutation(params):
 
 def _ksp_path_set(topology, traffic, k):
     pairs = [(demand.source_switch, demand.destination_switch) for demand in traffic]
-    return build_path_set(topology.graph, pairs, scheme="ksp", k=k)
+    return build_path_set(topology.csr(), pairs, scheme="ksp", k=k)
 
 
 class TestLpInvariants:
@@ -296,6 +297,6 @@ class TestBisectionProperties:
         graph = random_regular_graph(num_nodes, degree, rng=seed)
         nodes = sorted(graph.nodes)
         partition = set(nodes[: num_nodes // 2])
-        observed = cut_size(graph, partition)
+        observed = cut_size(csr_graph(graph), partition)
         bound = bollobas_bisection_lower_bound(num_nodes, degree)
         assert observed >= 0.5 * bound - 2

@@ -397,17 +397,20 @@ class TestProfileAwareKernels:
     def test_exact_path_length_switches_to_sampled(self):
         import networkx as nx
 
-        from repro.graphs.csr import csr_graph
-        from repro.graphs.properties import average_path_length_csr
+        from repro.graphs.properties import average_path_length
         from repro.graphs.sampling import sampled_path_length_stats
         from repro.resources import PROFILE_SAMPLE_SEED
+        from repro.topologies.base import Topology
 
-        csr = csr_graph(nx.random_regular_graph(4, 400, seed=5))
-        exact = average_path_length_csr(csr)
+        graph = nx.random_regular_graph(4, 400, seed=5)
+        topology = Topology(graph, {node: 4 for node in graph})
+        exact = topology.switch_average_path_length()
         with activate_profile(PROFILE_LADDER[2]):
-            degraded = average_path_length_csr(csr)
+            degraded = topology.switch_average_path_length()
+            # The metric kernel itself stays exact under every profile.
+            assert average_path_length(topology.csr()) == exact
             expected = sampled_path_length_stats(
-                csr,
+                topology.csr(),
                 num_sources=PROFILE_LADDER[2].plan_sources(400, None),
                 seed=PROFILE_SAMPLE_SEED,
             ).mean
@@ -418,13 +421,13 @@ class TestProfileAwareKernels:
     def test_tiny_graph_stays_exact_under_sampled_profile(self):
         import networkx as nx
 
-        from repro.graphs.csr import csr_graph
-        from repro.graphs.properties import average_path_length_csr
+        from repro.topologies.base import Topology
 
-        csr = csr_graph(nx.cycle_graph(4))
-        exact = average_path_length_csr(csr)
+        graph = nx.cycle_graph(4)
+        topology = Topology(graph, {node: 2 for node in graph})
+        exact = topology.switch_average_path_length()
         with activate_profile(PROFILE_LADDER[2]):
-            assert average_path_length_csr(csr) == exact
+            assert topology.switch_average_path_length() == exact
 
 
 class TestQuarantineBudget:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.csr import csr_graph
 from repro.graphs.regular import random_regular_graph
 from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
 
@@ -14,18 +15,18 @@ from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
 class TestKShortestPaths:
     def test_single_shortest_path(self):
         graph = nx.path_graph(5)
-        paths = k_shortest_paths(graph, 0, 4, 3)
+        paths = k_shortest_paths(csr_graph(graph), 0, 4, 3)
         assert paths == [(0, 1, 2, 3, 4)]
 
     def test_cycle_has_two_paths(self):
         graph = nx.cycle_graph(6)
-        paths = k_shortest_paths(graph, 0, 3, 5)
+        paths = k_shortest_paths(csr_graph(graph), 0, 3, 5)
         assert len(paths) == 2
         assert len(paths[0]) <= len(paths[1])
 
     def test_paths_are_loopless_and_valid(self):
         graph = nx.random_regular_graph(4, 20, seed=1)
-        paths = k_shortest_paths(graph, 0, 10, 8)
+        paths = k_shortest_paths(csr_graph(graph), 0, 10, 8)
         for path in paths:
             assert path[0] == 0 and path[-1] == 10
             assert len(set(path)) == len(path)
@@ -34,18 +35,18 @@ class TestKShortestPaths:
 
     def test_non_decreasing_lengths(self):
         graph = nx.random_regular_graph(4, 20, seed=2)
-        paths = k_shortest_paths(graph, 1, 15, 8)
+        paths = k_shortest_paths(csr_graph(graph), 1, 15, 8)
         lengths = [len(p) for p in paths]
         assert lengths == sorted(lengths)
 
     def test_distinct_paths(self):
         graph = nx.random_regular_graph(5, 24, seed=3)
-        paths = k_shortest_paths(graph, 0, 12, 8)
+        paths = k_shortest_paths(csr_graph(graph), 0, 12, 8)
         assert len(set(paths)) == len(paths)
 
     def test_matches_networkx_shortest_simple_paths(self):
         graph = nx.random_regular_graph(3, 14, seed=4)
-        ours = k_shortest_paths(graph, 0, 7, 5)
+        ours = k_shortest_paths(csr_graph(graph), 0, 7, 5)
         reference = []
         for path in nx.shortest_simple_paths(graph, 0, 7):
             reference.append(tuple(path))
@@ -55,22 +56,22 @@ class TestKShortestPaths:
 
     def test_source_equals_target(self):
         graph = nx.path_graph(3)
-        assert k_shortest_paths(graph, 1, 1, 4) == [(1,)]
+        assert k_shortest_paths(csr_graph(graph), 1, 1, 4) == [(1,)]
 
     def test_disconnected_returns_empty(self):
         graph = nx.Graph()
         graph.add_nodes_from([0, 1])
-        assert k_shortest_paths(graph, 0, 1, 3) == []
+        assert k_shortest_paths(csr_graph(graph), 0, 1, 3) == []
 
     def test_missing_node_raises(self):
         graph = nx.path_graph(3)
         with pytest.raises(nx.NodeNotFound):
-            k_shortest_paths(graph, 0, 99, 2)
+            k_shortest_paths(csr_graph(graph), 0, 99, 2)
 
     def test_invalid_k(self):
         graph = nx.path_graph(3)
         with pytest.raises(ValueError):
-            k_shortest_paths(graph, 0, 2, 0)
+            k_shortest_paths(csr_graph(graph), 0, 2, 0)
 
 
 @st.composite
@@ -99,7 +100,7 @@ class TestPropertyAgainstNetworkX:
         if not nx.has_path(graph, source, target):
             return
 
-        ours = k_shortest_paths(graph, source, target, k)
+        ours = k_shortest_paths(csr_graph(graph), source, target, k)
         reference = list(islice(nx.shortest_simple_paths(graph, source, target), k))
 
         # k respected: never more than k paths, and exactly as many as the
@@ -129,7 +130,7 @@ class TestPropertyAgainstNetworkX:
         source, target = nodes[0], nodes[-1]
         if not nx.has_path(graph, source, target):
             return
-        ours = k_shortest_paths(graph, source, target, 1000)
+        ours = k_shortest_paths(csr_graph(graph), source, target, 1000)
         reference = list(nx.shortest_simple_paths(graph, source, target))
         assert sorted(ours) == sorted(tuple(p) for p in reference)
 
@@ -138,6 +139,6 @@ class TestAllPairs:
     def test_keys_and_counts(self):
         graph = nx.cycle_graph(8)
         pairs = [(0, 4), (1, 5)]
-        table = all_pairs_k_shortest_paths(graph, pairs, 2)
+        table = all_pairs_k_shortest_paths(csr_graph(graph), pairs, 2)
         assert set(table) == set(pairs)
         assert all(len(paths) == 2 for paths in table.values())

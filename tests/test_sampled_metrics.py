@@ -50,7 +50,7 @@ def regular_csr_graphs(draw):
         degree -= 1
     seed = draw(st.integers(min_value=0, max_value=2**16))
     graph = random_regular_graph(num_nodes, degree, rng=seed)
-    return csr_graph(graph), graph
+    return csr_graph(graph)
 
 
 # --------------------------------------------------------------------------- #
@@ -58,8 +58,7 @@ def regular_csr_graphs(draw):
 # --------------------------------------------------------------------------- #
 @COMMON_SETTINGS
 @given(regular_csr_graphs(), st.integers(min_value=0, max_value=2**16))
-def test_sampled_paths_seed_deterministic(graph_pair, seed):
-    csr, _ = graph_pair
+def test_sampled_paths_seed_deterministic(csr, seed):
     first = sampled_path_length_stats(csr, num_sources=5, seed=seed)
     second = sampled_path_length_stats(csr, num_sources=5, seed=seed)
     assert first == second
@@ -69,16 +68,15 @@ def test_sampled_paths_seed_deterministic(graph_pair, seed):
 
 @COMMON_SETTINGS
 @given(regular_csr_graphs())
-def test_full_coverage_matches_exact_kernels(graph_pair):
-    csr, graph = graph_pair
+def test_full_coverage_matches_exact_kernels(csr):
     stats = sampled_path_length_stats(csr)
     assert stats.exact
     assert stats.num_sources == csr.num_nodes
-    assert stats.mean == average_path_length(graph)
-    assert stats.diameter_lower_bound == diameter(graph)
+    assert stats.mean == average_path_length(csr)
+    assert stats.diameter_lower_bound == diameter(csr)
     assert stats.ci_low == stats.mean == stats.ci_high
     # The ordered-pair histogram is exactly 2x the unordered distribution.
-    unordered = path_length_distribution(graph)
+    unordered = path_length_distribution(csr)
     assert stats.histogram == {hops: 2 * count for hops, count in unordered.items()}
 
 
@@ -152,8 +150,7 @@ def test_cdf_is_monotone_and_ends_at_one():
 # --------------------------------------------------------------------------- #
 @COMMON_SETTINGS
 @given(regular_csr_graphs(), st.integers(min_value=0, max_value=2**16))
-def test_sampled_bisection_seed_deterministic(graph_pair, seed):
-    csr, _ = graph_pair
+def test_sampled_bisection_seed_deterministic(csr, seed):
     first = sampled_bisection_stats(csr, trials=5, seed=seed)
     second = sampled_bisection_stats(csr, trials=5, seed=seed)
     assert first == second

@@ -79,7 +79,7 @@ def plan_problem(small_jellyfish):
     demands.insert(3, Demand(source=(switch, 0), destination=(switch, 1), rate=1.0))
     traffic = TrafficMatrix(demands)
     table = build_path_set(
-        small_jellyfish.graph, list(traffic.switch_pairs()), scheme="ksp", k=4
+        small_jellyfish.csr(), list(traffic.switch_pairs()), scheme="ksp", k=4
     )
     paths = dict(table.paths)
     del paths[(demands[5].source_switch, demands[5].destination_switch)]

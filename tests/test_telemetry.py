@@ -389,7 +389,6 @@ class TestInstrumentedParity:
         assert {"aimd.compile", "aimd.rounds"} <= names
 
     def test_bfs_and_yen_match_reference_with_tracing_enabled(self, small_jellyfish):
-        from repro.graphs.csr import clear_csr_cache, csr_graph
         from oracles.routing import (
             all_pairs_hop_distances_reference,
             k_shortest_paths_reference,
@@ -402,14 +401,13 @@ class TestInstrumentedParity:
         source, target = nodes[0], nodes[-1]
         reference_paths = k_shortest_paths_reference(graph, source, target, 4)
         tracer = enable()
-        clear_csr_cache()  # drop memoized BFS rows/KSP results: trace fresh
-        csr = csr_graph(graph)
+        csr = small_jellyfish.csr()
         traced_dist = csr.hop_distance_matrix()
         order = csr.nodes
         for i, u in enumerate(order):
             for j, v in enumerate(order):
                 assert traced_dist[i, j] == reference_dist[u][v]
-        assert k_shortest_paths(graph, source, target, 4) == reference_paths
+        assert k_shortest_paths(csr, source, target, 4) == reference_paths
         batch = [e for e in tracer.events if e["name"] == "bfs.batch"]
         assert batch and all(e["counters"]["frontier_sweeps"] >= 1 for e in batch)
 
@@ -421,11 +419,9 @@ class TestInstrumentedParity:
         scalar spur loop; the lockstep rounds must ask the same queries.
         """
         from repro.engine.registry import run_sweep
-        from repro.graphs.csr import clear_csr_cache
         from repro.memo import clear_memos
 
         clear_memos()
-        clear_csr_cache()
         tracer = enable(ring_size=1_000_000)
         run_sweep(sweep, "small", 0)
         credited = [tracer.root_counters] + [event["counters"] for event in tracer.events]

@@ -14,11 +14,13 @@ implementations:
 * fig08-ens's in-place link failure vs the copy-and-remove path;
 
 plus direct tests of :class:`~repro.topologies.core.TopologyCore`
-invariants: the graph materialization order contract, the zero-copy CSR
-bridge, canonical content hashing, and the lazy ``Topology`` wrapper.
+invariants: the graph materialization order contract, the CSR view a
+topology keeps until an edit, canonical content hashing, and the lazy
+``Topology`` wrapper.
 """
 
 import random
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -28,9 +30,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.failures.injection import fail_random_links
-from repro.graphs.csr import CSRGraph, csr_graph
-from repro.graphs.properties import histogram_cdf, path_length_distribution
+from repro.cabling.containers import build_localized_jellyfish
+from repro.failures.injection import fail_random_links, fail_random_switches
+from repro.graphs.csr import csr_graph
+from repro.graphs.properties import histogram_cdf
 from repro.graphs.regular import (
     graph_from_rows,
     random_graph_with_degree_budget_rows,
@@ -39,13 +42,16 @@ from repro.graphs.regular import (
 )
 from repro.topologies.base import Topology, TopologyError
 from repro.topologies.core import TopologyCore
+from repro.topologies.degree_diameter import DegreeDiameterTopology
 from repro.topologies.ensemble import (
     _structural_metrics,
     ensemble_failure_point,
     ensemble_point_specs,
     summarize_instance_metrics,
 )
+from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology, rrg_budget, rrg_core
+from repro.topologies.swdc import RING, SmallWorldTopology
 from repro.utils.rng import spawn_seeds
 
 from oracles.graphs import (
@@ -266,18 +272,11 @@ class TestTopologyCore:
     def test_csr_bridge_equals_graph_built_csr(self):
         topology = JellyfishTopology.build(24, 8, 5, rng=2)
         core_csr = topology.core().csr()
-        fresh = CSRGraph(topology.graph)
+        fresh = csr_graph(topology.graph)
         assert core_csr.nodes == fresh.nodes
         assert np.array_equal(core_csr.indptr, fresh.indptr)
         assert np.array_equal(core_csr.indices, fresh.indices)
         assert core_csr.num_edges == fresh.num_edges
-
-    def test_materialization_adopts_core_csr(self):
-        topology = JellyfishTopology.build(12, 6, 3, rng=3)
-        view = topology.csr()  # built on the core, graph not materialized
-        assert topology._graph is None
-        graph = topology.graph
-        assert csr_graph(graph) is view
 
     def test_content_hash_ignores_construction_order(self):
         topology = JellyfishTopology.build(12, 6, 4, rng=5)
@@ -338,7 +337,11 @@ class TestLazyTopologyWrapper:
     def test_server_cdf_matches_host_graph_path(self):
         topology = JellyfishTopology.from_equipment(20, 6, 26, rng=4)
         host_graph, servers = host_graph_reference(topology)
-        via_host_graph = histogram_cdf(path_length_distribution(host_graph, servers))
+        csr = csr_graph(host_graph)
+        hosts = sorted(csr.index_of[server] for server in servers)
+        distances = csr.hop_distance_matrix(hosts)[:, hosts]
+        upper = distances[np.triu_indices(len(hosts), k=1)]
+        via_host_graph = histogram_cdf(Counter(upper[upper > 0].tolist()))
         assert topology.server_path_length_cdf() == via_host_graph
 
     def test_attach_servers_updates_core(self):
@@ -363,6 +366,88 @@ class TestLazyTopologyWrapper:
             Topology.from_core(
                 TopologyCore(["a", "b"], [[1], [0]], [1, 1], [1, 1])
             )
+
+
+def _assert_view_matches_graph(topology):
+    """``topology.csr()`` equals a view built from its graph; returns it."""
+    view = topology.csr()
+    built = csr_graph(topology.graph)
+    assert view.nodes == built.nodes
+    assert view.indptr.dtype == built.indptr.dtype
+    assert view.indices.dtype == built.indices.dtype
+    assert np.array_equal(view.indptr, built.indptr)
+    assert np.array_equal(view.indices, built.indices)
+    assert view.content_hash == built.content_hash
+    return view
+
+
+_BUILDS = {
+    "fattree-k6": lambda: FatTreeTopology.build(6),
+    "jellyfish-core": lambda: JellyfishTopology.build(24, 8, 5, rng=2),
+    "swdc-ring": lambda: SmallWorldTopology.build(30, RING, degree=6, rng=7),
+    "degree-diameter": lambda: DegreeDiameterTopology.build(
+        16, 6, 4, rng=1, iterations=50
+    ),
+    "localized": lambda: build_localized_jellyfish(
+        3, 8, 10, 6, 4, local_fraction=0.5, rng=2
+    ),
+    "failed-fattree-links": lambda: fail_random_links(
+        FatTreeTopology.build(6), 0.2, rng=3
+    ),
+    "failed-jellyfish-switches": lambda: fail_random_switches(
+        JellyfishTopology.build(24, 8, 5, rng=2), 0.2, rng=3
+    ),
+}
+
+
+class TestTopologyOwnsItsView:
+    """A topology's CSR view is its core's, kept until an edit drops it."""
+
+    @pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
+    def test_view_equals_graph_built_view(self, build):
+        topology = build()
+        view = _assert_view_matches_graph(topology)
+        assert topology.csr() is view
+        assert topology.core().csr() is view
+
+    def test_materializing_the_graph_keeps_the_view(self):
+        topology = JellyfishTopology.build(12, 6, 3, rng=3)
+        view = topology.csr()
+        assert topology._graph is None  # built on the core alone
+        topology.graph
+        assert topology.csr() is view
+
+    def test_every_edit_gives_a_new_equal_view(self):
+        topology = JellyfishTopology.build(24, 8, 5, rng=2, servers_per_switch=3)
+        edits = [
+            lambda t: t.remove_links([next(iter(t.graph.edges))]),
+            lambda t: t.remove_switches([0, 5]),
+            # ("new", i) labels beside int ones: unorderable, insertion order.
+            lambda t: t.expand(2, 8, 3, rng=4),
+            lambda t: setattr(t, "graph", t.graph.copy()),
+        ]
+        for edit in edits:
+            before = topology.csr()
+            edit(topology)
+            after = _assert_view_matches_graph(topology)
+            assert after is not before
+            assert topology.csr() is after
+        assert ("new", 22) in topology.csr().index_of
+
+    @pytest.mark.parametrize("materialized", [False, True])
+    def test_copy_gets_its_own_view(self, materialized):
+        topology = JellyfishTopology.build(24, 8, 5, rng=2)
+        view = topology.csr()
+        if materialized:
+            topology.graph
+        clone = topology.copy()
+        clone_view = _assert_view_matches_graph(clone)
+        assert clone_view is not view
+        assert clone.csr() is clone_view
+        assert topology.csr() is view
+        clone.remove_links([next(iter(clone.graph.edges))])
+        assert topology.csr() is view
+        assert clone.csr().num_edges == view.num_edges - 1
 
 
 class TestTrafficArrays:

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.graphs.csr import csr_graph
 from repro.graphs.properties import average_path_length, diameter
 from repro.topologies.base import TopologyError
 from repro.topologies.degree_diameter import (
@@ -20,13 +21,13 @@ class TestClassicalConstructions:
         graph = petersen_graph()
         assert graph.number_of_nodes() == 10
         assert is_regular(graph, 3)
-        assert diameter(graph) == 2
+        assert diameter(csr_graph(graph)) == 2
 
     def test_hoffman_singleton(self):
         graph = hoffman_singleton_graph()
         assert graph.number_of_nodes() == 50
         assert is_regular(graph, 7)
-        assert diameter(graph) == 2
+        assert diameter(csr_graph(graph)) == 2
 
 
 class TestLocalSearchOptimizer:
@@ -39,9 +40,9 @@ class TestLocalSearchOptimizer:
         from repro.graphs.regular import random_regular_graph
 
         seed_graph = random_regular_graph(24, 4, rng=5)
-        baseline = average_path_length(seed_graph)
+        baseline = average_path_length(csr_graph(seed_graph))
         optimized = optimized_low_diameter_graph(24, 4, rng=5, iterations=300)
-        assert average_path_length(optimized) <= baseline + 1e-9
+        assert average_path_length(csr_graph(optimized)) <= baseline + 1e-9
 
     def test_tiny_graph(self):
         graph = optimized_low_diameter_graph(4, 2, rng=2, iterations=10)
@@ -53,7 +54,7 @@ class TestDegreeDiameterTopology:
         topo = DegreeDiameterTopology.build(50, 11, 7, rng=1, iterations=10)
         assert topo.num_switches == 50
         assert is_regular(topo.graph, 7)
-        assert diameter(topo.graph) == 2
+        assert diameter(topo.csr()) == 2
         assert topo.num_servers == 50 * 4
 
     def test_falls_back_to_local_search(self):
